@@ -26,7 +26,7 @@ CASES = {
     "cartesian beta=1": dict(t0=0.0, t1=50.0, u0=1.0, v0=0.0,
                              beta=1.0, lam_sq=4.0, c_coef=0.0, threshold=41.0),
 }
-COMMON = dict(rtol=1e-10, atol=1e-12, h0=1e-4, h_min=0.0, max_steps=2_000_000)
+COMMON = dict(rtol=1e-10, atol=1e-12, h0=1e-4, max_steps=2_000_000)
 
 
 def run_case(fn, case, repeat):
@@ -48,9 +48,9 @@ def main():
 
     rows = []
     for name, case in CASES.items():
-        t_py, n = run_case(kernels._madelung_loop_py, case, args.repeat)
-        if kernels._madelung_loop_jit is not None:
-            t_jit, n_jit = run_case(kernels._madelung_loop_jit, case, args.repeat)
+        t_py, n = run_case(kernels._madelung_loop, case, args.repeat)
+        if kernels.NUMBA_ENABLED:
+            t_jit, n_jit = run_case(kernels.madelung_loop, case, args.repeat)
             assert n_jit == n, "paths disagree on accepted step count"
         else:
             t_jit = math.nan
@@ -61,7 +61,7 @@ def main():
         speed = f"{t_py / t_jit:8.1f}x" if math.isfinite(t_jit) else "      n/a"
         jit_txt = f"{t_jit * 1e3:9.3f} ms" if math.isfinite(t_jit) else "        n/a"
         print(f"{name:<20} {n:>6} {t_py * 1e3:9.3f} ms {jit_txt} {speed}")
-    if kernels._madelung_loop_jit is None:
+    if not kernels.NUMBA_ENABLED:
         print("numba unavailable; only the pure-Python path was timed")
 
 

@@ -16,8 +16,7 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
                        velocity_field)
 from .fields import (ResidualNorms, assemble_2d, maxent_residual,
                      mixed_second_difference, rotate_grid)
-from .integrator import (OdeSystem, StepControl, StopReason, Trajectory,
-                         integrate, madelung_system, series_start)
+from .integrator import StepControl, StopReason, Trajectory, integrate
 from .kernels import NUMBA_ENABLED
 from .model import (AxisProfile, FieldSample, Grid2D, LaplacianVariant,
                     LogicError, NoSolutionError, Observables, OutOfSupportError,
@@ -36,8 +35,7 @@ __all__ = [
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError",
     "NoSolutionError",
     # integrator
-    "OdeSystem", "StepControl", "StopReason", "Trajectory", "integrate",
-    "series_start", "madelung_system",
+    "StepControl", "StopReason", "Trajectory", "integrate",
     # solver
     "Geometry", "SolveRequest", "solve_radial", "solve_cartesian_factor",
     "estimate_support", "density_from_potential", "resample", "series_coefficient",

@@ -240,6 +240,8 @@ def sinc_limit(params: PhysicalParams, energy: Optional[float] = None,
 def density_on_grid(profile: RadialProfile, radii: np.ndarray) -> np.ndarray:
     """rho(r) resampled on arbitrary radii; zero beyond the resolved support."""
     _require(profile.normalized, "profile", "must be normalized")
+    radii = np.asarray(radii, dtype=float)
+    _require(bool(np.all(radii >= 0.0)), "radii", "must be nonnegative and not NaN")
     out = np.zeros_like(radii)
     inside = radii <= profile.nodes[-1]
     u, _ = resample(profile, radii[inside])
@@ -259,11 +261,15 @@ class LimitRow:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """Sup-norm distances of rho(.; beta) from the infinite-beta density."""
+    """Sup-norm distances of rho(.; beta) from the infinite-beta density.
+
+    ``profiles`` holds the solved state behind each row, in row order.
+    """
 
     rows: tuple
     sinc: SincLimit
     distances_decreasing: bool
+    profiles: tuple
 
     def to_dict(self) -> dict:
         return {
@@ -302,7 +308,8 @@ def limit_convergence(betas: Sequence[float], u0: float,
         d = float(np.max(np.abs(density_on_grid(profile, radii) - rho_inf)))
         rows.append(LimitRow(beta=b, distance=d, r_m=profile.r_m))
     decreasing = all(r2.distance < r1.distance for r1, r2 in zip(rows, rows[1:]))
-    return LimitReport(rows=tuple(rows), sinc=sinc, distances_decreasing=decreasing)
+    return LimitReport(rows=tuple(rows), sinc=sinc, distances_decreasing=decreasing,
+                       profiles=tuple(profiles))
 
 
 def invert_beta_for_energy(target_energy: float, u0: float,

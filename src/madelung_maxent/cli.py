@@ -7,7 +7,7 @@ observables and residuals.  Exit codes: 0 success, 1 computational failure,
 2 usage error.
 
 The default output directory is MADELUNG_MAXENT_OUTDIR (falling back to the
-current directory); MADELUNG_MAXENT_NUMBA=0 selects the pure-Python kernel.
+current directory).
 """
 
 from __future__ import annotations
@@ -222,11 +222,7 @@ def _cmd_limit(args) -> int:
     control = _control_from(args)
     report = analysis.limit_convergence(betas, args.u0, params, control=control)
     outputs = []
-    from dataclasses import replace as _replace
-
-    for row in report.rows:
-        profile = solve_radial(SolveRequest(params=_replace(params, beta=row.beta),
-                                            u0=args.u0, control=control))
+    for row, profile in zip(report.rows, report.profiles):
         omega = analysis.angular_velocity(profile, profile.nodes)
         name = f"radial_profile_beta_{row.beta:g}.csv"
         _write_csv(outdir / name, ["r", "u", "du", "rho", "omega"],

@@ -1,28 +1,27 @@
-"""Deterministic adaptive explicit integrator with finite-distance blow-up stop.
+"""Adaptive integration of the potential equation with a finite-distance blow-up stop.
 
-A Dormand-Prince 5(4) embedded pair drives every solver in the package.  The
-self-trapping potential equations blow up at finite distance, so the stepper
-monitors one state component: a step that would push it past
-``blowup_threshold`` is rejected and bisected, and the run ends at the last
-accepted node with ``BLOWUP_DETECTED``.  Recorded monitored values therefore
-never exceed the threshold.
+Every state in the package solves one ODE family,
 
-Madelung-family systems (tagged by ``OdeSystem.kernel``) route through the
-compiled scalar loop in :mod:`madelung_maxent.kernels`; any other system uses
-the generic pure-Python loop below, which implements the same step logic.
+    u'' = (beta/2) u'^2 + lam_sq * u - (c/t) u',
+
+whose solutions blow up at a finite t.  ``integrate`` validates a run and
+hands it to the Dormand-Prince 5(4) loop in :mod:`madelung_maxent.kernels`.
+A step that would push u past ``blowup_threshold`` is rejected and bisected,
+and the run ends at the last accepted node with ``BLOWUP_DETECTED``, so
+recorded values of u never exceed the threshold.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
-from .model import ValidationError, _readonly, _require
+from .model import _readonly, _require
 
 
 class StopReason(enum.Enum):
@@ -41,51 +40,31 @@ _STOP_FROM_CODE = {
 
 
 @dataclass(frozen=True)
-class OdeSystem:
-    """First-order system y' = rhs(t, y) with an optional compiled fast path.
-
-    ``singular_origin`` marks a removable 1/t singularity at t = 0 (the rhs
-    must not be evaluated there; start the run with ``series_start``).
-    ``kernel``/``kernel_args`` tag systems with a specialized compiled loop.
-    """
-
-    dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
-    singular_origin: bool = False
-    kernel: Optional[str] = None
-    kernel_args: tuple = ()
-
-    def __post_init__(self):
-        _require(self.dimension >= 1, "dimension", "must be a positive integer")
-
-
-@dataclass(frozen=True)
 class StepControl:
-    """Tolerances and step-size limits.
+    """Tolerances, the blow-up threshold on u, and the step-attempt budget.
 
-    h_init/h_min = 0 mean "choose automatically".  blowup_threshold = inf
-    disables the monitor.  Defaults reproduce reference curves to plotting
-    accuracy and the recorded scalars to at least six digits.
+    blowup_threshold = inf disables the monitor.  Defaults reproduce reference
+    curves to plotting accuracy and the recorded scalars to at least six digits.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    h_init: float = 0.0
-    h_min: float = 0.0
     blowup_threshold: float = math.inf
     max_steps: int = 2_000_000
 
     def __post_init__(self):
-        _require(self.rel_tol > 0 and self.abs_tol > 0, "rel_tol/abs_tol", "must be positive")
-        _require(self.h_init >= 0 and self.h_min >= 0, "h_init/h_min", "must be nonnegative")
-        _require(self.h_init == 0 or self.h_min <= self.h_init,
-                 "h_min", "must not exceed h_init")
-        _require(self.max_steps > 0, "max_steps", "must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            _require(math.isfinite(value) and value > 0, name, "must be a positive finite real")
+        _require(not math.isnan(self.blowup_threshold), "blowup_threshold", "must not be NaN")
+        _require(isinstance(self.max_steps, (int, np.integer))
+                 and not isinstance(self.max_steps, bool) and self.max_steps > 0,
+                 "max_steps", "must be a positive integer")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted integration nodes, states, and the reason the run stopped."""
+    """Accepted integration nodes, states (u, u'), and the reason the run stopped."""
 
     nodes: np.ndarray
     states: np.ndarray
@@ -99,153 +78,30 @@ class Trajectory:
         _require(bool(np.all(np.diff(self.nodes) > 0)), "nodes", "must be strictly ascending")
 
 
-def _generic_loop(rhs, y0, t0, t1, rtol, atol, h0, h_min, threshold, monitor, max_steps):
-    """Vector DP45 loop mirroring the compiled scalar kernel step for step."""
-    a = ((kernels._A21,),
-         (kernels._A31, kernels._A32),
-         (kernels._A41, kernels._A42, kernels._A43),
-         (kernels._A51, kernels._A52, kernels._A53, kernels._A54),
-         (kernels._A61, kernels._A62, kernels._A63, kernels._A64, kernels._A65))
-    c = (kernels._C2, kernels._C3, kernels._C4, kernels._C5, 1.0)
-    b = (kernels._B1, 0.0, kernels._B3, kernels._B4, kernels._B5, kernels._B6)
-    e = (kernels._E1, 0.0, kernels._E3, kernels._E4, kernels._E5, kernels._E6, kernels._E7)
+def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
+              t_span: tuple[float, float], h0: float,
+              control: StepControl | None = None) -> Trajectory:
+    """Integrate the potential equation from y0 = (u, u') over ``t_span``.
 
-    y = np.array(y0, dtype=float)
-    t = float(t0)
-    ts = [t]
-    ys = [y.copy()]
-    span = t1 - t0
-    end_slack = 4.0 * kernels._EPS * abs(t1)
-    h = min(h0, span)
-    stop = StopReason.MAX_STEPS
-    just_rejected = False
-
-    attempts = 0
-    while attempts < max_steps:
-        attempts += 1
-        if t1 - t <= end_slack:
-            stop = StopReason.REACHED_END
-            break
-        h = min(h, t1 - t)
-
-        k = [np.asarray(rhs(t, y), dtype=float)]
-        for ci, ai in zip(c, a):
-            yi = y + h * sum(aij * kj for aij, kj in zip(ai, k))
-            k.append(np.asarray(rhs(t + ci * h, yi), dtype=float))
-        y5 = y + h * sum(bi * ki for bi, ki in zip(b, k))
-        k.append(np.asarray(rhs(t + h, y5), dtype=float))
-        err = h * sum(ei * ki for ei, ki in zip(e, k))
-
-        finite = bool(np.all(np.isfinite(y5)) and np.all(np.isfinite(err)))
-        if finite:
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        else:
-            err_norm = 2.0
-
-        if (not finite) or err_norm > 1.0:
-            factor = 0.5 if not finite else max(kernels.MIN_FACTOR,
-                                                kernels.SAFETY * err_norm ** -0.2)
-            h *= factor
-            if h < h_min or t + h == t:
-                stop = StopReason.STEP_UNDERFLOW
-                break
-            just_rejected = True
-            continue
-
-        if monitor >= 0 and y5[monitor] > threshold:
-            h *= 0.5
-            if h < h_min or t + h == t:
-                stop = StopReason.BLOWUP_DETECTED
-                break
-            just_rejected = True
-            continue
-
-        t_new = t + h
-        if t_new == t:
-            # sub-ulp accepted step: the blow-up wall sits at the next float
-            stop = StopReason.BLOWUP_DETECTED
-            break
-        t = t_new
-        y = y5
-        ts.append(t)
-        ys.append(y.copy())
-
-        if err_norm == 0.0:
-            factor = kernels.MAX_FACTOR
-        else:
-            factor = min(kernels.MAX_FACTOR,
-                         max(kernels.MIN_FACTOR, kernels.SAFETY * err_norm ** -0.2))
-        if just_rejected:
-            factor = min(factor, 1.0)
-        just_rejected = False
-        h *= factor
-
-    return np.array(ts), np.array(ys), stop
-
-
-def integrate(system: OdeSystem, y0: Sequence[float], t_span: tuple[float, float],
-              control: StepControl | None = None, monitor_index: int = 0) -> Trajectory:
-    """Integrate ``system`` over ``t_span`` recording every accepted step.
-
-    Stops early with BLOWUP_DETECTED when the monitored component would cross
-    ``control.blowup_threshold`` (the trajectory then ends strictly at or
-    below the threshold), or with STEP_UNDERFLOW if the step dies first; the
-    caller decides whether underflow is fatal.
+    Records every accepted step, starting with trial step ``h0``.  Stops early
+    with BLOWUP_DETECTED when u would cross ``control.blowup_threshold`` (the
+    trajectory then ends at or below the threshold), or with STEP_UNDERFLOW
+    if the step dies first; the caller decides whether underflow is fatal.
     """
     control = control or StepControl()
     y0 = np.asarray(y0, dtype=float)
-    _require(y0.shape == (system.dimension,), "y0", "dimension must match the system")
+    _require(y0.shape == (2,), "y0", "must be the pair (u, u')")
     t0, t1 = float(t_span[0]), float(t_span[1])
     _require(t1 > t0 >= 0.0, "t_span", "must be a nonempty forward interval with t0 >= 0")
-    _require(0 <= monitor_index < system.dimension, "monitor_index", "out of range")
+    _require(c_coef == 0.0 or t0 > 0.0, "t_span",
+             "must start past the origin when the (c/t) u' term is present")
+    _require(math.isfinite(h0) and h0 > 0.0, "h0", "must be a positive finite step")
 
-    h0 = control.h_init if control.h_init > 0 else (t1 - t0) * 1e-4
-
-    if system.kernel == "madelung" and system.dimension == 2 and monitor_index == 0:
-        beta, lam_sq, c_coef = system.kernel_args
-        ts, us, vs, code = kernels.madelung_loop(
-            t0, t1, float(y0[0]), float(y0[1]), beta, lam_sq, c_coef,
-            control.rel_tol, control.abs_tol, h0, control.h_min,
-            control.blowup_threshold, control.max_steps)
-        return Trajectory(nodes=ts, states=np.column_stack([us, vs]),
-                          stop_reason=_STOP_FROM_CODE[code])
-
-    ts, ys, stop = _generic_loop(system.rhs, y0, t0, t1,
-                                 control.rel_tol, control.abs_tol, h0, control.h_min,
-                                 control.blowup_threshold, monitor_index, control.max_steps)
-    return Trajectory(nodes=ts, states=ys, stop_reason=stop)
+    ts, us, vs, code = kernels.madelung_loop(
+        t0, t1, float(y0[0]), float(y0[1]), beta, lam_sq, c_coef,
+        control.rel_tol, control.abs_tol, h0, control.blowup_threshold, control.max_steps)
+    return Trajectory(nodes=ts, states=np.column_stack([us, vs]),
+                      stop_reason=_STOP_FROM_CODE[code])
 
 
-def series_start(system: OdeSystem, y0: Sequence[float],
-                 taylor: Callable[[float], Sequence[float]], t_switch: float) -> np.ndarray:
-    """Advance past a removable origin singularity with a Taylor expansion.
-
-    Returns the state at ``t_switch`` from which ``integrate`` can start
-    without ever evaluating the rhs at t = 0.
-    """
-    _require(system.singular_origin, "system", "series_start requires singular_origin")
-    _require(t_switch > 0, "t_switch", "must be positive")
-    state = np.asarray(taylor(t_switch), dtype=float)
-    _require(state.shape == (system.dimension,), "taylor", "must produce a full state vector")
-    return state
-
-
-def madelung_system(beta: float, lam_sq: float, c_coef: float) -> OdeSystem:
-    """The (u, u') potential system with the compiled fast path attached."""
-
-    def rhs(t, y):
-        u, v = y
-        acc = 0.5 * beta * v * v + lam_sq * u
-        if c_coef != 0.0:
-            acc -= c_coef / t * v
-        return np.array([v, acc])
-
-    return OdeSystem(dimension=2, rhs=rhs, singular_origin=c_coef != 0.0,
-                     kernel="madelung", kernel_args=(beta, lam_sq, c_coef))
-
-
-__all__ = [
-    "StopReason", "OdeSystem", "StepControl", "Trajectory",
-    "integrate", "series_start", "madelung_system",
-]
+__all__ = ["StopReason", "StepControl", "Trajectory", "integrate"]

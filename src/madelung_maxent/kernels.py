@@ -7,14 +7,10 @@ with c = 0 (Cartesian factor), 1 (planar-radial) or 2 (paper-radial), and a
 monitored blow-up stop on u.  This scalar loop dominates the runtime of every
 solve, sweep, and inversion, so it is compiled with numba when available.
 
-The pure-Python fallback executes the *same* function object un-jitted, so
-both paths share one source of truth for the arithmetic.  Selection:
-
-    MADELUNG_MAXENT_NUMBA=0|off|false|no   force the pure-Python path
-    MADELUNG_MAXENT_NUMBA=1|on|true|yes    require numba (warn + fall back if missing)
-    unset / auto                           use numba when importable
-
-``benchmarks/benchmark_kernels.py`` times one path against the other.
+``madelung_loop`` is the jitted loop when numba is importable and the plain
+Python function ``_madelung_loop`` otherwise; both run the same source, so
+they share one definition of the arithmetic.  ``benchmarks/benchmark_kernels.py``
+times one against the other.
 
 Stop codes: 0 reached end, 1 blow-up detected, 2 step underflow, 3 max steps.
 """
@@ -22,8 +18,6 @@ Stop codes: 0 reached end, 1 blow-up detected, 2 step underflow, 3 max steps.
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 
@@ -52,7 +46,7 @@ STOP_MAX_STEPS = 3
 
 
 def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
-                   rtol, atol, h0, h_min, threshold, max_steps):
+                   rtol, atol, h0, threshold, max_steps):
     """Integrate the Madelung potential system from (t0, u0, v0) toward t1.
 
     Records every accepted step.  A proposed step whose u-component would
@@ -164,7 +158,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
                 if factor < MIN_FACTOR:
                     factor = MIN_FACTOR
             h *= factor
-            if h < h_min or t + h == t:
+            if t + h == t:
                 stop = STOP_UNDERFLOW
                 break
             just_rejected = True
@@ -173,7 +167,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         if u5 > threshold:
             # monitored component would overshoot: bisect toward the crossing
             h *= 0.5
-            if h < h_min or t + h == t:
+            if t + h == t:
                 stop = STOP_BLOWUP
                 break
             just_rejected = True
@@ -219,32 +213,15 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
     return ts[:n].copy(), us[:n].copy(), vs[:n].copy(), stop
 
 
-def _env_choice() -> str:
-    raw = os.environ.get("MADELUNG_MAXENT_NUMBA", "auto").strip().lower()
-    if raw in ("0", "off", "false", "no"):
-        return "off"
-    if raw in ("1", "on", "true", "yes"):
-        return "on"
-    return "auto"
-
-
-_madelung_loop_py = _madelung_loop
-_madelung_loop_jit = None
-_choice = _env_choice()
+madelung_loop = _madelung_loop
 NUMBA_ENABLED = False
-
-if _choice != "off":
-    try:
-        import numba
-
-        _madelung_loop_jit = numba.njit(cache=True)(_madelung_loop)
-        NUMBA_ENABLED = True
-    except ImportError:
-        if _choice == "on":
-            warnings.warn("MADELUNG_MAXENT_NUMBA=1 but numba is not importable; "
-                          "falling back to the pure-Python kernel")
-
-madelung_loop = _madelung_loop_jit if NUMBA_ENABLED else _madelung_loop_py
+try:
+    import numba
+except ImportError:
+    pass
+else:
+    madelung_loop = numba.njit(cache=True)(_madelung_loop)
+    NUMBA_ENABLED = True
 
 __all__ = [
     "madelung_loop", "NUMBA_ENABLED",

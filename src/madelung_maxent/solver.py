@@ -24,8 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadrature
-from .integrator import (OdeSystem, StepControl, StopReason, Trajectory,
-                         integrate, madelung_system, series_start)
+from .integrator import StepControl, StopReason, Trajectory, integrate
 from .model import (AxisProfile, LogicError, PhysicalParams, RadialProfile,
                     SolverError, ValidationError, _require)
 
@@ -77,23 +76,23 @@ def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
     t_end = 200.0 * (ell + 1.0 / math.sqrt(lam_sq))
 
     threshold = control.blowup_threshold
-    if not math.isfinite(threshold):
+    if threshold == math.inf:
         threshold = u0 + BLOWUP_LOG_MARGIN / params.beta
-    h0 = control.h_init if control.h_init > 0 else t_switch
-    control = replace(control, blowup_threshold=threshold, h_init=h0)
+    else:
+        _require(threshold > u0, "blowup_threshold",
+                 f"must exceed u0 = {u0!r}, where the potential starts")
+    control = replace(control, blowup_threshold=threshold)
 
-    system = madelung_system(params.beta, lam_sq, c_coef)
     if c_coef != 0.0:
         # 1/r singularity at the origin: Taylor-advance before stepping
         a = series_coefficient(params, u0, c_coef)
-        y_start = series_start(system, [u0, 0.0],
-                               lambda t: [u0 + a * t * t, 2.0 * a * t], t_switch)
+        y_start = (u0 + a * t_switch * t_switch, 2.0 * a * t_switch)
         t0 = t_switch
     else:
-        y_start = np.array([u0, 0.0])
+        y_start = (u0, 0.0)
         t0 = 0.0
 
-    trajectory = integrate(system, y_start, (t0, t_end), control, monitor_index=0)
+    trajectory = integrate(params.beta, lam_sq, c_coef, y_start, (t0, t_end), t_switch, control)
     if trajectory.stop_reason is not StopReason.BLOWUP_DETECTED:
         raise SolverError(
             f"potential integration ended with '{trajectory.stop_reason.value}' "

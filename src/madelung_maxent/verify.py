@@ -91,7 +91,7 @@ def run_suite(beta: float = 1.0, quick: bool = False, golden_path=None) -> list[
     norms_half = fields.maxent_residual(profile, params, h=res_h / 2)
     ratio = norms.pde / norms_half.pde
     results.append(_check("pde-residual",
-                          norms.pde < 1e-4 * (res_h / 1e-3) ** 2 * 1.5 and 2.8 < ratio < 5.5,
+                          norms.pde < 1e-4 * (res_h / 1e-3) ** 2 * 1.5 and 3.0 < ratio < 5.0,
                           f"residual {norms.pde:.3e} at h={res_h:g}, halving ratio {ratio:.2f}"))
     results.append(_check("density-rebuild",
                           norms.rebuild < 1e-4 * (res_h / 1e-3) ** 2 * 1.5,

@@ -206,3 +206,9 @@ def test_entropy_stationarity(radial1):
 def test_density_on_grid_matches_nodes(radial1):
     rho = mm.density_on_grid(radial1, radial1.nodes[:50])
     np.testing.assert_allclose(rho, radial1.rho[:50], rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0])
+def test_density_on_grid_rejects_bad_radii(radial1, bad):
+    with pytest.raises(mm.ValidationError, match="^radii: "):
+        mm.density_on_grid(radial1, np.array([0.0, bad, 0.1]))

@@ -1,12 +1,17 @@
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
 from madelung_maxent import cli, verify
+
+
+BASELINE = Path(__file__).resolve().parents[1] / "perfbench" / "baseline.json"
 
 
 def run_cli(*argv):
@@ -44,6 +49,17 @@ def test_solve_radial_json_format(tmp_path):
     assert not (out / "radial_profile.csv").exists()
     manifest = load_manifest(out)
     assert abs(manifest["observables"]["k_bar"] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("radial_profile.csv", ["solve-radial", "--beta", "1"]),
+    ("sweep.csv", ["sweep", "--beta-log-range", "1e-4", "100", "13"]),
+])
+def test_csv_bytes_match_benchmark_digests(tmp_path, name, argv):
+    """The benchmark's cli workload gates on these digests; a change to them is a change of output."""
+    expected = json.loads(BASELINE.read_text())["csv_sha256"][name]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
 
 
 def test_usage_error_exit_2(tmp_path, capsys):

@@ -4,15 +4,17 @@ import numpy as np
 import pytest
 
 import madelung_maxent as mm
-from madelung_maxent.integrator import OdeSystem, StepControl, StopReason, integrate, series_start
+from madelung_maxent.integrator import StepControl, StopReason, integrate
 
-
-def sine_system():
-    return OdeSystem(dimension=2, rhs=lambda t, y: np.array([y[1], -y[0]]))
+# u'' = -u (beta = 0, lam_sq = -1, c = 0) from (u, u') = (0, 1): u = sin t
+SINE = dict(beta=0.0, lam_sq=-1.0, c_coef=0.0, y0=(0.0, 1.0), t_span=(0.0, math.pi),
+            h0=math.pi * 1e-4)
+# u'' = u'^2 (beta = 2, lam_sq = 0, c = 0) from (0, 1): u = -ln(1 - t), wall at t = 1
+RICCATI = dict(beta=2.0, lam_sq=0.0, c_coef=0.0, y0=(0.0, 1.0), t_span=(0.0, 2.0), h0=2e-4)
 
 
 def test_sine_endpoint():
-    traj = integrate(sine_system(), [0.0, 1.0], (0.0, math.pi))
+    traj = integrate(**SINE)
     assert traj.stop_reason is StopReason.REACHED_END
     assert abs(traj.nodes[-1] - math.pi) < 1e-12
     assert abs(traj.states[-1, 0]) < 1e-8
@@ -22,30 +24,24 @@ def test_tolerance_halving_monotone_error():
     errors = []
     for k in range(6):
         rtol = 1e-6 * 0.5**k
-        traj = integrate(sine_system(), [0.0, 1.0], (0.0, math.pi),
-                         StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
+        traj = integrate(**SINE, control=StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
         errors.append(abs(traj.states[-1, 0]))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:])), errors
 
 
 def test_blowup_riccati():
-    # y' = y^2, y(0) = 1 blows up at t = 1; y = 1e6 at t = 1 - 1e-6
-    sys_ = OdeSystem(dimension=1, rhs=lambda t, y: np.array([y[0] ** 2]))
-    traj = integrate(sys_, [1.0], (0.0, 2.0),
-                     StepControl(blowup_threshold=1e6), monitor_index=0)
+    # u = -ln(1 - t) crosses -ln(1e-6) at t = 1 - 1e-6
+    threshold = -math.log(1e-6)
+    traj = integrate(**RICCATI, control=StepControl(blowup_threshold=threshold))
     assert traj.stop_reason is StopReason.BLOWUP_DETECTED
     assert abs(traj.nodes[-1] - (1.0 - 1e-6)) < 1e-4
-    assert np.all(traj.states[:, 0] <= 1e6)
+    assert np.all(traj.states[:, 0] <= threshold)
 
 
 def test_blowup_never_overshoots(params1):
-    from madelung_maxent.integrator import madelung_system
-
     threshold = 1.0 + 40.0
-    system = madelung_system(1.0, 4.0, 2.0)
     a = 4.0 / 6.0
-    y0 = series_start(system, [1.0, 0.0], lambda t: [1.0 + a * t * t, 2 * a * t], 1e-4)
-    traj = integrate(system, y0, (1e-4, 50.0),
+    traj = integrate(1.0, 4.0, 2.0, (1.0 + a * 1e-8, 2 * a * 1e-4), (1e-4, 50.0), 1e-4,
                      StepControl(blowup_threshold=threshold))
     assert traj.stop_reason is StopReason.BLOWUP_DETECTED
     assert math.isfinite(traj.nodes[-1])
@@ -53,83 +49,56 @@ def test_blowup_never_overshoots(params1):
 
 
 def test_determinism_bitwise():
-    t1 = integrate(sine_system(), [0.0, 1.0], (0.0, math.pi))
-    t2 = integrate(sine_system(), [0.0, 1.0], (0.0, math.pi))
+    t1 = integrate(**SINE)
+    t2 = integrate(**SINE)
     assert np.array_equal(t1.nodes, t2.nodes)
     assert np.array_equal(t1.states, t2.states)
 
 
 def test_step_underflow_reported():
     # infinite-slope wall with no threshold: the step dies, caller decides
-    sys_ = OdeSystem(dimension=1, rhs=lambda t, y: np.array([y[0] ** 2]))
-    traj = integrate(sys_, [1.0], (0.0, 2.0), StepControl())
+    traj = integrate(**RICCATI, control=StepControl())
     assert traj.stop_reason in (StopReason.STEP_UNDERFLOW, StopReason.BLOWUP_DETECTED)
     assert traj.nodes[-1] < 1.0 + 1e-9
 
 
 def test_max_steps_stop():
-    traj = integrate(sine_system(), [0.0, 1.0], (0.0, math.pi),
-                     StepControl(max_steps=10))
+    traj = integrate(**SINE, control=StepControl(max_steps=10))
     assert traj.stop_reason is StopReason.MAX_STEPS
 
 
 def test_validation():
     with pytest.raises(mm.ValidationError, match="y0"):
-        integrate(sine_system(), [0.0], (0.0, 1.0))
+        integrate(**dict(SINE, y0=(0.0,)))
     with pytest.raises(mm.ValidationError, match="t_span"):
-        integrate(sine_system(), [0.0, 1.0], (1.0, 1.0))
+        integrate(**dict(SINE, t_span=(1.0, 1.0)))
+    with pytest.raises(mm.ValidationError, match="t_span"):
+        integrate(**dict(SINE, c_coef=2.0))  # the (c/t) u' term is singular at t = 0
+    with pytest.raises(mm.ValidationError, match="h0"):
+        integrate(**dict(SINE, h0=0.0))
     with pytest.raises(mm.ValidationError, match="rel_tol"):
         StepControl(rel_tol=0.0)
 
 
-def test_series_start_radial():
-    from madelung_maxent.integrator import madelung_system
-
-    system = madelung_system(1.0, 4.0, 2.0)  # beta=1, m=hbar=1: a = 2/3
-    a = 4.0 * 1.0 / 6.0
-    state = series_start(system, [1.0, 0.0],
-                         lambda t: [1.0 + a * t * t, 2 * a * t], 1e-4)
-    assert state[0] == pytest.approx(1.0 + (2.0 / 3.0) * 1e-8, rel=1e-12)
-    assert state[1] == pytest.approx((4.0 / 3.0) * 1e-4, rel=1e-12)
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(rel_tol=math.inf), "rel_tol"),
+    (dict(rel_tol=math.nan), "rel_tol"),
+    (dict(abs_tol=math.inf), "abs_tol"),
+    (dict(abs_tol=math.nan), "abs_tol"),
+    (dict(blowup_threshold=math.nan), "blowup_threshold"),
+    (dict(max_steps=math.inf), "max_steps"),
+    (dict(max_steps=10.5), "max_steps"),
+    (dict(max_steps=0), "max_steps"),
+    (dict(max_steps=True), "max_steps"),
+])
+def test_step_control_rejects_nonfinite_and_nonint(kwargs, field):
+    with pytest.raises(mm.ValidationError, match=field):
+        StepControl(**kwargs)
 
 
 def test_series_start_planar():
+    # leading Taylor coefficient a = lambda^2 U0 / (2 (1 + c)) of the solver's start
     a = mm.series_coefficient(mm.make_params(1, 1, 1, "planar-radial"), 1.0, 1.0)
     assert a == pytest.approx(1.0, rel=1e-15)  # lambda^2 U0 / 4 = 1
-
-
-def test_series_start_zero_state():
-    from madelung_maxent.integrator import madelung_system
-
-    system = madelung_system(1.0, 4.0, 2.0)
-    state = series_start(system, [0.0, 0.0], lambda t: [0.0, 0.0], 1e-4)
-    assert np.array_equal(state, [0.0, 0.0])
-
-
-def test_series_start_validation():
-    from madelung_maxent.integrator import madelung_system
-
-    system = madelung_system(1.0, 4.0, 2.0)
-    with pytest.raises(mm.ValidationError, match="t_switch"):
-        series_start(system, [1.0, 0.0], lambda t: [1.0, 0.0], 0.0)
-    regular = OdeSystem(dimension=1, rhs=lambda t, y: y)
-    with pytest.raises(mm.ValidationError, match="singular_origin"):
-        series_start(regular, [1.0], lambda t: [1.0], 1e-4)
-
-
-def test_generic_loop_matches_kernel(params1):
-    """The vector loop and the compiled scalar loop implement one algorithm."""
-    from madelung_maxent.integrator import _generic_loop, madelung_system
-
-    system = madelung_system(1.0, 4.0, 2.0)
-    a = 2.0 / 3.0
-    y0 = np.array([1.0 + a * 1e-8, 2 * a * 1e-4])
-    control = StepControl(blowup_threshold=41.0, h_init=1e-4)
-    fast = integrate(system, y0, (1e-4, 50.0), control)
-    ts, ys, stop = _generic_loop(system.rhs, y0, 1e-4, 50.0, control.rel_tol,
-                                 control.abs_tol, control.h_init, control.h_min,
-                                 control.blowup_threshold, 0, control.max_steps)
-    assert stop is StopReason.BLOWUP_DETECTED
-    assert ts.size == fast.nodes.size
-    np.testing.assert_allclose(ts, fast.nodes, rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(ys[:, 0], fast.states[:, 0], rtol=1e-12, atol=1e-12)
+    a = mm.series_coefficient(mm.make_params(1, 1, 1), 1.0, 2.0)
+    assert a == pytest.approx(2.0 / 3.0, rel=1e-15)  # lambda^2 U0 / 6

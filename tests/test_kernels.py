@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -9,20 +5,20 @@ from madelung_maxent import kernels
 
 ARGS = dict(t0=1e-4, t1=50.0, u0=1.0 + (2.0 / 3.0) * 1e-8, v0=(4.0 / 3.0) * 1e-4,
             beta=1.0, lam_sq=4.0, c_coef=2.0, rtol=1e-10, atol=1e-12,
-            h0=1e-4, h_min=0.0, threshold=41.0, max_steps=2_000_000)
+            h0=1e-4, threshold=41.0, max_steps=2_000_000)
 
 
 def test_python_kernel_blowup():
-    ts, us, vs, stop = kernels._madelung_loop_py(**ARGS)
+    ts, us, vs, stop = kernels._madelung_loop(**ARGS)
     assert stop == kernels.STOP_BLOWUP
     assert np.all(np.diff(ts) > 0)
     assert np.all(us <= 41.0)
 
 
-@pytest.mark.skipif(kernels._madelung_loop_jit is None, reason="numba unavailable")
+@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba unavailable")
 def test_numba_matches_python_fallback():
-    jt, ju, jv, jstop = kernels._madelung_loop_jit(**ARGS)
-    pt, pu, pv, pstop = kernels._madelung_loop_py(**ARGS)
+    jt, ju, jv, jstop = kernels.madelung_loop(**ARGS)
+    pt, pu, pv, pstop = kernels._madelung_loop(**ARGS)
     assert jstop == pstop
     assert jt.size == pt.size
     np.testing.assert_allclose(jt, pt, rtol=1e-12, atol=0)
@@ -31,34 +27,6 @@ def test_numba_matches_python_fallback():
 
 
 def test_kernel_deterministic():
-    a = kernels._madelung_loop_py(**ARGS)
-    b = kernels._madelung_loop_py(**ARGS)
+    a = kernels._madelung_loop(**ARGS)
+    b = kernels._madelung_loop(**ARGS)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-def test_env_flag_disables_numba():
-    env = dict(os.environ, MADELUNG_MAXENT_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import madelung_maxent.kernels as k; print(k.NUMBA_ENABLED, "
-         "k.madelung_loop is k._madelung_loop_py)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.split() == ["False", "True"]
-
-
-def test_env_flag_fallback_solves_identically():
-    code = (
-        "import madelung_maxent as mm;"
-        "p = mm.make_params(1, 1, 1.0);"
-        "prof = mm.solve_radial(mm.SolveRequest(params=p));"
-        "print(repr(prof.r_m))"
-    )
-    runs = {}
-    for flag in ("0", "auto"):
-        env = dict(os.environ, MADELUNG_MAXENT_NUMBA=flag)
-        out = subprocess.run([sys.executable, "-c", code],
-                             capture_output=True, text=True, env=env, check=True)
-        runs[flag] = out.stdout.strip()
-    r_off = float(runs["0"])
-    r_auto = float(runs["auto"])
-    assert abs(r_off - r_auto) <= 1e-11 * r_auto

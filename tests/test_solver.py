@@ -51,6 +51,16 @@ def test_negative_u0_rejected():
         mm.SolveRequest(params=mm.make_params(1, 1, 1), u0=-1.0)
 
 
+@pytest.mark.parametrize("threshold", [1.0, 0.5, -math.inf])
+@pytest.mark.parametrize("geometry", list(mm.Geometry))
+def test_threshold_at_or_below_u0_rejected(params1, threshold, geometry):
+    request = mm.SolveRequest(params=params1, u0=1.0, geometry=geometry,
+                              control=StepControl(blowup_threshold=threshold))
+    solve = mm.solve_radial if geometry is mm.Geometry.RADIAL else mm.solve_cartesian_factor
+    with pytest.raises(mm.ValidationError, match="^blowup_threshold: "):
+        solve(request)
+
+
 def test_geometry_enforced(params1):
     with pytest.raises(mm.ValidationError, match="geometry"):
         mm.solve_radial(mm.SolveRequest(params=params1,
