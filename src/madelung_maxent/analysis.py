@@ -155,10 +155,6 @@ class SweepResult:
     k_bar_decreasing: bool
     u_bar_nonincreasing: bool
 
-    @property
-    def ok_rows(self):
-        return [row for row in self.rows if row.status == "ok"]
-
     def to_dict(self) -> dict:
         return {
             "rows": [row.to_dict() for row in self.rows],

@@ -13,6 +13,7 @@ current directory).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -30,31 +31,17 @@ from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 FORMAT_VERSION = "1"
 
 
-def _fmt(x) -> str:
-    x = float(x)
-    return f"{x:.17g}"
-
-
-def _write_text(path: Path, text: str):
+def _write_lines(path: Path, lines):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as f:
+        f.writelines(lines)
     os.replace(tmp, path)
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
-    rows = zip(*columns)
-    body = "\n".join(",".join(_fmt(v) for v in row) for row in rows)
-    _write_text(path, ",".join(header) + "\n" + body + "\n")
-
-
-def _write_grid_csv(path: Path, grid, plane: np.ndarray):
-    x, y = grid.x, grid.y
-    lines = ["x,y,value"]
-    for i, xv in enumerate(x):
-        xs = _fmt(xv)
-        row = plane[i]
-        lines.extend(f"{xs},{_fmt(yv)},{_fmt(v)}" for yv, v in zip(y, row))
-    _write_text(path, "\n".join(lines) + "\n")
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
+    _write_lines(path, itertools.chain([",".join(header) + "\n"], map(line.__mod__, rows)))
 
 
 def _outdir(args) -> Path:
@@ -64,8 +51,8 @@ def _outdir(args) -> Path:
     return path
 
 
-def _params_from(args):
-    return make_params(args.mass, args.hbar, args.beta,
+def _params_from(args, beta):
+    return make_params(args.mass, args.hbar, beta,
                        "paper-radial" if args.variant == "paper" else "planar-radial")
 
 
@@ -86,7 +73,7 @@ def _manifest(args, command: str, outdir: Path, outputs: list[str], started: flo
     }
     manifest.update(extra)
     path = outdir / "manifest.json"
-    _write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
     for name in outputs:
         assert (outdir / name).exists()
     return manifest
@@ -108,7 +95,7 @@ def _add_common(parser: argparse.ArgumentParser, beta_flag: bool = True):
 
 
 def _cmd_solve_radial(args) -> int:
-    params = _params_from(args)
+    params = _params_from(args, args.beta)
     outdir = _outdir(args)
     started = time.monotonic()
     profile = solve_radial(SolveRequest(params=params, u0=args.u0,
@@ -121,8 +108,8 @@ def _cmd_solve_radial(args) -> int:
                    [profile.nodes, profile.u, profile.du, profile.rho, omega])
         outputs.append("radial_profile.csv")
     if args.format in ("json", "both"):
-        _write_text(outdir / "radial_profile.json",
-                    json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n")
+        _write_lines(outdir / "radial_profile.json",
+                     [json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n"])
         outputs.append("radial_profile.json")
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
     _manifest(args, "solve-radial", outdir, outputs, started,
@@ -134,7 +121,7 @@ def _cmd_solve_radial(args) -> int:
 
 
 def _cmd_solve_cartesian(args) -> int:
-    params = _params_from(args)
+    params = _params_from(args, args.beta)
     outdir = _outdir(args)
     started = time.monotonic()
     control = _control_from(args)
@@ -145,9 +132,7 @@ def _cmd_solve_cartesian(args) -> int:
     for name, prof in (("axis_profile_x.csv", factor), ("axis_profile_y.csv", factor)):
         _write_csv(outdir / name, ["i", "u", "du"], [prof.nodes, prof.u, prof.du])
         outputs.append(name)
-    _write_grid_csv(outdir / "grid2d_u.csv", grid, grid.u)
-    _write_grid_csv(outdir / "grid2d_rho.csv", grid, grid.rho)
-    outputs += ["grid2d_u.csv", "grid2d_rho.csv"]
+    planes = [("grid2d_u.csv", grid, grid.u), ("grid2d_rho.csv", grid, grid.rho)]
     norms = fields.maxent_residual(grid, params)
     extra = {
         "half_width": factor.half_width,
@@ -157,14 +142,16 @@ def _cmd_solve_cartesian(args) -> int:
     if args.rotate is not None:
         rotated = fields.rotate_grid(grid, args.rotate)
         finite = np.isfinite(rotated.u)
-        _write_grid_csv(outdir / "grid2d_u_rotated.csv", rotated,
-                        np.where(finite, rotated.u, math.inf))
-        _write_grid_csv(outdir / "grid2d_rho_rotated.csv", rotated, rotated.rho)
-        outputs += ["grid2d_u_rotated.csv", "grid2d_rho_rotated.csv"]
+        planes += [("grid2d_u_rotated.csv", rotated, np.where(finite, rotated.u, math.inf)),
+                   ("grid2d_rho_rotated.csv", rotated, rotated.rho)]
         rot_norms = fields.maxent_residual(rotated, params)
         extra["rotation"] = {"theta": args.rotate,
                              "residuals": rot_norms.to_dict(),
                              "residual_ratio": rot_norms.pde / norms.pde}
+    for name, g, plane in planes:
+        _write_csv(outdir / name, ["x", "y", "value"],
+                   [np.repeat(g.x, g.y.size), np.tile(g.y, g.x.size), plane.ravel()])
+        outputs.append(name)
     _manifest(args, "solve-cartesian", outdir, outputs, started, **extra)
     print(f"solve-cartesian: i_m = {factor.half_width:.9g}, grid mass = "
           f"{extra['grid_mass']:.9f}, wrote {len(outputs) + 1} files in {outdir}")
@@ -191,8 +178,7 @@ def _cmd_sweep(args) -> int:
         if lo <= 0 or hi <= lo or int(n) < 2:
             raise ValidationError("beta-log-range: need 0 < lo < hi and n >= 2")
         betas = list(np.logspace(math.log10(lo), math.log10(hi), int(n)))
-    params = make_params(args.mass, args.hbar, betas[0],
-                         "paper-radial" if args.variant == "paper" else "planar-radial")
+    params = _params_from(args, betas[0])
     outdir = _outdir(args)
     started = time.monotonic()
     sweep = analysis.beta_sweep(betas, args.u0, params, control=_control_from(args))
@@ -215,8 +201,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_limit(args) -> int:
     betas = _parse_beta_list(args.betas)
-    params = make_params(args.mass, args.hbar, betas[0],
-                         "paper-radial" if args.variant == "paper" else "planar-radial")
+    params = _params_from(args, betas[0])
     outdir = _outdir(args)
     started = time.monotonic()
     control = _control_from(args)

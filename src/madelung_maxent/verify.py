@@ -1,9 +1,11 @@
 """Invariant verification suite behind the `verify` CLI command.
 
-Each check recomputes one analytic identity, trend, or golden comparison and
-reports pass/fail with a one-line detail.  Quick mode trims the slow items
-(sweep trends, limit convergence, inversion round trip) and shrinks grids so
-the suite stays interactive.
+Every acceptance criterion is one entry of ``CHECKS``: a name, whether only
+the full suite runs it, and a function ``case -> (passed, detail)`` that
+recomputes one analytic identity, trend, or golden comparison.  Each
+criterion's tolerance is written once, in its function.  Quick mode skips the
+slow items (support stability, sweep trends, limit convergence, inversion
+round trip) and coarsens grids so the suite stays interactive.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
+import time
 from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +32,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float
 
 
 def load_golden(path=None) -> dict:
@@ -37,161 +43,243 @@ def load_golden(path=None) -> dict:
     return json.loads(ref.read_text())
 
 
-def _check(name, passed, detail):
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
+@dataclass(frozen=True)
+class Case:
+    """One suite run's inputs; the shared solves are built on first use, once."""
+
+    beta: float
+    quick: bool
+    golden: dict
+
+    @cached_property
+    def params(self) -> PhysicalParams:
+        return PhysicalParams(beta=self.beta)
+
+    @cached_property
+    def profile(self):
+        return solve_radial(SolveRequest(params=self.params))
+
+    @cached_property
+    def obs(self):
+        return analysis.observables(self.profile)
+
+    @cached_property
+    def axis(self):
+        return solve_cartesian_factor(SolveRequest(params=self.params,
+                                                   geometry=Geometry.CARTESIAN_FACTOR))
+
+    @property
+    def residual_h(self) -> float:
+        return 2e-3 if self.quick else 1e-3
+
+    @cached_property
+    def residual(self):
+        return fields.maxent_residual(self.profile, self.params, h=self.residual_h)
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    full_only: bool
+    run: Callable[[Case], tuple]
+
+
+def _fd_bound(h: float) -> float:
+    """Bound on a second-order finite-difference error at spacing h."""
+    return 1e-4 * (h / 1e-3) ** 2
+
+
+def _params_serialization(case):
+    rt = PhysicalParams.from_dict(json.loads(to_json(case.params)))
+    return (rt == case.params and rt.lambda_sq == case.params.lambda_sq,
+            "JSON round trip preserves fields and lambda_sq")
+
+
+def _kinetic_identity(case):
+    k_closed = case.params.mass / case.beta
+    rel = abs(case.obs.k_bar_quad - k_closed) / k_closed
+    return (case.obs.k_bar == k_closed and rel < 1e-6,
+            f"|K_quad - m/beta|/(m/beta) = {rel:.3e} (< 1e-6)")
+
+
+def _entropy_identity(case):
+    obs = case.obs
+    dev = abs(obs.entropy - (case.beta * obs.u_bar + math.log(obs.z)))
+    return dev < 1e-8, f"|H - beta U_bar - ln Z| = {dev:.3e} (< 1e-8)"
+
+
+def _convexity(case):
+    p = case.profile
+    convex = np.all(p.du >= 0) and np.all(np.diff(p.du) >= -1e-10 * np.max(p.du))
+    peaked = np.all(np.diff(p.rho) <= 1e-15 * p.rho[0])
+    return convex and peaked, "U' >= 0 and nondecreasing, rho nonincreasing on the nodes"
+
+
+def _amplitude_concavity(case):
+    # the amplitude factor e^{-beta(U-U0)/2} is concave: its slope
+    # -(beta/2) U' amp must be nonincreasing
+    axis = case.axis
+    amp = np.exp(-0.5 * case.beta * (axis.u - axis.u0))
+    slope = -0.5 * case.beta * axis.du * amp
+    return (np.all(np.diff(slope) <= 1e-12 * np.max(np.abs(slope))),
+            "sqrt(rho) factor slope nonincreasing on the axis nodes")
+
+
+def _finite_support_tail(case):
+    p = case.profile
+    tail = p.rho[-1] / p.rho[0]
+    return (math.isfinite(p.r_m) and tail < 1e-16,
+            f"rho(r_stop)/rho(0) = {tail:.3e} (< 1e-16), r_m = {p.r_m:.9g}")
+
+
+def _pde_residual(case):
+    h = case.residual_h
+    pde = case.residual.pde
+    ratio = pde / fields.maxent_residual(case.profile, case.params, h=h / 2).pde
+    return (pde < _fd_bound(h) and 3.0 < ratio < 5.0,
+            f"residual {pde:.3e} (< {_fd_bound(h):.0e}) at h={h:g}, halving ratio {ratio:.2f}")
+
+
+def _density_rebuild(case):
+    h = case.residual_h
+    rebuild = case.residual.rebuild
+    return (rebuild < _fd_bound(h),
+            f"|U_rebuilt - U| = {rebuild:.3e} (< {_fd_bound(h):.0e}) at h={h:g}")
+
+
+def _stationarity(case):
+    p = case.profile
+    radii = np.linspace(0.0, 0.9 * p.r_m, 64)
+    r = np.concatenate([p.nodes, radii])
+    du = np.concatenate([p.du, analysis._du_values(p, radii)])
+    omega = analysis.angular_velocity(p, r)
+    stat = float(np.max(np.abs(p.params.mass * r * omega**2 - du) / (1.0 + du)))
+    return (stat < 256 * np.finfo(float).eps,
+            f"max relative |m r w^2 - U'| = {stat:.3e} at the nodes and 64 radii")
+
+
+def _divergence_free(case):
+    h = 4e-3 if case.quick else 1e-3
+    div = analysis.divergence_sup(case.profile, h=h)
+    return (div < _fd_bound(h),
+            f"max |div v| = {div:.3e} (< {_fd_bound(h):.0e}) on h={h:g}, r <= 0.8 r_m")
+
+
+def _sinc_limit(case):
+    sinc = analysis.sinc_limit(case.params, energy=1.0)
+    rr = np.linspace(sinc.r_inf / 20, sinc.r_inf, 1000)
+    res = float(np.max(np.abs(sinc.equation_residual(rr))))
+    krpi = abs(sinc.k * sinc.r_inf - math.pi)
+    da = abs(sinc.a - 1.0 / math.sqrt(2.0 * math.pi * case.golden["I_sinc"]))
+    return (res < 1e-12 and krpi <= 4 * np.finfo(float).eps * math.pi and da < 1e-10,
+            f"eq residual {res:.2e}, |k r_inf - pi| = {krpi:.1e}, |a - a_golden| = {da:.2e}")
+
+
+def _golden_scalars(case):
+    ref = next((v for k, v in case.golden["radial"].items()
+                if math.isclose(float(k), case.beta, rel_tol=1e-12)), None)
+    if ref is None:
+        return True, f"no golden entry for beta={case.beta:g}; skipped"
+    dr = abs(case.profile.r_m - ref["r_m"]) / ref["r_m"]
+    du = abs(case.obs.u_bar - ref["u_bar"]) / ref["u_bar"]
+    return (dr < 1e-6 and du < 1e-6,
+            f"r_m rel dev {dr:.2e}, u_bar rel dev {du:.2e} vs golden")
+
+
+def _rotation_invariance(case):
+    # quick: about 201^2 points whatever beta, so the last grid node sits at
+    # the same place relative to the wall
+    h = case.axis.nodes[-1] / 100.5 if case.quick else 5e-3
+    grid = fields.assemble_2d(case.axis, case.axis, h)
+    base = fields.maxent_residual(grid, case.params)
+    rotated = fields.maxent_residual(fields.rotate_grid(grid, math.pi / 6), case.params)
+    ratio = rotated.pde / base.pde
+    return ratio <= 10.0, f"rotated/unrotated residual = {ratio:.2f} (<= 10) at h={h:.4g}"
+
+
+def _maxent_stationarity(case):
+    n_dir = 20 if case.quick else 100
+    gain = analysis.entropy_stationarity_check(case.profile, epsilon=1e-4, n_directions=n_dir)
+    return gain < 1e-12, f"max constrained entropy gain = {gain:.3e} over {n_dir} directions"
+
+
+def _support_stability(case):
+    r_m = case.profile.r_m
+    doubled = solve_radial(SolveRequest(params=case.params, control=StepControl(
+        blowup_threshold=1.0 + 2 * BLOWUP_LOG_MARGIN / case.beta)))
+    halved = solve_radial(SolveRequest(params=case.params, control=StepControl(
+        rel_tol=5e-11, abs_tol=5e-13)))
+    d1 = abs(doubled.r_m - r_m) / r_m
+    d2 = abs(halved.r_m - r_m) / r_m
+    return (d1 < 1e-6 and d2 < 1e-6,
+            f"r_m shifts: threshold x2 -> {d1:.2e}, tolerance /2 -> {d2:.2e} (< 1e-6)")
+
+
+def _sweep_trends(case):
+    sweep = analysis.beta_sweep(np.logspace(-4, 2, 13), 1.0, case.params)
+    r_m = [row.r_m for row in sweep.rows]
+    r2 = [row.r2_bar for row in sweep.rows]
+    monotone = (sweep.r_m_nondecreasing and sweep.r2_nondecreasing
+                and sweep.k_bar_decreasing and sweep.u_bar_nonincreasing
+                and all(row.status == "ok" for row in sweep.rows))
+    flattening = all(v[-1] - v[-2] < 0.5 * (v[-3] - v[-4]) for v in (r_m, r2))
+    collapse = r2[0] < 0.01 * r2[-1]
+    return (monotone and flattening and collapse,
+            "r_m, r2 nondecreasing and flattening; K, U decreasing over 13-point log "
+            f"sweep; r2(1e-4)/r2(100) = {r2[0] / r2[-1]:.1e} (< 0.01)")
+
+
+def _limit_convergence(case):
+    limit = analysis.limit_convergence([10.0, 50.0, 100.0], 1.0, case.params)
+    r_inf = case.golden["r_inf_u0_1"]
+    drm = abs(limit.rows[-1].r_m - r_inf) / r_inf
+    return (limit.distances_decreasing and drm < 0.02,
+            f"distances decreasing; r_m(100) within {drm:.3%} of pi/sqrt(2)")
+
+
+def _beta_inversion(case):
+    worst, above = 0.0, True
+    for b_star in (1.0, 5.0):
+        target = analysis.observables(solve_radial(SolveRequest(
+            params=replace(case.params, beta=b_star)))).energy
+        beta = analysis.invert_beta_for_energy(target, 1.0, case.params)
+        worst = max(worst, abs(beta - b_star) / b_star)
+        above = above and beta > case.params.mass / target  # kinetic lower bound
+    return (worst < 1e-6 and above,
+            f"round trip beta* in {{1, 5}} recovered to {worst:.2e}, above m/E")
+
+
+CHECKS = (
+    Check("params-serialization", False, _params_serialization),
+    Check("kinetic-identity", False, _kinetic_identity),
+    Check("entropy-identity", False, _entropy_identity),
+    Check("convexity", False, _convexity),
+    Check("amplitude-concavity", False, _amplitude_concavity),
+    Check("finite-support-tail", False, _finite_support_tail),
+    Check("pde-residual", False, _pde_residual),
+    Check("density-rebuild", False, _density_rebuild),
+    Check("stationarity", False, _stationarity),
+    Check("divergence-free", False, _divergence_free),
+    Check("sinc-limit", False, _sinc_limit),
+    Check("golden-scalars", False, _golden_scalars),
+    Check("rotation-invariance", False, _rotation_invariance),
+    Check("maxent-stationarity", False, _maxent_stationarity),
+    Check("support-stability", True, _support_stability),
+    Check("sweep-trends", True, _sweep_trends),
+    Check("limit-convergence", True, _limit_convergence),
+    Check("beta-inversion", True, _beta_inversion),
+)
+
+
+def run_check(check: Check, case: Case) -> CheckResult:
+    start = time.perf_counter()
+    passed, detail = check.run(case)
+    return CheckResult(check.name, bool(passed), detail, time.perf_counter() - start)
 
 
 def run_suite(beta: float = 1.0, quick: bool = False, golden_path=None) -> list[CheckResult]:
-    golden = load_golden(golden_path)
-    params = PhysicalParams(beta=beta)
-    results = []
-
-    # shared canonical solves
-    profile = solve_radial(SolveRequest(params=params))
-    obs = analysis.observables(profile)
-    axis = solve_cartesian_factor(SolveRequest(params=params,
-                                               geometry=Geometry.CARTESIAN_FACTOR))
-
-    rt = PhysicalParams.from_dict(json.loads(to_json(params)))
-    results.append(_check("params-serialization",
-                          rt == params and rt.lambda_sq == params.lambda_sq,
-                          "JSON round trip preserves fields and lambda_sq"))
-
-    rel_k = abs(obs.k_bar_quad - obs.k_bar) / obs.k_bar
-    results.append(_check("kinetic-identity",
-                          rel_k < 1e-6,
-                          f"|K_quad - m/beta|/(m/beta) = {rel_k:.3e} (< 1e-6)"))
-
-    ent = abs(obs.entropy - (beta * obs.u_bar + math.log(obs.z)))
-    results.append(_check("entropy-identity",
-                          ent < 1e-8,
-                          f"|H - beta U_bar - ln Z| = {ent:.3e} (< 1e-8)"))
-
-    dd = np.diff(profile.du)
-    results.append(_check("convexity",
-                          bool(np.all(profile.du >= 0) and np.all(dd >= -1e-10 * np.max(profile.du))),
-                          "U' >= 0 and nondecreasing on the nodes"))
-
-    # concavity of the amplitude factor e^{-beta(U-U0)/2}: its slope
-    # -(beta/2) U' amp must be nonincreasing
-    amp = np.exp(-0.5 * beta * (axis.u - axis.u0))
-    amp_slope = -0.5 * beta * axis.du * amp
-    slope_tol = 1e-12 * float(np.max(np.abs(amp_slope)))
-    results.append(_check("amplitude-concavity",
-                          bool(np.all(np.diff(amp_slope) <= slope_tol)),
-                          "sqrt(rho) factor slope nonincreasing on the axis nodes"))
-
-    tail = profile.rho[-1] / profile.rho[0]
-    results.append(_check("finite-support-tail",
-                          tail < 1e-16,
-                          f"rho(r_stop)/rho(0) = {tail:.3e} (< 1e-16)"))
-
-    res_h = 1e-3 if not quick else 2e-3
-    norms = fields.maxent_residual(profile, params, h=res_h)
-    norms_half = fields.maxent_residual(profile, params, h=res_h / 2)
-    ratio = norms.pde / norms_half.pde
-    results.append(_check("pde-residual",
-                          norms.pde < 1e-4 * (res_h / 1e-3) ** 2 * 1.5 and 3.0 < ratio < 5.0,
-                          f"residual {norms.pde:.3e} at h={res_h:g}, halving ratio {ratio:.2f}"))
-    results.append(_check("density-rebuild",
-                          norms.rebuild < 1e-4 * (res_h / 1e-3) ** 2 * 1.5,
-                          f"|U_rebuilt - U| = {norms.rebuild:.3e} at h={res_h:g}"))
-
-    radii = np.linspace(0.0, 0.9 * profile.r_m, 64)
-    omega = analysis._omega_values(profile, radii)
-    du = analysis._du_values(profile, radii)
-    stat = np.max(np.abs(params.mass * radii * omega**2 - du) / (1.0 + du))
-    results.append(_check("stationarity",
-                          stat < 256 * np.finfo(float).eps,
-                          f"max relative |m r w^2 - U'| = {stat:.3e}"))
-
-    div_h = 1e-3 if not quick else 4e-3
-    div = analysis.divergence_sup(profile, h=div_h)
-    results.append(_check("divergence-free",
-                          div < 1e-4 * (div_h / 1e-3) ** 2 * 1.5,
-                          f"max |div v| = {div:.3e} on h={div_h:g}, r <= 0.8 r_m"))
-
-    sinc = analysis.sinc_limit(params, energy=1.0)
-    rr = np.linspace(sinc.r_inf / 20, sinc.r_inf, 1000)
-    sres = float(np.max(np.abs(sinc.equation_residual(rr))))
-    krpi = abs(sinc.k * sinc.r_inf - math.pi)
-    a_ref = 1.0 / math.sqrt(2.0 * math.pi * golden["I_sinc"])
-    results.append(_check("sinc-limit",
-                          sres < 1e-12 and krpi < 1e-14 and abs(sinc.a - a_ref) < 1e-10,
-                          f"eq residual {sres:.2e}, |k r_inf - pi| = {krpi:.1e}, "
-                          f"|a - a_golden| = {abs(sinc.a - a_ref):.2e}"))
-
-    key = None
-    for cand in golden["radial"]:
-        if math.isclose(float(cand), beta, rel_tol=1e-12):
-            key = cand
-            break
-    if key is not None:
-        ref = golden["radial"][key]
-        dr = abs(profile.r_m - ref["r_m"]) / ref["r_m"]
-        du_ = abs(obs.u_bar - ref["u_bar"]) / ref["u_bar"]
-        results.append(_check("golden-scalars",
-                              dr < 1e-6 and du_ < 1e-6,
-                              f"r_m rel dev {dr:.2e}, u_bar rel dev {du_:.2e} vs golden"))
-    else:
-        results.append(_check("golden-scalars", True,
-                              f"no golden entry for beta={beta:g}; skipped"))
-
-    grid_h = 1e-2 if quick else 5e-3
-    grid = fields.assemble_2d(axis, axis, grid_h)
-    rotated = fields.rotate_grid(grid, math.pi / 6)
-    g0 = fields.maxent_residual(grid, params)
-    g1 = fields.maxent_residual(rotated, params)
-    results.append(_check("rotation-invariance",
-                          g1.pde <= 10.0 * g0.pde,
-                          f"rotated/unrotated residual = {g1.pde / g0.pde:.2f} (<= 10)"))
-
-    n_dir = 20 if quick else 100
-    gain = analysis.entropy_stationarity_check(profile, epsilon=1e-4, n_directions=n_dir)
-    results.append(_check("maxent-stationarity",
-                          gain < 1e-12,
-                          f"max constrained entropy gain = {gain:.3e} over {n_dir} directions"))
-
-    if not quick:
-        stable = _support_stability(params)
-        results.append(_check("support-stability", stable[0], stable[1]))
-
-        sweep = analysis.beta_sweep(np.logspace(-4, 2, 13), 1.0, params)
-        trends = (sweep.r_m_nondecreasing and sweep.r2_nondecreasing
-                  and sweep.k_bar_decreasing and sweep.u_bar_nonincreasing
-                  and all(r.status == "ok" for r in sweep.rows))
-        results.append(_check("sweep-trends", trends,
-                              "r_m, r2 nondecreasing; K, U decreasing over 13-point log sweep"))
-
-        limit = analysis.limit_convergence([10.0, 50.0, 100.0], 1.0, params)
-        drm = abs(limit.rows[-1].r_m - golden["r_inf_u0_1"]) / golden["r_inf_u0_1"]
-        results.append(_check("limit-convergence",
-                              limit.distances_decreasing and drm < 0.02,
-                              f"distances decreasing; r_m(100) within {drm:.3%} of pi/sqrt(2)"))
-
-        b_star = 1.0
-        target = analysis.observables(
-            solve_radial(SolveRequest(params=replace(params, beta=b_star)))).energy
-        inv = analysis.invert_beta_for_energy(target, 1.0, params)
-        rel = abs(inv - b_star) / b_star
-        results.append(_check("beta-inversion", rel < 1e-6,
-                              f"round trip beta* = 1 recovered to {rel:.2e}"))
-
-    return results
-
-
-def _support_stability(params: PhysicalParams):
-    base = solve_radial(SolveRequest(params=params))
-    u0 = 1.0
-    doubled = solve_radial(SolveRequest(
-        params=params, u0=u0,
-        control=StepControl(blowup_threshold=u0 + 2 * BLOWUP_LOG_MARGIN / params.beta)))
-    halved = solve_radial(SolveRequest(
-        params=params, u0=u0, control=StepControl(rel_tol=5e-11, abs_tol=5e-13)))
-    d1 = abs(doubled.r_m - base.r_m) / base.r_m
-    d2 = abs(halved.r_m - base.r_m) / base.r_m
-    ok = d1 < 1e-6 and d2 < 1e-6
-    return ok, f"r_m shifts: threshold x2 -> {d1:.2e}, tolerance /2 -> {d2:.2e} (< 1e-6)"
+    case = Case(beta, quick, load_golden(golden_path))
+    return [run_check(check, case) for check in CHECKS if not (quick and check.full_only)]
 
 
 def format_table(results: list[CheckResult]) -> str:
@@ -199,11 +287,12 @@ def format_table(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        lines.append(f"  [{status}] {r.name:<{width}}  {r.detail}")
+        lines.append(f"  [{status}] {r.name:<{width}} {r.seconds:7.3f}s  {r.detail}")
     n_fail = sum(not r.passed for r in results)
     lines.append(f"  {len(results) - n_fail}/{len(results)} checks passed"
                  + (f", {n_fail} FAILED" if n_fail else ""))
     return "\n".join(lines)
 
 
-__all__ = ["CheckResult", "run_suite", "format_table", "load_golden"]
+__all__ = ["CHECKS", "Case", "Check", "CheckResult", "run_check", "run_suite",
+           "format_table", "load_golden"]

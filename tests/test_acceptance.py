@@ -1,183 +1,38 @@
-"""Acceptance criteria, one test per criterion at its stated tolerance.
+"""Acceptance criteria: one test per registered check of the verify suite.
 
-Each test prints a PASS line on success (run with -v -s for the full table);
-stated runtime budgets are asserted after the session fixtures have warmed
-the compiled kernel.
+The criteria and their tolerances live in ``madelung_maxent.verify.CHECKS``;
+this module runs the full suite at beta = 1 and the quick suite at the other
+betas, and asserts the stated runtime budgets on each check's measured time.
+Run with -v -s to see every check's detail line.
 """
 
+import functools
 import math
-import time
 
-import numpy as np
 import pytest
-from scipy.integrate import quad
 
-import madelung_maxent as mm
-from madelung_maxent.integrator import StepControl
-from madelung_maxent.solver import BLOWUP_LOG_MARGIN
+from madelung_maxent import verify
 
-BETA_SET = [0.5, 1.0, 2.0, 10.0, 100.0]
+SUITES = [(1.0, False)] + [(beta, True) for beta in (0.5, 2.0, 10.0, 100.0)]
 
-
-@pytest.fixture(scope="module")
-def family(radial1):
-    profiles = {1.0: radial1}
-    for b in BETA_SET:
-        if b not in profiles:
-            profiles[b] = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1, 1, b)))
-    return profiles
+# wall-time budgets in seconds; each includes the shared solves the check builds first
+BUDGETS = {"kinetic-identity": 5.0, "pde-residual": 2.0, "sweep-trends": 60.0,
+           "limit-convergence": 30.0}
 
 
-def _report(name, detail):
-    print(f"[PASS] {name}: {detail}")
+@functools.cache
+def _case(beta, quick):
+    return verify.Case(beta, quick, verify.load_golden())
 
 
-def test_criterion_01_kinetic_energy_identity(family):
-    start = time.monotonic()
-    worst = 0.0
-    for b in BETA_SET:
-        obs = mm.observables(family[b])
-        rel = abs(obs.k_bar_quad - 1.0 / b) * b
-        worst = max(worst, rel)
-        assert rel < 1e-6, (b, rel)
-    elapsed = time.monotonic() - start
-    assert elapsed < 5.0
-    _report("kinetic-energy identity",
-            f"max |K_quad - m/beta| rel = {worst:.2e} over beta in {BETA_SET} "
-            f"({elapsed:.2f}s < 5s)")
-
-
-def test_criterion_02_entropy_identity(family):
-    worst = 0.0
-    for b in BETA_SET:
-        obs = mm.observables(family[b])
-        dev = abs(obs.entropy - (b * obs.u_bar + math.log(obs.z)))
-        worst = max(worst, dev)
-        assert dev < 1e-8, (b, dev)
-    _report("entropy identity", f"max |H - beta U_bar - ln Z| = {worst:.2e} < 1e-8")
-
-
-def test_criterion_03_self_trapping_reproduction(radial1, params1):
-    start = time.monotonic()
-    assert np.all(radial1.du >= 0)
-    assert np.all(np.diff(radial1.du) >= -1e-10 * radial1.du.max())  # convex
-    assert np.all(np.diff(radial1.rho) <= 1e-15 * radial1.rho[0])    # peaked at 0
-    assert math.isfinite(radial1.r_m)
-    n1 = mm.maxent_residual(radial1, params1, h=1e-3)
-    n2 = mm.maxent_residual(radial1, params1, h=5e-4)
-    ratio = n1.pde / n2.pde
-    assert n1.pde < 1e-4
-    assert 3.0 < ratio < 5.0
-    elapsed = time.monotonic() - start
-    assert elapsed < 2.0
-    _report("self-trapping reproduction",
-            f"residual {n1.pde:.2e} < 1e-4 at h=1e-3, halving ratio {ratio:.2f} "
-            f"({elapsed:.2f}s < 2s)")
-
-
-def test_criterion_04_finite_support_boundary(radial1, params1):
-    assert radial1.rho[-1] < 1e-16 * radial1.rho[0]
-    doubled = mm.solve_radial(mm.SolveRequest(
-        params=params1, control=StepControl(blowup_threshold=1.0 + 2 * BLOWUP_LOG_MARGIN)))
-    halved = mm.solve_radial(mm.SolveRequest(
-        params=params1, control=StepControl(rel_tol=5e-11, abs_tol=5e-13)))
-    d_thr = abs(doubled.r_m - radial1.r_m) / radial1.r_m
-    d_tol = abs(halved.r_m - radial1.r_m) / radial1.r_m
-    assert d_thr < 1e-6 and d_tol < 1e-6
-    _report("finite support & boundary",
-            f"tail {radial1.rho[-1] / radial1.rho[0]:.1e} < 1e-16; r_m shifts "
-            f"{d_thr:.1e} (threshold x2), {d_tol:.1e} (tolerance /2) < 1e-6")
-
-
-def test_criterion_05_beta_sweep_trends(params1):
-    start = time.monotonic()
-    betas = np.logspace(-4, 2, 13)
-    sweep = mm.beta_sweep(betas, 1.0, params1)
-    assert all(row.status == "ok" for row in sweep.rows)
-    assert sweep.r_m_nondecreasing and sweep.r2_nondecreasing
-    assert sweep.k_bar_decreasing and sweep.u_bar_nonincreasing
-    r_m = [row.r_m for row in sweep.rows]
-    r2 = [row.r2_bar for row in sweep.rows]
-    assert r_m[-1] - r_m[-2] < 0.5 * (r_m[-3] - r_m[-4])  # flattening at large beta
-    assert r2[-1] - r2[-2] < 0.5 * (r2[-3] - r2[-4])
-    assert r2[0] < 0.01 * r2[-1]  # delta-function collapse as beta -> 0
-    elapsed = time.monotonic() - start
-    assert elapsed < 60.0
-    _report("beta-sweep trends",
-            f"13-point log sweep monotone, flattening, r2(1e-4)/r2(100) = "
-            f"{r2[0] / r2[-1]:.1e} ({elapsed:.1f}s < 60s)")
-
-
-def test_criterion_06_stationarity_balance(radial1):
-    r = radial1.nodes
-    omega = mm.angular_velocity(radial1, r)
-    residual = np.abs(radial1.params.mass * r * omega**2 - radial1.du)
-    rel = residual / (1.0 + radial1.du)
-    assert np.all(rel <= 256 * np.finfo(float).eps)
-    div = mm.divergence_sup(radial1, h=1e-3)
-    assert div < 1e-4
-    _report("stationarity balance",
-            f"max |m r w^2 - U'| / (1 + U') = {rel.max():.2e} (machine precision "
-            f"at every node); |div v| = {div:.2e} < 1e-4 at h=1e-3 (r <= 0.8 r_m)")
-
-
-def test_criterion_07_sinc_limit(params1):
-    sinc = mm.sinc_limit(params1, energy=1.0)
-    rr = np.linspace(sinc.r_inf / 20, sinc.r_inf, 1000)
-    res = float(np.max(np.abs(sinc.equation_residual(rr))))
-    assert res < 1e-12
-    assert abs(sinc.k * sinc.r_inf - math.pi) <= 4 * np.finfo(float).eps * math.pi
-    oracle = quad(lambda u: np.sin(u) ** 2 / u, 0.0, math.pi, limit=200)[0]
-    dev = abs(mm.analysis.SINC_NORM_INTEGRAL - oracle)
-    assert dev < 1e-10
-    _report("sinc limit",
-            f"equation residual {res:.1e} < 1e-12 at 1000 points; k r_inf = pi; "
-            f"normalization vs quadrature oracle {dev:.1e} < 1e-10")
-
-
-def test_criterion_08_convergence_to_limit(params1):
-    start = time.monotonic()
-    report = mm.limit_convergence([10.0, 50.0, 100.0], 1.0, params1)
-    d = [row.distance for row in report.rows]
-    assert d[0] > d[1] > d[2]
-    r_ref = math.pi / math.sqrt(2.0)
-    dev = abs(report.rows[-1].r_m - r_ref) / r_ref
-    assert dev < 0.02
-    elapsed = time.monotonic() - start
-    assert elapsed < 30.0
-    _report("convergence to sinc limit",
-            f"distances {d[0]:.2e} > {d[1]:.2e} > {d[2]:.2e}; r_m(100) within "
-            f"{dev:.2%} of pi/sqrt2 ({elapsed:.1f}s < 30s)")
-
-
-def test_criterion_09_rotation_invariance(axis1, params1):
-    grid = mm.assemble_2d(axis1, axis1, 5e-3)
-    rotated = mm.rotate_grid(grid, math.pi / 6)
-    base = mm.maxent_residual(grid, params1)
-    rot = mm.maxent_residual(rotated, params1)
-    assert rot.pde <= 10.0 * base.pde
-    _report("rotation invariance",
-            f"pi/6-rotated interior residual/unrotated = {rot.pde / base.pde:.2f} <= 10")
-
-
-def test_criterion_10_beta_inversion_round_trip(params1):
-    worst = 0.0
-    for b_star in (1.0, 5.0):
-        obs = mm.observables(mm.solve_radial(
-            mm.SolveRequest(params=mm.make_params(1, 1, b_star))))
-        target = obs.u_bar + 1.0 / b_star
-        beta = mm.invert_beta_for_energy(target, 1.0, params1)
-        rel = abs(beta - b_star) / b_star
-        worst = max(worst, rel)
-        assert rel < 1e-6, (b_star, rel)
-        assert beta > 1.0 / target  # kinetic lower bound
-    _report("beta inversion round trip",
-            f"beta* in (1, 5) recovered to {worst:.1e} < 1e-6, above m/<E>")
-
-
-def test_criterion_11_maxent_first_order_stationarity(radial1):
-    gain = mm.entropy_stationarity_check(radial1, epsilon=1e-4, n_directions=100)
-    assert gain < 1e-12
-    _report("maxent first-order stationarity",
-            f"100 constrained perturbations (eps = 1e-4): max entropy gain "
-            f"{gain:.2e} (second-order negative)")
+@pytest.mark.parametrize("beta, quick, check", [
+    pytest.param(beta, quick, check,
+                 id=f"{'quick' if quick else 'full'}-beta{beta:g}-{check.name}")
+    for beta, quick in SUITES for check in verify.CHECKS
+    if not (quick and check.full_only)])
+def test_check(beta, quick, check):
+    result = verify.run_check(check, _case(beta, quick))
+    print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name} "
+          f"({result.seconds:.3f}s): {result.detail}")
+    assert result.passed, result.detail
+    assert result.seconds < BUDGETS.get(check.name, math.inf)

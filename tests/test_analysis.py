@@ -7,21 +7,6 @@ from scipy.integrate import quad
 import madelung_maxent as mm
 
 
-def test_kinetic_identity_beta1(obs1):
-    assert obs1.k_bar == 1.0
-    assert abs(obs1.k_bar_quad - 1.0) < 1e-6
-
-
-def test_kinetic_identity_beta2():
-    obs = mm.observables(mm.solve_radial(mm.SolveRequest(params=mm.make_params(1, 1, 2))))
-    assert obs.k_bar == 0.5
-    assert abs(obs.k_bar_quad - 0.5) / 0.5 < 1e-6
-
-
-def test_entropy_identity(obs1):
-    assert abs(obs1.entropy - (obs1.beta * obs1.u_bar + math.log(obs1.z))) < 1e-8
-
-
 def test_observables_golden(obs1, golden):
     ref = golden["radial"]["1.0"]
     assert obs1.u_bar == pytest.approx(ref["u_bar"], rel=1e-8)
@@ -56,14 +41,6 @@ def test_omega_out_of_support(radial1):
         mm.angular_velocity(radial1, radial1.r_m)
     with pytest.raises(mm.OutOfSupportError):
         mm.angular_velocity(radial1, -0.1)
-
-
-def test_stationarity_balance_at_nodes(radial1):
-    r = radial1.nodes
-    omega = mm.angular_velocity(radial1, r)
-    m = radial1.params.mass
-    residual = np.abs(m * r * omega**2 - radial1.du)
-    assert np.all(residual <= 256 * np.finfo(float).eps * (1.0 + radial1.du))
 
 
 def test_velocity_samples_tangential(radial1):
@@ -196,11 +173,6 @@ def test_invert_beta_no_solution(params1):
         mm.invert_beta_for_energy(0.5, 1.0, params1)
     assert excinfo.value.feasible_min is not None
     assert excinfo.value.feasible_min > 0.5
-
-
-def test_entropy_stationarity(radial1):
-    gain = mm.entropy_stationarity_check(radial1, epsilon=1e-4, n_directions=100)
-    assert gain < 1e-12
 
 
 def test_density_on_grid_matches_nodes(radial1):

@@ -8,6 +8,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import madelung_maxent as mm
 from madelung_maxent import cli, verify
 
 
@@ -75,7 +76,7 @@ def test_determinism_bitwise(tmp_path):
     assert (a / "radial_profile.csv").read_bytes() == (b / "radial_profile.csv").read_bytes()
 
 
-def test_solve_cartesian_grid(tmp_path):
+def test_solve_cartesian_grid(tmp_path, axis1):
     out = tmp_path / "cart"
     assert run_cli("solve-cartesian", "--beta", "1", "--grid-h", "0.01",
                    "--out", str(out)) == 0
@@ -84,6 +85,11 @@ def test_solve_cartesian_grid(tmp_path):
         assert (out / name).exists()
     header = (out / "grid2d_u.csv").read_text().splitlines()[0]
     assert header == "x,y,value"
+    # x-major (x, y, value) rows whose 17 digits read back to the exact doubles
+    grid = mm.assemble_2d(axis1, axis1, 0.01)
+    rows = np.loadtxt(out / "grid2d_rho.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(rows, np.column_stack(
+        [np.repeat(grid.x, grid.y.size), np.tile(grid.y, grid.x.size), grid.rho.ravel()]))
     manifest = load_manifest(out)
     assert abs(manifest["grid_mass"] - 1.0) < 1e-4
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import madelung_maxent as mm
+from madelung_maxent import verify
 
 
 @pytest.fixture(scope="module")
@@ -58,10 +59,12 @@ def test_rotation_sentinels(grid1):
     assert np.all(np.isposinf(rot.u[outside]))
 
 
-def test_rotation_preserves_residual(grid1, params1):
-    base = mm.maxent_residual(grid1, params1)
-    rotated = mm.maxent_residual(mm.rotate_grid(grid1, math.pi / 6), params1)
-    assert rotated.pde <= 10.0 * base.pde
+@pytest.mark.parametrize("beta", sorted({*np.geomspace(0.5, 100.0, 12).round(2), 10.0, 20.0}))
+def test_quick_rotation_invariance_across_beta(beta, golden):
+    """The quick grid follows the factor's half-width, so the bound holds at every beta."""
+    check = next(c for c in verify.CHECKS if c.name == "rotation-invariance")
+    result = verify.run_check(check, verify.Case(float(beta), True, golden))
+    assert result.passed, result.detail
 
 
 def test_radial_residual_small_and_second_order(radial1, params1):
