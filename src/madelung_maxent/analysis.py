@@ -22,7 +22,7 @@ import numpy as np
 from . import quadrature
 from .integrator import StepControl
 from .model import (FieldSample, NoSolutionError, Observables, OutOfSupportError,
-                    PhysicalParams, RadialProfile, SincLimit, SolverError,
+                    PhysicalParams, RadialProfile, Record, SincLimit, SolverError,
                     SweepRow, ValidationError, _require)
 from .solver import SolveRequest, profile_c_coef, resample, solve_radial
 
@@ -146,23 +146,14 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3,
 
 
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Rows plus the monotonicity summary of the resolved trends."""
 
-    rows: tuple
+    rows: tuple[SweepRow, ...]
     r_m_nondecreasing: bool
     r2_nondecreasing: bool
     k_bar_decreasing: bool
     u_bar_nonincreasing: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "r_m_nondecreasing": self.r_m_nondecreasing,
-            "r2_nondecreasing": self.r2_nondecreasing,
-            "k_bar_decreasing": self.k_bar_decreasing,
-            "u_bar_nonincreasing": self.u_bar_nonincreasing,
-        }
 
 
 def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParams,
@@ -215,7 +206,7 @@ SINC_NORM_INTEGRAL = _sinc_norm_integral()
 
 
 def sinc_limit(params: PhysicalParams, energy: Optional[float] = None,
-               k: Optional[float] = None, s0: float = 0.0) -> SincLimit:
+               k: Optional[float] = None) -> SincLimit:
     """Closed-form infinite-beta state from the energy or the wavenumber.
 
     k = sqrt(2 m E)/hbar, support radius pi/k, amplitude normalized so the
@@ -230,7 +221,7 @@ def sinc_limit(params: PhysicalParams, energy: Optional[float] = None,
         _require(k > 0, "k", "must be positive")
         energy = (params.hbar * k) ** 2 / (2.0 * params.mass)
     a = 1.0 / math.sqrt(2.0 * math.pi * SINC_NORM_INTEGRAL)
-    return SincLimit(k=k, r_inf=math.pi / k, a=a, s0=s0, energy=energy)
+    return SincLimit(k=k, r_inf=math.pi / k, a=a, energy=energy)
 
 
 def density_on_grid(profile: RadialProfile, radii: np.ndarray) -> np.ndarray:
@@ -251,9 +242,6 @@ class LimitRow:
     distance: float
     r_m: float
 
-    def to_dict(self) -> dict:
-        return {"beta": self.beta, "distance": self.distance, "r_m": self.r_m}
-
 
 @dataclass(frozen=True)
 class LimitReport:
@@ -266,13 +254,6 @@ class LimitReport:
     sinc: SincLimit
     distances_decreasing: bool
     profiles: tuple
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": [row.to_dict() for row in self.rows],
-            "sinc": self.sinc.to_dict(),
-            "distances_decreasing": self.distances_decreasing,
-        }
 
 
 def limit_convergence(betas: Sequence[float], u0: float,

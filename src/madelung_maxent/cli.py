@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import __version__, analysis, fields, verify
 from .integrator import StepControl
-from .model import (NoSolutionError, SolverError, ValidationError, make_params)
+from .model import NoSolutionError, SolverError, ValidationError, make_params, to_json
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
 FORMAT_VERSION = "1"
@@ -73,7 +72,7 @@ def _manifest(args, command: str, outdir: Path, outputs: list[str], started: flo
     }
     manifest.update(extra)
     path = outdir / "manifest.json"
-    _write_lines(path, [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
+    _write_lines(path, [to_json(manifest) + "\n"])
     for name in outputs:
         assert (outdir / name).exists()
     return manifest
@@ -108,12 +107,11 @@ def _cmd_solve_radial(args) -> int:
                    [profile.nodes, profile.u, profile.du, profile.rho, omega])
         outputs.append("radial_profile.csv")
     if args.format in ("json", "both"):
-        _write_lines(outdir / "radial_profile.json",
-                     [json.dumps(profile.to_dict(), indent=2, sort_keys=True) + "\n"])
+        _write_lines(outdir / "radial_profile.json", [to_json(profile) + "\n"])
         outputs.append("radial_profile.json")
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
     _manifest(args, "solve-radial", outdir, outputs, started,
-              observables=obs.to_dict(), residuals=norms.to_dict())
+              observables=obs, residuals=norms)
     outputs.append("manifest.json")
     print(f"solve-radial: r_m = {profile.r_m:.9g}, K_bar = {obs.k_bar:.9g}, "
           f"wrote {', '.join(outputs)} in {outdir}")
@@ -137,7 +135,7 @@ def _cmd_solve_cartesian(args) -> int:
     extra = {
         "half_width": factor.half_width,
         "grid_mass": float(grid.rho.sum()) * grid.spacing**2,
-        "residuals": norms.to_dict(),
+        "residuals": norms,
     }
     if args.rotate is not None:
         rotated = fields.rotate_grid(grid, args.rotate)
@@ -146,7 +144,7 @@ def _cmd_solve_cartesian(args) -> int:
                    ("grid2d_rho_rotated.csv", rotated, rotated.rho)]
         rot_norms = fields.maxent_residual(rotated, params)
         extra["rotation"] = {"theta": args.rotate,
-                             "residuals": rot_norms.to_dict(),
+                             "residuals": rot_norms,
                              "residual_ratio": rot_norms.pde / norms.pde}
     for name, g, plane in planes:
         _write_csv(outdir / name, ["x", "y", "value"],
@@ -222,7 +220,7 @@ def _cmd_limit(args) -> int:
                 np.array([row.distance for row in report.rows])])
     outputs.append("convergence.csv")
     _manifest(args, "limit", outdir, outputs, started,
-              sinc=report.sinc.to_dict(),
+              sinc=report.sinc,
               distances_decreasing=report.distances_decreasing)
     print(f"limit: distances {'decreasing' if report.distances_decreasing else 'NOT decreasing'}, "
           f"r_inf = {report.sinc.r_inf:.9g}, wrote {len(outputs) + 1} files")

@@ -28,9 +28,9 @@ import numpy as np
 from scipy.interpolate import RectBivariateSpline
 from scipy.ndimage import distance_transform_edt
 
-from .model import (AxisProfile, Grid2D, PhysicalParams, RadialProfile,
+from .model import (AxisProfile, Grid2D, PhysicalParams, RadialProfile, Record,
                     ValidationError, _require)
-from .solver import profile_c_coef, resample
+from .solver import resample
 
 DEFAULT_MARGIN = 0.05
 
@@ -119,15 +119,12 @@ def mixed_second_difference(grid: Grid2D) -> float:
 
 
 @dataclass(frozen=True)
-class ResidualNorms:
+class ResidualNorms(Record):
     """Sup-norms of the FD equation residual and the density-rebuild check."""
 
     pde: float
     rebuild: float
     spacing: float
-
-    def to_dict(self) -> dict:
-        return {"pde": self.pde, "rebuild": self.rebuild, "spacing": self.spacing}
 
 
 def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float,

@@ -6,8 +6,9 @@ that it itself confines.  Everything downstream (solvers, observables, CLI)
 exchanges the frozen types defined here.
 
 All types are immutable after construction; arrays are marked read-only.
-Every type serializes to a JSON-compatible dict with snake_case keys and
-round-trips through ``from_dict`` unchanged.
+Every record derives from ``Record``, whose one rule serializes it to a
+JSON-compatible dict with snake_case keys and round-trips it through
+``from_dict`` unchanged.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -77,8 +79,64 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
+def _plain(value):
+    """The serialization rule: records -> dicts, enums -> values, arrays/tuples -> lists."""
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _load(hint, value, name: str):
+    """Inverse of ``_plain`` for one field, steered by the field's type hint."""
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return hint.from_dict(value)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        try:
+            return hint(value)
+        except ValueError:
+            raise ValidationError(f"{name}: {value!r} is not a {hint.__name__} value") from None
+    if typing.get_origin(hint) is tuple:
+        return tuple(_load(typing.get_args(hint)[0], v, name) for v in value)
+    return value  # lists become read-only arrays in the constructor
+
+
 @dataclass(frozen=True)
-class PhysicalParams:
+class Record:
+    """Base of every serialized type: one rule for to_dict and from_dict.
+
+    ``to_dict`` maps every field, derived ones included.  ``from_dict`` passes
+    the constructor fields back to the constructor, which recomputes the
+    derived ones and judges the values; a missing or unknown key and a bad
+    enum value raise ValidationError naming the key.
+    """
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        _require(isinstance(d, dict), cls.__name__, "must be serialized as a dict")
+        known = {f.name: f for f in fields(cls)}
+        for key in d:
+            _require(key in known, key, f"is not a field of {cls.__name__}")
+        hints = typing.get_type_hints(cls)
+        kwargs = {}
+        for name, f in known.items():
+            if f.init and name in d:
+                kwargs[name] = _load(hints[name], d[name], name)
+            elif f.init:
+                _require(f.default is not MISSING, name, f"missing from {cls.__name__}")
+        return cls(**kwargs)
+
+
+@dataclass(frozen=True)
+class PhysicalParams(Record):
     """Mass, hbar, entropy multiplier beta, and the derived stiffness Lambda^2.
 
     lambda_sq = 4*mass/(hbar^2 * beta) is the coefficient multiplying U in the
@@ -100,20 +158,6 @@ class PhysicalParams:
             _require(math.isfinite(value) and value > 0, name, "must be a positive finite real")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "lambda_sq", 4.0 * self.mass / (self.hbar**2 * self.beta))
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "mass": self.mass,
-            "hbar": self.hbar,
-            "laplacian_variant": self.laplacian_variant.value,
-            "lambda_sq": self.lambda_sq,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PhysicalParams":
-        return cls(beta=d["beta"], mass=d["mass"], hbar=d["hbar"],
-                   laplacian_variant=LaplacianVariant(d["laplacian_variant"]))
 
 
 def make_params(mass: float, hbar: float, beta: float,
@@ -144,7 +188,7 @@ def _check_profile_grid(nodes, u, du, u0):
 
 
 @dataclass(frozen=True)
-class AxisProfile:
+class AxisProfile(Record):
     """One separable Cartesian factor U_i on the half-axis [0, i_stop].
 
     The factor is even (U(-i) = U(i)); only the half-line is stored.  The
@@ -172,26 +216,9 @@ class AxisProfile:
     def has_support(self) -> bool:
         return math.isfinite(self.half_width)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "nodes": self.nodes.tolist(),
-            "u": self.u.tolist(),
-            "du": self.du.tolist(),
-            "u0": self.u0,
-            "half_width": self.half_width,
-            "extrapolated": self.extrapolated,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AxisProfile":
-        return cls(params=PhysicalParams.from_dict(d["params"]),
-                   nodes=np.asarray(d["nodes"]), u=np.asarray(d["u"]), du=np.asarray(d["du"]),
-                   u0=d["u0"], half_width=d["half_width"], extrapolated=d["extrapolated"])
-
 
 @dataclass(frozen=True)
-class RadialProfile:
+class RadialProfile(Record):
     """Rotationally symmetric quantum potential and density on [0, r_m).
 
     ``rho``/``z`` may be None on an intermediate (not yet normalized) profile;
@@ -234,29 +261,9 @@ class RadialProfile:
     def has_support(self) -> bool:
         return math.isfinite(self.r_m)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params.to_dict(),
-            "nodes": self.nodes.tolist(),
-            "u": self.u.tolist(),
-            "du": self.du.tolist(),
-            "u0": self.u0,
-            "r_m": self.r_m,
-            "rho": None if self.rho is None else self.rho.tolist(),
-            "z": self.z,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadialProfile":
-        rho = d.get("rho")
-        return cls(params=PhysicalParams.from_dict(d["params"]),
-                   nodes=np.asarray(d["nodes"]), u=np.asarray(d["u"]), du=np.asarray(d["du"]),
-                   u0=d["u0"], r_m=d["r_m"],
-                   rho=None if rho is None else np.asarray(rho), z=d.get("z"))
-
 
 @dataclass(frozen=True)
-class Observables:
+class Observables(Record):
     """Scalar observables of one solved state.
 
     k_bar is the closed form mass/beta (exact for every stationary-spinning
@@ -284,16 +291,9 @@ class Observables:
         _require(ident <= 1e-8 * max(1.0, abs(self.entropy)), "entropy",
                  "violates entropy = beta*u_bar + ln(z)")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Observables":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class SincLimit:
+class SincLimit(Record):
     """Closed-form infinite-beta state: amplitude a*sin(k r)/r on [0, r_inf].
 
     The first zero of the amplitude sits exactly at the support radius,
@@ -303,7 +303,6 @@ class SincLimit:
     k: float
     r_inf: float
     a: float
-    s0: float
     energy: float
 
     def __post_init__(self):
@@ -341,16 +340,9 @@ class SincLimit:
         return self.psi_second(r) + 2.0 / np.asarray(r, dtype=float) * self.psi_prime(r) \
             + self.k**2 * self.psi(r)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SincLimit":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class Grid2D:
+class Grid2D(Record):
     """Uniform Cartesian grid carrying congruent U and rho planes.
 
     Points outside the support carry rho = 0 and U = +inf (rotation sentinels).
@@ -382,23 +374,9 @@ class Grid2D:
     def y(self) -> np.ndarray:
         return self.y0 + self.spacing * np.arange(self.u.shape[1])
 
-    def to_dict(self) -> dict:
-        return {
-            "spacing": self.spacing,
-            "x0": self.x0,
-            "y0": self.y0,
-            "u": self.u.tolist(),
-            "rho": self.rho.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Grid2D":
-        return cls(spacing=d["spacing"], x0=d["x0"], y0=d["y0"],
-                   u=np.asarray(d["u"]), rho=np.asarray(d["rho"]))
-
 
 @dataclass(frozen=True)
-class SweepRow:
+class SweepRow(Record):
     """One beta point of a sweep; failed solves carry status='failed'."""
 
     beta: float
@@ -423,16 +401,9 @@ class SweepRow:
             _require(self.energy == self.u_bar + self.k_bar_closed_form, "energy",
                      "must equal u_bar + k_bar_closed_form exactly")
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SweepRow":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class FieldSample:
+class FieldSample(Record):
     """Velocity-field sample at one position of a spinning stationary state.
 
     velocity = (-omega*y, omega*x) by construction, so the stationarity
@@ -448,22 +419,15 @@ class FieldSample:
     stationarity_residual: float
     in_support: bool
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "FieldSample":
-        return cls(**d)
-
-
-def to_json(obj, indent: int | None = 2) -> str:
-    """Serialize any model type (anything exposing to_dict) to JSON text."""
-    return json.dumps(obj.to_dict(), indent=indent, sort_keys=True)
+def to_json(obj) -> str:
+    """The one JSON text writer: a Record, or a dict that may hold Records, sorted and indented."""
+    return json.dumps(obj, default=_plain, indent=2, sort_keys=True)
 
 
 __all__ = [
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError", "NoSolutionError",
-    "LaplacianVariant", "PhysicalParams", "make_params",
+    "LaplacianVariant", "Record", "PhysicalParams", "make_params",
     "AxisProfile", "RadialProfile", "Observables", "SincLimit", "Grid2D",
     "SweepRow", "FieldSample", "to_json", "replace",
 ]

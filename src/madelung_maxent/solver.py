@@ -26,7 +26,7 @@ import numpy as np
 from . import quadrature
 from .integrator import StepControl, StopReason, Trajectory, integrate
 from .model import (AxisProfile, LogicError, PhysicalParams, RadialProfile,
-                    SolverError, ValidationError, _require)
+                    SolverError, _require)
 
 BLOWUP_LOG_MARGIN = 40.0  # stop once beta*(U - U0) exceeds this
 
@@ -53,12 +53,6 @@ class SolveRequest:
 def series_coefficient(params: PhysicalParams, u0: float, c_coef: float) -> float:
     """Leading Taylor coefficient a in U(r) = U0 + a r^2 + O(r^4)."""
     return params.lambda_sq * u0 / (2.0 * (1.0 + c_coef))
-
-
-def _geometry_c(params: PhysicalParams, geometry: Geometry) -> float:
-    if geometry is Geometry.CARTESIAN_FACTOR:
-        return 0.0
-    return params.laplacian_variant.first_derivative_coefficient
 
 
 def profile_c_coef(profile) -> float:
@@ -128,7 +122,7 @@ def solve_radial(request: SolveRequest) -> RadialProfile:
     if u0 == 0.0:
         return RadialProfile(params=params, nodes=[0.0], u=[0.0], du=[0.0],
                              u0=0.0, r_m=math.inf)
-    c_coef = _geometry_c(params, request.geometry)
+    c_coef = params.laplacian_variant.first_derivative_coefficient
     trajectory = _solve_potential(params, u0, request.control, c_coef)
     r_m = estimate_support(trajectory, params)
     nodes = np.concatenate([[0.0], trajectory.nodes])

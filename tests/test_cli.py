@@ -63,6 +63,13 @@ def test_csv_bytes_match_benchmark_digests(tmp_path, name, argv):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
 
 
+def test_radial_json_bytes_pinned(tmp_path):
+    """radial_profile.json is written by model.to_json; its bytes are part of the output."""
+    assert run_cli("solve-radial", "--beta", "1", "--format", "json", "--out", str(tmp_path)) == 0
+    digest = hashlib.sha256((tmp_path / "radial_profile.json").read_bytes()).hexdigest()
+    assert digest == "44d5b05b8e72b5d27d93aa249936bd6efcc67e943a845721d057ac73cf61208d"
+
+
 def test_usage_error_exit_2(tmp_path, capsys):
     assert run_cli("solve-radial", "--beta", "-1", "--out", str(tmp_path)) == 2
     assert "beta" in capsys.readouterr().err

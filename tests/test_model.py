@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import madelung_maxent as mm
-from madelung_maxent.model import to_json
+from madelung_maxent.model import Record, to_json
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
 
@@ -46,25 +46,52 @@ def test_params_immutable(params1):
         params1.beta = 2.0
 
 
-def test_profile_roundtrip(radial1):
-    back = mm.RadialProfile.from_dict(json.loads(to_json(radial1)))
-    assert np.array_equal(back.nodes, radial1.nodes)
-    assert np.array_equal(back.u, radial1.u)
-    assert np.array_equal(back.rho, radial1.rho)
-    assert back.z == radial1.z and back.r_m == radial1.r_m
-    assert back.params == radial1.params
+# one instance of every Record subclass, built from the session fixtures
+# (``get`` is request.getfixturevalue); the edge cases carry None, inf and NaN
+RECORDS = {
+    "params-planar": lambda get: mm.make_params(2.0, 0.5, 3.0, "planar-radial"),
+    "radial": lambda get: get("radial1"),
+    "radial-degenerate-u0": lambda get: mm.solve_radial(
+        mm.SolveRequest(params=get("params1"), u0=0.0)),
+    "axis": lambda get: get("axis1"),
+    "observables": lambda get: get("obs1"),
+    "sinc": lambda get: mm.sinc_limit(get("params1"), energy=1.0),
+    "grid-rotated": lambda get: mm.rotate_grid(
+        mm.assemble_2d(get("axis1"), get("axis1"), 0.1), 0.5),
+    "sweep-row-failed": lambda get: mm.SweepRow(
+        beta=1e3, u0=1.0, r_m=math.nan, r2_bar=math.nan, z=math.nan, u_bar=math.nan,
+        k_bar_quadrature=math.nan, k_bar_closed_form=math.nan, energy=math.nan,
+        entropy=math.nan, status="failed", error="z: normalization underflowed"),
+    "sweep-result": lambda get: mm.beta_sweep([1.0, 2.0], 1.0, get("params1")),
+    "field-sample-outside": lambda get: mm.velocity_field(get("radial1"), [[5.0, 0.0]])[0],
+    "residual-norms": lambda get: mm.maxent_residual(get("radial1"), get("params1"), h=1e-2),
+}
 
 
-def test_axis_roundtrip(axis1):
-    back = mm.AxisProfile.from_dict(json.loads(to_json(axis1)))
-    assert np.array_equal(back.du, axis1.du)
-    assert back.half_width == axis1.half_width
-    assert back.extrapolated == axis1.extrapolated
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS.keys())
+def test_record_roundtrip(make, request):
+    record = make(request.getfixturevalue)
+    text = to_json(record)
+    back = type(record).from_dict(json.loads(text))
+    assert type(back) is type(record)
+    assert to_json(back) == text
 
 
-def test_observables_roundtrip(obs1):
-    back = mm.Observables.from_dict(json.loads(to_json(obs1)))
-    assert back == obs1
+def test_record_roundtrip_covers_every_record(request):
+    made = {type(make(request.getfixturevalue)) for make in RECORDS.values()}
+    assert made == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("beta", lambda d: d.pop("beta")),
+    ("spin", lambda d: d.update(spin=1.0)),
+    ("laplacian_variant", lambda d: d.update(laplacian_variant="cubic")),
+], ids=("missing", "unknown", "bad-enum"))
+def test_from_dict_names_bad_key(params1, key, edit):
+    d = json.loads(to_json(params1))
+    edit(d)
+    with pytest.raises(mm.ValidationError, match=key):
+        mm.PhysicalParams.from_dict(d)
 
 
 def test_profile_arrays_readonly(radial1):
@@ -115,8 +142,6 @@ def test_observables_bad_energy_rejected(obs1):
 def test_sinclimit_invariants(params1):
     s = mm.sinc_limit(params1, energy=1.0)
     assert abs(s.k * s.r_inf - math.pi) <= 4 * np.finfo(float).eps * math.pi
-    back = mm.SincLimit.from_dict(json.loads(to_json(s)))
-    assert back == s
 
 
 def test_grid2d_congruence(params1):
