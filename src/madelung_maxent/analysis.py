@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +25,14 @@ from .model import (FieldSample, NoSolutionError, Observables, OutOfSupportError
                     PhysicalParams, RadialProfile, Record, SincLimit, SolverError,
                     SweepRow, ValidationError, _require)
 from .solver import SolveRequest, profile_c_coef, resample, solve_radial
+
+_DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
+_DIV_BLOCK_ROWS = 256  # grid rows per vectorized block of the divergence check
+_LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
+_INVERT_REL_TOL = 1e-6  # relative width at which the beta bisection stops
+_ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
+_ENTROPY_SEED = 0
+_ENTROPY_GRID = 2049  # odd, for composite Simpson
 
 
 def observables(profile: RadialProfile) -> Observables:
@@ -60,13 +68,11 @@ def _omega_limit_origin(profile: RadialProfile) -> float:
     return math.sqrt(two_a / profile.params.mass)
 
 
-def _omega_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
-    """omega = sqrt(U'/(r m)) with the removable limit at r = 0."""
-    p = profile.params
-    du = _du_values(profile, r)
+def _omega_from_du(profile: RadialProfile, r: np.ndarray, du: np.ndarray) -> np.ndarray:
+    """omega = sqrt(U'/(r m)) from U' at r, with the removable limit at r = 0."""
     origin = r == 0.0
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.sqrt(du / (np.where(origin, 1.0, r) * p.mass))
+        out = np.sqrt(du / (np.where(origin, 1.0, r) * profile.params.mass))
     if origin.any():
         out = np.where(origin, _omega_limit_origin(profile), out)
     return out
@@ -75,9 +81,9 @@ def _omega_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
 def angular_velocity(profile: RadialProfile, r):
     """Stationary-spinning angular velocity at radius r (0 <= r < r_m)."""
     rr = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(rr < 0.0) or np.any(rr >= profile.r_m):
+    if not np.all((rr >= 0.0) & (rr < profile.r_m)):  # NaN fails both
         raise OutOfSupportError(f"radius outside the support [0, {profile.r_m})")
-    out = _omega_values(profile, rr)
+    out = _omega_from_du(profile, rr, _du_values(profile, rr))
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
@@ -90,10 +96,10 @@ def velocity_field(profile: RadialProfile, positions) -> list[FieldSample]:
     inside = r < profile.r_m
     omega = np.full(r.shape, math.nan)
     residual = np.full(r.shape, math.nan)
-    omega[inside] = _omega_values(profile, r[inside])
+    du = _du_values(profile, r[inside])
+    omega[inside] = _omega_from_du(profile, r[inside], du)
     # m r omega^2 - U'(r): omega was built from the same U', so only rounding survives
-    residual[inside] = (p.mass * r[inside] * omega[inside] ** 2
-                        - _du_values(profile, r[inside]))
+    residual[inside] = p.mass * r[inside] * omega[inside] ** 2 - du
     samples = []
     for (x, y), om, res, ok in zip(pos, omega, residual, inside):
         samples.append(FieldSample(
@@ -103,14 +109,17 @@ def velocity_field(profile: RadialProfile, positions) -> list[FieldSample]:
     return samples
 
 
-def divergence_sup(profile: RadialProfile, h: float = 1e-3,
-                   r_frac: float = 0.8, block_rows: int = 256) -> float:
-    """Max |div v| by centered differences on an h-grid inside r <= r_frac r_m.
+def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
+    """Max |div v| by centered differences on an h-grid inside r <= 0.8 r_m.
 
     Analytically div v = 0; the discrete value is O(h^2) with a constant that
     grows like (r_m - r)^(-7/2), so the check region stays away from the wall.
+    The origin alone always reads 0, so h must leave the points (+-h, 0) in.
     """
-    r_lim = r_frac * profile.r_m
+    _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
+    _require(profile.has_support, "profile", "must have a finite support radius")
+    r_lim = _DIV_R_FRAC * profile.r_m
+    _require(h <= r_lim - 2 * h, "h", "too coarse: no point off the origin inside 0.8 r_m")
     n = int(r_lim / h)
     axis = h * np.arange(-n, n + 1)
     clamp = r_lim + 4 * h  # stencil radii of kept centers stay below this
@@ -119,18 +128,14 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3,
     # linearly (table error ~ (dr)^2 U''' / 8, orders below the h^2 signal)
     table_r = np.linspace(0.0, clamp, 1 << 18)
     table_du = _du_values(profile, table_r)
-    p = profile.params
-    omega0 = _omega_limit_origin(profile)
 
     def omega_at(rr):
         rq = np.minimum(rr, clamp)
-        du = np.interp(rq, table_r, table_du)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(rq == 0.0, omega0, np.sqrt(du / (np.where(rq == 0.0, 1.0, rq) * p.mass)))
+        return _omega_from_du(profile, rq, np.interp(rq, table_r, table_du))
 
     sup = 0.0
-    for lo in range(0, axis.size, block_rows):
-        x = axis[lo:lo + block_rows, None]
+    for lo in range(0, axis.size, _DIV_BLOCK_ROWS):
+        x = axis[lo:lo + _DIV_BLOCK_ROWS, None]
         y = axis[None, :]
         keep = np.hypot(x, y) <= r_lim - 2 * h
         if not keep.any():
@@ -157,12 +162,11 @@ class SweepResult(Record):
 
 
 def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParams,
-               control: StepControl | None = None) -> SweepResult:
+               control: StepControl = StepControl()) -> SweepResult:
     """Solve and measure one state per beta; failures become flagged rows."""
     betas = [float(b) for b in betas]
     _require(len(betas) >= 1 and all(b > 0 for b in betas), "betas", "must be positive")
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
-    control = control or StepControl()
     rows = []
     for b in betas:
         params = replace(params_template, beta=b)
@@ -205,21 +209,14 @@ def _sinc_norm_integral() -> float:
 SINC_NORM_INTEGRAL = _sinc_norm_integral()
 
 
-def sinc_limit(params: PhysicalParams, energy: Optional[float] = None,
-               k: Optional[float] = None) -> SincLimit:
-    """Closed-form infinite-beta state from the energy or the wavenumber.
+def sinc_limit(params: PhysicalParams, energy: float) -> SincLimit:
+    """Closed-form infinite-beta state at the given energy.
 
     k = sqrt(2 m E)/hbar, support radius pi/k, amplitude normalized so the
     squared profile integrates to one over the disk.
     """
-    if (energy is None) == (k is None):
-        raise ValidationError("energy/k: exactly one must be given")
-    if energy is not None:
-        _require(energy > 0, "energy", "must be positive")
-        k = math.sqrt(2.0 * params.mass * energy) / params.hbar
-    else:
-        _require(k > 0, "k", "must be positive")
-        energy = (params.hbar * k) ** 2 / (2.0 * params.mass)
+    _require(math.isfinite(energy) and energy > 0, "energy", "must be a positive finite real")
+    k = math.sqrt(2.0 * params.mass * energy) / params.hbar
     a = 1.0 / math.sqrt(2.0 * math.pi * SINC_NORM_INTEGRAL)
     return SincLimit(k=k, r_inf=math.pi / k, a=a, energy=energy)
 
@@ -258,27 +255,24 @@ class LimitReport:
 
 def limit_convergence(betas: Sequence[float], u0: float,
                       params_template: PhysicalParams,
-                      control: StepControl | None = None,
-                      n_samples: int = 2001) -> LimitReport:
+                      control: StepControl = StepControl()) -> LimitReport:
     """Compare large-beta densities against the sinc state with energy U0.
 
     The interior potential flattens to its center value U(0) = U0 as beta
     grows, so the limiting state is the sinc profile at that energy.
-    Distances are sup-norms over n_samples uniform radii covering both
-    supports.
+    Distances are sup-norms over 2001 uniform radii covering both supports.
     """
     betas = [float(b) for b in betas]
     _require(all(b >= 10.0 for b in betas), "betas", "limit comparison needs beta >= 10")
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
-    _require(u0 > 0, "u0", "must be positive")
-    control = control or StepControl()
+    _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
     sinc = sinc_limit(params_template, energy=u0)
     profiles = []
     for b in betas:
         params = replace(params_template, beta=b)
         profiles.append(solve_radial(SolveRequest(params=params, u0=u0, control=control)))
     r_max = max([sinc.r_inf] + [p.r_m for p in profiles])
-    radii = np.linspace(0.0, r_max, n_samples)
+    radii = np.linspace(0.0, r_max, _LIMIT_SAMPLES)
     rho_inf = sinc.rho(radii)
     rows = []
     for b, profile in zip(betas, profiles):
@@ -290,24 +284,22 @@ def limit_convergence(betas: Sequence[float], u0: float,
 
 
 def invert_beta_for_energy(target_energy: float, u0: float,
-                           params_template: PhysicalParams,
-                           control: StepControl | None = None,
-                           rel_tol: float = 1e-6) -> float:
+                           params_template: PhysicalParams) -> float:
     """Find beta with average energy u_bar(beta) + m/beta = target_energy.
 
     The map is monotone decreasing, bounded below by the infinite-beta
     average potential, and the kinetic term enforces beta > m/E; bracketing
     starts just above that bound and doubles until the target is enclosed,
-    then plain bisection finishes.
+    then plain bisection finishes, to a relative width of 1e-6.
     """
-    _require(target_energy > 0, "target_energy", "must be positive")
-    _require(u0 > 0, "u0", "must be positive")
-    control = control or StepControl()
+    _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
+             "must be a positive finite real")
+    _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
     mass = params_template.mass
 
     def energy_at(beta: float) -> float:
         params = replace(params_template, beta=beta)
-        profile = solve_radial(SolveRequest(params=params, u0=u0, control=control))
+        profile = solve_radial(SolveRequest(params=params, u0=u0))
         return observables(profile).energy
 
     lo = mass / target_energy * (1.0 + 1e-9)
@@ -337,33 +329,33 @@ def invert_beta_for_energy(target_energy: float, u0: float,
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 0.25 * rel_tol * mid:
+        if hi - lo <= 0.25 * _INVERT_REL_TOL * mid:
             return mid
     return 0.5 * (lo + hi)
 
 
-def entropy_stationarity_check(profile: RadialProfile, epsilon: float = 1e-4,
-                               n_directions: int = 100, seed: int = 0,
-                               n_grid: int = 2049) -> float:
+def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) -> float:
     """Max entropy gain over random constrained density perturbations.
 
-    Perturbations rho -> rho (1 + eps g) keep the normalization and the
-    average potential fixed to first order (g is projected against {1, U}
-    under the rho-weighted measure), so the entropy change of the maximizer
-    must be second order and nonpositive.  Returns the largest observed
-    change (expected ~ -eps^2/2 * <g^2>).
+    Perturbations rho -> rho (1 + eps g) with eps = 1e-4 keep the
+    normalization and the average potential fixed to first order (g is
+    projected against {1, U} under the rho-weighted measure), so the entropy
+    change of the maximizer must be second order and nonpositive.  Returns the
+    largest observed change (expected ~ -eps^2/2 * <g^2>).
     """
     _require(profile.normalized, "profile", "must be normalized")
+    _require(isinstance(n_directions, (int, np.integer)) and n_directions >= 1,
+             "n_directions", "must be a positive integer")
     r_hi = float(profile.nodes[-1])
-    radii = np.linspace(0.0, r_hi, n_grid)
+    radii = np.linspace(0.0, r_hi, _ENTROPY_GRID)
     u, _ = resample(profile, radii)
     rho = np.exp(-profile.params.beta * u) / profile.z
 
     h = radii[1] - radii[0]
-    weights = np.ones(n_grid)
+    weights = np.ones(_ENTROPY_GRID)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    weights *= h / 3.0  # composite Simpson (n_grid must be odd)
+    weights *= h / 3.0  # composite Simpson
     measure = 2.0 * math.pi * weights * radii  # integral f -> sum(measure * f)
 
     def integral(f):
@@ -375,7 +367,7 @@ def entropy_stationarity_check(profile: RadialProfile, epsilon: float = 1e-4,
         return -integral(term)
 
     h0 = entropy_of(rho)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ENTROPY_SEED)
     worst = -math.inf
     modes = np.arange(8)[:, None] * math.pi / r_hi
     basis = np.cos(modes * radii[None, :])
@@ -393,7 +385,7 @@ def entropy_stationarity_check(profile: RadialProfile, epsilon: float = 1e-4,
         if peak < 1e-12:
             continue
         g /= peak
-        perturbed = rho * (1.0 + epsilon * g)
+        perturbed = rho * (1.0 + _ENTROPY_EPSILON * g)
         worst = max(worst, entropy_of(perturbed) - h0)
     return worst
 

@@ -85,6 +85,7 @@ def rotate_grid(grid: Grid2D, theta: float) -> Grid2D:
     out-of-support sentinels rho = 0, U = +inf.  theta = 0 returns the grid
     unchanged.
     """
+    _require(math.isfinite(theta), "theta", "must be a finite angle")
     if theta == 0.0 or theta % (2.0 * math.pi) == 0.0:
         return grid
     _require(bool(np.all(np.isfinite(grid.u))), "u",
@@ -127,11 +128,10 @@ class ResidualNorms(Record):
     spacing: float
 
 
-def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float,
-                     margin: float) -> ResidualNorms:
+def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -> ResidualNorms:
     c = params.laplacian_variant.first_derivative_coefficient
     beta, lam_sq = params.beta, params.lambda_sq
-    r_hi = min((1.0 - margin) * profile.r_m, profile.nodes[-1] - h)
+    r_hi = min((1.0 - DEFAULT_MARGIN) * profile.r_m, profile.nodes[-1] - h)
     _require(r_hi > 2 * h, "h", "grid step too coarse for the support")
     rg = np.arange(1, int(r_hi / h) + 1) * h
     um, _ = resample(profile, rg - h)
@@ -157,19 +157,19 @@ def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float,
     return ResidualNorms(pde=pde, rebuild=rebuild, spacing=h)
 
 
-def _grid_residual(grid: Grid2D, params: PhysicalParams, margin: float) -> ResidualNorms:
+def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
     beta, lam_sq = params.beta, params.lambda_sq
     h = grid.spacing
     u = np.where(np.isfinite(grid.u), grid.u, 0.0)
 
-    # margin mask: stay margin * min-half-extent away from the support edge
+    # margin mask: stay DEFAULT_MARGIN * min-half-extent away from the support edge
     # (non-finite sentinels and the grid border both count as outside)
     finite = np.isfinite(grid.u)
     padded = np.zeros((finite.shape[0] + 2, finite.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = finite
     dist = distance_transform_edt(padded)[1:-1, 1:-1]
     half_extent = 0.5 * h * (min(grid.shape) - 1)
-    margin_cells = margin * half_extent / h
+    margin_cells = DEFAULT_MARGIN * half_extent / h
     mask = dist[1:-1, 1:-1] >= max(margin_cells, 2.0)
 
     lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
@@ -192,18 +192,18 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams, margin: float) -> Resid
     return ResidualNorms(pde=pde, rebuild=rebuild, spacing=h)
 
 
-def maxent_residual(solution, params: PhysicalParams, h: float = 1e-3,
-                    margin: float = DEFAULT_MARGIN) -> ResidualNorms:
+def maxent_residual(solution, params: PhysicalParams, h: float = 1e-3) -> ResidualNorms:
     """FD residual of the defining equation plus the rho->U rebuild check.
 
     ``solution`` is a RadialProfile (uniform resample at step h) or a Grid2D
-    (its own spacing).  Both norms exclude a margin (default 5% of the
-    support radius / half-extent) next to the boundary.
+    (its own spacing).  Both norms exclude a margin (5% of the support
+    radius / half-extent) next to the boundary.
     """
+    _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     if isinstance(solution, RadialProfile):
-        return _radial_residual(solution, params, h, margin)
+        return _radial_residual(solution, params, h)
     if isinstance(solution, Grid2D):
-        return _grid_residual(solution, params, margin)
+        return _grid_residual(solution, params)
     raise ValidationError("solution: expected a RadialProfile or Grid2D")
 
 

@@ -80,7 +80,7 @@ class Trajectory:
 
 def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
               t_span: tuple[float, float], h0: float,
-              control: StepControl | None = None) -> Trajectory:
+              control: StepControl = StepControl()) -> Trajectory:
     """Integrate the potential equation from y0 = (u, u') over ``t_span``.
 
     Records every accepted step, starting with trial step ``h0``.  Stops early
@@ -88,7 +88,6 @@ def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
     trajectory then ends at or below the threshold), or with STEP_UNDERFLOW
     if the step dies first; the caller decides whether underflow is fatal.
     """
-    control = control or StepControl()
     y0 = np.asarray(y0, dtype=float)
     _require(y0.shape == (2,), "y0", "must be the pair (u, u')")
     t0, t1 = float(t_span[0]), float(t_span[1])

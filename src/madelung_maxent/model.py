@@ -193,9 +193,8 @@ class AxisProfile(Record):
 
     The factor is even (U(-i) = U(i)); only the half-line is stored.  The
     potential is convex and nondecreasing, and blows up at finite half-width
-    i_m; ``half_width`` is the blow-up estimate (inf flags the no-support
-    degenerate case u0 = 0) and ``extrapolated`` records whether it lies past
-    the last node.
+    i_m; ``half_width`` is the blow-up estimate, at or past the last node
+    (inf flags the no-support degenerate case u0 = 0).
     """
 
     params: PhysicalParams
@@ -204,7 +203,6 @@ class AxisProfile(Record):
     du: np.ndarray
     u0: float
     half_width: float
-    extrapolated: bool
 
     def __post_init__(self):
         for name in ("nodes", "u", "du"):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .model import ValidationError
 
-_REFINE = 4  # default per-interval subdivision of the Hermite interpolant
+_REFINE = 4  # per-interval subdivision of the Hermite interpolant
 
 
 def second_derivative(r, u, du, beta, lam_sq, c_coef):
@@ -59,13 +59,13 @@ def _hermite_quintic(h, u0, v0, a0, u1, v1, a1, s):
     return uu, vv
 
 
-def hermite_refine(r, u, du, acc, nsub: int = _REFINE):
-    """Subdivide every node interval nsub-fold; returns refined (r, u, du)."""
+def hermite_refine(r, u, du, acc):
+    """Subdivide every node interval _REFINE-fold; returns refined (r, u, du)."""
     r = np.asarray(r, dtype=float)
-    if r.size < 2 or nsub <= 1:
+    if r.size < 2:
         return r.copy(), np.asarray(u, float).copy(), np.asarray(du, float).copy()
     h = np.diff(r)[:, None]
-    s = (np.arange(nsub) / nsub)[None, :]
+    s = (np.arange(_REFINE) / _REFINE)[None, :]
     uu, vv = _hermite_quintic(h, u[:-1, None], du[:-1, None], acc[:-1, None],
                               u[1:, None], du[1:, None], acc[1:, None], s)
     rr = (r[:-1, None] + h * s)
@@ -172,7 +172,7 @@ class Moments:
 
 
 def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
-                   nodes, u, du, r_m: float, nsub: int = _REFINE) -> Moments:
+                   nodes, u, du, r_m: float) -> Moments:
     """All scalar moments in one refined-grid pass.
 
     Normalization, average potential, kinetic quadrature, second moment and
@@ -181,7 +181,7 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
     by construction.
     """
     acc = second_derivative(nodes, u, du, beta, lam_sq, c_coef)
-    rr, uu, vv = hermite_refine(nodes, u, du, acc, nsub)
+    rr, uu, vv = hermite_refine(nodes, u, du, acc)
     aa = second_derivative(rr, uu, vv, beta, lam_sq, c_coef)
     u0 = float(u[0])
 
@@ -223,14 +223,13 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
                    entropy=float(2.0 * np.pi * hq))
 
 
-def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float,
-                       nsub: int = _REFINE) -> float:
+def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> float:
     """Full-line normalization integral of exp(-beta U_i) for one even factor.
 
     Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension).
     """
     acc = second_derivative(nodes, u, du, beta, lam_sq, 0.0)
-    rr, uu, vv = hermite_refine(nodes, u, du, acc, nsub)
+    rr, uu, vv = hermite_refine(nodes, u, du, acc)
     u0 = float(u[0])
     w = np.exp(-beta * (uu - u0))
     dw = -beta * vv * w

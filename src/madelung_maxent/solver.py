@@ -139,12 +139,12 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
     params, u0 = request.params, request.u0
     if u0 == 0.0:
         return AxisProfile(params=params, nodes=[0.0], u=[0.0], du=[0.0],
-                           u0=0.0, half_width=math.inf, extrapolated=False)
+                           u0=0.0, half_width=math.inf)
     trajectory = _solve_potential(params, u0, request.control, 0.0)
     i_m = estimate_support(trajectory, params)
     return AxisProfile(params=params, nodes=trajectory.nodes,
                        u=trajectory.states[:, 0], du=trajectory.states[:, 1],
-                       u0=u0, half_width=i_m, extrapolated=True)
+                       u0=u0, half_width=i_m)
 
 
 def resample(profile, query):

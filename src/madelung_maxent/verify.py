@@ -199,7 +199,7 @@ def _rotation_invariance(case):
 
 def _maxent_stationarity(case):
     n_dir = 20 if case.quick else 100
-    gain = analysis.entropy_stationarity_check(case.profile, epsilon=1e-4, n_directions=n_dir)
+    gain = analysis.entropy_stationarity_check(case.profile, n_directions=n_dir)
     return gain < 1e-12, f"max constrained entropy gain = {gain:.3e} over {n_dir} directions"
 
 

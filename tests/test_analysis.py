@@ -37,10 +37,9 @@ def test_omega_constant_potential_is_zero(params1):
 
 
 def test_omega_out_of_support(radial1):
-    with pytest.raises(mm.OutOfSupportError):
-        mm.angular_velocity(radial1, radial1.r_m)
-    with pytest.raises(mm.OutOfSupportError):
-        mm.angular_velocity(radial1, -0.1)
+    for r in (radial1.r_m, -0.1, math.nan, np.array([0.1, math.nan])):
+        with pytest.raises(mm.OutOfSupportError):
+            mm.angular_velocity(radial1, r)
 
 
 def test_velocity_samples_tangential(radial1):
@@ -73,6 +72,18 @@ def test_divergence_second_order(radial1):
     d2 = mm.divergence_sup(radial1, h=1e-3)
     assert d2 < 1e-4
     assert 2.5 < d1 / d2 < 5.5
+
+
+@pytest.mark.parametrize("h, field", [
+    (1.0, "h"), (0.5, "h"), (math.inf, "h"), (-1e-3, "h"), (0.0, "h"), (math.nan, "h"),
+    (1e-3, "profile"),  # the u0 = 0 state has no finite support
+])
+def test_divergence_sup_rejects_vacuous_check(radial1, params1, h, field):
+    """At beta = 1 (r_m = 1.647) h >= 0.44 leaves only the origin, where div reads 0."""
+    prof = radial1 if field == "h" else mm.solve_radial(
+        mm.SolveRequest(params=params1, u0=0.0))
+    with pytest.raises(mm.ValidationError, match=f"^{field}: "):
+        mm.divergence_sup(prof, h=h)
 
 
 def test_sweep_closed_form_column():
@@ -109,9 +120,9 @@ def test_sweep_validation():
 
 
 def test_sinc_limit_k1(params1):
-    s = mm.sinc_limit(params1, k=1.0)
+    s = mm.sinc_limit(params1, energy=0.5)
+    assert s.k == 1.0
     assert s.r_inf == math.pi
-    assert s.energy == pytest.approx(0.5, rel=1e-15)
 
 
 def test_sinc_limit_energy1(params1):
@@ -131,12 +142,9 @@ def test_sinc_normalization_against_quad_oracle(params1):
 
 
 def test_sinc_limit_validation(params1):
-    with pytest.raises(mm.ValidationError):
-        mm.sinc_limit(params1)
-    with pytest.raises(mm.ValidationError):
-        mm.sinc_limit(params1, energy=1.0, k=1.0)
-    with pytest.raises(mm.ValidationError, match="energy"):
-        mm.sinc_limit(params1, energy=-1.0)
+    for energy in (-1.0, 0.0, math.inf, math.nan):
+        with pytest.raises(mm.ValidationError, match="^energy: "):
+            mm.sinc_limit(params1, energy=energy)
 
 
 def test_limit_convergence_golden(golden, params1):
@@ -151,6 +159,8 @@ def test_limit_convergence_golden(golden, params1):
 def test_limit_convergence_validation(params1):
     with pytest.raises(mm.ValidationError, match="betas"):
         mm.limit_convergence([5.0, 50.0], 1.0, params1)
+    with pytest.raises(mm.ValidationError, match="^u0: "):
+        mm.limit_convergence([10.0], math.inf, params1)
 
 
 def test_invert_beta_round_trip(params1):
@@ -173,6 +183,22 @@ def test_invert_beta_no_solution(params1):
         mm.invert_beta_for_energy(0.5, 1.0, params1)
     assert excinfo.value.feasible_min is not None
     assert excinfo.value.feasible_min > 0.5
+
+
+@pytest.mark.parametrize("target, u0, field", [
+    (math.inf, 1.0, "target_energy"), (math.nan, 1.0, "target_energy"),
+    (-1.0, 1.0, "target_energy"), (2.0, math.inf, "u0"), (2.0, 0.0, "u0"),
+])
+def test_invert_beta_validation(params1, target, u0, field):
+    with pytest.raises(mm.ValidationError, match=f"^{field}: "):
+        mm.invert_beta_for_energy(target, u0, params1)
+
+
+@pytest.mark.parametrize("n_directions", [0, -3, 2.5])
+def test_entropy_check_needs_a_direction(radial1, n_directions):
+    """With no direction tried the maximum gain reads -inf, which would pass the check."""
+    with pytest.raises(mm.ValidationError, match="^n_directions: "):
+        mm.entropy_stationarity_check(radial1, n_directions=n_directions)
 
 
 def test_density_on_grid_matches_nodes(radial1):

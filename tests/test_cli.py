@@ -70,6 +70,24 @@ def test_radial_json_bytes_pinned(tmp_path):
     assert digest == "44d5b05b8e72b5d27d93aa249936bd6efcc67e943a845721d057ac73cf61208d"
 
 
+def test_limit_csv_bytes_pinned(tmp_path):
+    """The five CSVs of one limit run; sinc_limit, limit_convergence and omega feed them."""
+    assert run_cli("limit", "--betas", "10,50,100", "--out", str(tmp_path)) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in (
+        "convergence.csv", "sinc_profile.csv", "radial_profile_beta_10.csv",
+        "radial_profile_beta_50.csv", "radial_profile_beta_100.csv")}
+    assert digests == {
+        "convergence.csv": "dc1b9418cf1bd8fd56c5037d3042f9d22108f4aa8622a3f17402166448ef5be6",
+        "sinc_profile.csv": "24d42184e6954524fdd0c3747f71102c1dd975c38b7c99f3e3a3a4e7bcc35ac5",
+        "radial_profile_beta_10.csv":
+            "ca741a0053f521a1f75e2b2f978979de3997f1453ed3605b0a1edcaad7ba019e",
+        "radial_profile_beta_50.csv":
+            "0db59085a59c57de6a3532004128dc995506396fd7775b807491ca173d80818c",
+        "radial_profile_beta_100.csv":
+            "f67cd78be7ce10a4b03d40e98ba3bc824478b088c409ec7d68255d5f91160c9e",
+    }
+
+
 def test_usage_error_exit_2(tmp_path, capsys):
     assert run_cli("solve-radial", "--beta", "-1", "--out", str(tmp_path)) == 2
     assert "beta" in capsys.readouterr().err

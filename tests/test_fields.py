@@ -51,6 +51,12 @@ def test_rotation_quarter_turn(grid1):
     np.testing.assert_allclose(rot.rho[both], grid1.rho[both], rtol=0, atol=1e-11)
 
 
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_rotation_rejects_nonfinite_angle(grid1, theta):
+    with pytest.raises(mm.ValidationError, match="^theta: "):
+        mm.rotate_grid(grid1, theta)
+
+
 def test_rotation_sentinels(grid1):
     rot = mm.rotate_grid(grid1, math.pi / 6)
     outside = ~np.isfinite(rot.u)
@@ -93,6 +99,12 @@ def test_residual_flags_corrupted_profile(radial1, params1):
     clean = mm.maxent_residual(radial1, params1, h=1e-3)
     bad = mm.maxent_residual(corrupted, params1, h=1e-3)
     assert bad.pde > 50 * clean.pde
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.inf, math.nan])
+def test_radial_residual_rejects_bad_step(radial1, params1, h):
+    with pytest.raises(mm.ValidationError, match="^h: "):
+        mm.maxent_residual(radial1, params1, h=h)
 
 
 def test_residual_type_check(params1):

@@ -144,6 +144,13 @@ def test_sinclimit_invariants(params1):
     assert abs(s.k * s.r_inf - math.pi) <= 4 * np.finfo(float).eps * math.pi
 
 
+def test_axis_profile_rejects_extrapolated_key(axis1):
+    d = axis1.to_dict()
+    d["extrapolated"] = True
+    with pytest.raises(mm.ValidationError, match="^extrapolated: "):
+        mm.AxisProfile.from_dict(d)
+
+
 def test_grid2d_congruence(params1):
     with pytest.raises(mm.ValidationError, match="rho"):
         mm.Grid2D(spacing=0.1, x0=0.0, y0=0.0, u=np.zeros((3, 3)), rho=np.zeros((3, 4)))

@@ -52,7 +52,7 @@ def test_refine_plus_trapezoid_beats_raw_rule():
     x = np.linspace(0.0, np.pi, 25)
     f, df, ddf = np.sin(x), np.cos(x), -np.sin(x)
     raw = abs(q.corrected_trapezoid(x, f, df) - 2.0)
-    rr, ff, dff = q.hermite_refine(x, f, df, ddf, nsub=4)
+    rr, ff, dff = q.hermite_refine(x, f, df, ddf)
     fine = abs(q.corrected_trapezoid(rr, ff, dff) - 2.0)
     assert fine < raw / 100
 
