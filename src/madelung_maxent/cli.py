@@ -24,7 +24,8 @@ import numpy as np
 
 from . import __version__, analysis, fields, verify
 from .integrator import StepControl
-from .model import NoSolutionError, SolverError, ValidationError, make_params, to_json
+from .model import (Grid2D, NoSolutionError, SolverError, ValidationError, make_params,
+                    to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
 FORMAT_VERSION = "1"
@@ -41,6 +42,16 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     _write_lines(path, itertools.chain([",".join(header) + "\n"], map(line.__mod__, rows)))
+
+
+def _write_plane(path: Path, grid: Grid2D, plane: np.ndarray):
+    """x,y,value rows, x-major: _write_csv's bytes, with each axis value formatted once."""
+    xs = ["%.17g," % v for v in grid.x.tolist()]
+    ys = ["%.17g," % v for v in grid.y.tolist()]
+    rows = (xi + yj + "%.17g\n" % v
+            for xi, row in zip(xs, np.asarray(plane, dtype=float).tolist())
+            for yj, v in zip(ys, row))
+    _write_lines(path, itertools.chain(["x,y,value\n"], rows))
 
 
 def _outdir(args) -> Path:
@@ -147,8 +158,7 @@ def _cmd_solve_cartesian(args) -> int:
                              "residuals": rot_norms,
                              "residual_ratio": rot_norms.pde / norms.pde}
     for name, g, plane in planes:
-        _write_csv(outdir / name, ["x", "y", "value"],
-                   [np.repeat(g.x, g.y.size), np.tile(g.y, g.x.size), plane.ravel()])
+        _write_plane(outdir / name, g, plane)
         outputs.append(name)
     _manifest(args, "solve-cartesian", outdir, outputs, started, **extra)
     print(f"solve-cartesian: i_m = {factor.half_width:.9g}, grid mass = "

@@ -74,6 +74,47 @@ def test_divergence_second_order(radial1):
     assert 2.5 < d1 / d2 < 5.5
 
 
+def _full_grid_divergence_sup(profile, h):
+    """The pre-octant divergence_sup: every center of the (2n+1)^2 grid."""
+    from madelung_maxent.analysis import _du_values, _omega_from_du
+
+    r_lim = 0.8 * profile.r_m
+    n = int(r_lim / h)
+    axis = h * np.arange(-n, n + 1)
+    clamp = r_lim + 4 * h
+    table_r = np.linspace(0.0, clamp, 1 << 18)
+    table_du = _du_values(profile, table_r)
+
+    def omega_at(rr):
+        rq = np.minimum(rr, clamp)
+        return _omega_from_du(profile, rq, np.interp(rq, table_r, table_du))
+
+    sup = 0.0
+    for lo in range(0, axis.size, 256):
+        x = axis[lo:lo + 256, None]
+        y = axis[None, :]
+        keep = np.hypot(x, y) <= r_lim - 2 * h
+        if not keep.any():
+            continue
+        wxp = omega_at(np.hypot(x + h, y))
+        wxm = omega_at(np.hypot(x - h, y))
+        wyp = omega_at(np.hypot(x, y + h))
+        wym = omega_at(np.hypot(x, y - h))
+        div = (wxm - wxp) * y / (2 * h) + (wyp - wym) * x / (2 * h)
+        sup = max(sup, float(np.max(np.abs(div[keep]))))
+    return sup
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 4.0, 100.0])
+def test_divergence_octant_equals_full_grid(variant, beta):
+    """The octant sup is the full grid's float: n = int(0.8 r_m / h) spans 118..441,
+    so both one 256-row block and several (last one partial) occur."""
+    prof = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1.0, 1.0, beta, variant)))
+    for h in (4e-3, 8e-3):
+        assert mm.divergence_sup(prof, h=h) == _full_grid_divergence_sup(prof, h)
+
+
 @pytest.mark.parametrize("h, field", [
     (1.0, "h"), (0.5, "h"), (math.inf, "h"), (-1e-3, "h"), (0.0, "h"), (math.nan, "h"),
     (1e-3, "profile"),  # the u0 = 0 state has no finite support

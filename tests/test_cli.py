@@ -119,6 +119,17 @@ def test_solve_cartesian_grid(tmp_path, axis1):
     assert abs(manifest["grid_mass"] - 1.0) < 1e-4
 
 
+def test_plane_writer_matches_column_writer(tmp_path, axis1):
+    rotated = mm.rotate_grid(mm.assemble_2d(axis1, axis1, 0.05), 0.5236)
+    assert np.isinf(rotated.u).any()  # corners rotated out of the source carry the sentinel
+    for plane in (rotated.u, rotated.rho):
+        cli._write_csv(tmp_path / "columns.csv", ["x", "y", "value"],
+                       [np.repeat(rotated.x, rotated.y.size),
+                        np.tile(rotated.y, rotated.x.size), plane.ravel()])
+        cli._write_plane(tmp_path / "plane.csv", rotated, plane)
+        assert (tmp_path / "plane.csv").read_bytes() == (tmp_path / "columns.csv").read_bytes()
+
+
 def test_solve_cartesian_rotation_smoke(tmp_path):
     out = tmp_path / "rot"
     assert run_cli("solve-cartesian", "--beta", "1", "--grid-h", "0.01",
