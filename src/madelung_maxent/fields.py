@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import RectBivariateSpline
+from scipy.ndimage import distance_transform_edt
 
 from .model import (AxisProfile, Grid2D, PhysicalParams, RadialProfile, Record,
                     ValidationError, _require)
@@ -83,8 +85,6 @@ def rotate_grid(grid: Grid2D, theta: float) -> Grid2D:
     out-of-support sentinels rho = 0, U = +inf.  theta = 0 returns the grid
     unchanged.
     """
-    from scipy.interpolate import RectBivariateSpline  # lazy: scipy is slow to import
-
     _require(math.isfinite(theta), "theta", "must be a finite angle")
     if theta == 0.0 or theta % (2.0 * math.pi) == 0.0:
         return grid
@@ -158,8 +158,6 @@ def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -
 
 
 def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
-    from scipy.ndimage import distance_transform_edt  # lazy: scipy is slow to import
-
     beta, lam_sq = params.beta, params.lambda_sq
     h = grid.spacing
     u = np.where(np.isfinite(grid.u), grid.u, 0.0)

@@ -105,14 +105,17 @@ def _full_grid_divergence_sup(profile, h):
     return sup
 
 
-@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
-@pytest.mark.parametrize("beta", [0.5, 1.0, 4.0, 100.0])
-def test_divergence_octant_equals_full_grid(variant, beta):
-    """The octant sup is the full grid's float: n = int(0.8 r_m / h) spans 118..441,
-    so both one 256-row block and several (last one partial) occur."""
+@pytest.mark.parametrize("variant, beta, h, n", [
+    ("paper-radial", 0.5, 8e-3, 142),     # the octant's n + 1 rows are one 256-row block
+    ("planar-radial", 1.0, 8e-3, 134),
+    ("paper-radial", 4.0, 4e-3, 397),     # a full block and a partial one
+    ("planar-radial", 100.0, 4e-3, 338),
+])
+def test_divergence_octant_equals_full_grid(variant, beta, h, n):
+    """The octant sup is the full grid's float, whatever the block layout."""
     prof = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1.0, 1.0, beta, variant)))
-    for h in (4e-3, 8e-3):
-        assert mm.divergence_sup(prof, h=h) == _full_grid_divergence_sup(prof, h)
+    assert int(0.8 * prof.r_m / h) == n
+    assert mm.divergence_sup(prof, h=h) == _full_grid_divergence_sup(prof, h)
 
 
 @pytest.mark.parametrize("h, field", [

@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,15 +110,3 @@ def test_radial_residual_rejects_bad_step(radial1, params1, h):
 def test_residual_type_check(params1):
     with pytest.raises(mm.ValidationError):
         mm.maxent_residual(object(), params1)
-
-
-def test_package_import_leaves_scipy_unloaded():
-    """scipy loads only when a 2D grid is rotated or its residual is taken."""
-    src = str(Path(mm.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, madelung_maxent; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
