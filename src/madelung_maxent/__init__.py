@@ -19,18 +19,17 @@ from .fields import (ResidualNorms, assemble_2d, maxent_residual,
 from .integrator import StepControl, StopReason, Trajectory, integrate
 from .kernels import NUMBA_ENABLED
 from .model import (AxisProfile, FieldSample, Grid2D, LaplacianVariant,
-                    LogicError, NoSolutionError, Observables, OutOfSupportError,
+                    LogicError, Moments, NoSolutionError, Observables, OutOfSupportError,
                     PhysicalParams, RadialProfile, SincLimit, SolverError,
                     SweepRow, ValidationError, make_params, to_json)
-from .solver import (Geometry, SolveRequest, density_from_potential,
-                     estimate_support, resample, series_coefficient,
-                     solve_cartesian_factor, solve_radial)
+from .solver import (Geometry, SolveRequest, estimate_support, resample,
+                     series_coefficient, solve_cartesian_factor, solve_radial)
 
 __all__ = [
     "__version__", "NUMBA_ENABLED",
     # model
     "PhysicalParams", "make_params", "LaplacianVariant", "AxisProfile",
-    "RadialProfile", "Observables", "SincLimit", "Grid2D", "SweepRow",
+    "Moments", "RadialProfile", "Observables", "SincLimit", "Grid2D", "SweepRow",
     "FieldSample", "to_json",
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError",
     "NoSolutionError",
@@ -38,7 +37,7 @@ __all__ = [
     "StepControl", "StopReason", "Trajectory", "integrate",
     # solver
     "Geometry", "SolveRequest", "solve_radial", "solve_cartesian_factor",
-    "estimate_support", "density_from_potential", "resample", "series_coefficient",
+    "estimate_support", "resample", "series_coefficient",
     # fields
     "assemble_2d", "rotate_grid", "maxent_residual", "mixed_second_difference",
     "ResidualNorms",

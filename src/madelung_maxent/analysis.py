@@ -19,12 +19,11 @@ from typing import Sequence
 
 import numpy as np
 
-from . import quadrature
 from .integrator import StepControl
 from .model import (FieldSample, NoSolutionError, Observables, OutOfSupportError,
                     PhysicalParams, RadialProfile, Record, SincLimit, SolverError,
                     SweepRow, ValidationError, _require)
-from .solver import SolveRequest, profile_c_coef, resample, solve_radial
+from .solver import SolveRequest, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _DIV_BLOCK_ROWS = 256  # grid rows per vectorized block of the divergence check
@@ -36,11 +35,8 @@ _ENTROPY_GRID = 2049  # odd, for composite Simpson
 
 
 def observables(profile: RadialProfile) -> Observables:
-    """All scalar observables of a solved, normalized radial state."""
-    _require(profile.normalized, "profile", "must be normalized (rho/z attached)")
-    p = profile.params
-    m = quadrature.radial_moments(p.beta, p.mass, p.lambda_sq, profile_c_coef(profile),
-                                  profile.nodes, profile.u, profile.du, profile.r_m)
+    """All scalar observables of a solved radial state, from the moments it carries."""
+    p, m = profile.params, profile.moments
     k_closed = p.mass / p.beta
     return Observables(beta=p.beta, z=m.z, u_bar=m.u_bar, k_bar=k_closed,
                        k_bar_quad=m.k_bar_quad, entropy=m.entropy, r2_bar=m.r2_bar,
@@ -125,7 +121,6 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     the sign of the discrete divergence exactly.
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
-    _require(profile.has_support, "profile", "must have a finite support radius")
     r_lim = _DIV_R_FRAC * profile.r_m
     _require(h <= r_lim - 2 * h, "h", "too coarse: no point off the origin inside 0.8 r_m")
     n = int(r_lim / h)
@@ -177,6 +172,7 @@ def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParam
     betas = [float(b) for b in betas]
     _require(len(betas) >= 1 and all(b > 0 for b in betas), "betas", "must be positive")
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
+    _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
     rows = []
     for b in betas:
         params = replace(params_template, beta=b)
@@ -233,7 +229,6 @@ def sinc_limit(params: PhysicalParams, energy: float) -> SincLimit:
 
 def density_on_grid(profile: RadialProfile, radii: np.ndarray) -> np.ndarray:
     """rho(r) resampled on arbitrary radii; zero beyond the resolved support."""
-    _require(profile.normalized, "profile", "must be normalized")
     radii = np.asarray(radii, dtype=float)
     _require(bool(np.all(radii >= 0.0)), "radii", "must be nonnegative and not NaN")
     out = np.zeros_like(radii)
@@ -353,7 +348,6 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
     change of the maximizer must be second order and nonpositive.  Returns the
     largest observed change (expected ~ -eps^2/2 * <g^2>).
     """
-    _require(profile.normalized, "profile", "must be normalized")
     _require(isinstance(n_directions, (int, np.integer)) and n_directions >= 1,
              "n_directions", "must be a positive integer")
     r_hi = float(profile.nodes[-1])

@@ -28,7 +28,7 @@ from .model import (Grid2D, NoSolutionError, SolverError, ValidationError, make_
                     to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 
 
 def _write_lines(path: Path, lines):
@@ -183,8 +183,8 @@ def _cmd_sweep(args) -> int:
         betas = _parse_beta_list(args.beta_list)
     else:
         lo, hi, n = args.beta_log_range
-        if lo <= 0 or hi <= lo or int(n) < 2:
-            raise ValidationError("beta-log-range: need 0 < lo < hi and n >= 2")
+        if not (0 < lo < hi < math.inf and n >= 2 and n.is_integer()):
+            raise ValidationError("beta-log-range: need 0 < lo < hi < inf and an integer n >= 2")
         betas = list(np.logspace(math.log10(lo), math.log10(hi), int(n)))
     params = _params_from(args, betas[0])
     outdir = _outdir(args)

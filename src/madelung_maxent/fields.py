@@ -48,8 +48,6 @@ def assemble_2d(ux: AxisProfile, uy: AxisProfile, grid_spacing: float) -> Grid2D
     ~1e-9 half-widths wide and carries relative density below e^-40.
     """
     _require(_same_physics(ux.params, uy.params), "params", "factor profiles disagree")
-    _require(ux.has_support and uy.has_support, "half_width",
-             "degenerate no-support factors cannot be assembled")
     _require(grid_spacing > 0, "grid_spacing", "must be positive")
     beta = ux.params.beta
 

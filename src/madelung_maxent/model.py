@@ -18,7 +18,6 @@ import json
 import math
 import typing
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Optional
 
 import numpy as np
 
@@ -193,8 +192,7 @@ class AxisProfile(Record):
 
     The factor is even (U(-i) = U(i)); only the half-line is stored.  The
     potential is convex and nondecreasing, and blows up at finite half-width
-    i_m; ``half_width`` is the blow-up estimate, at or past the last node
-    (inf flags the no-support degenerate case u0 = 0).
+    i_m; ``half_width`` is the blow-up estimate, at or past the last node.
     """
 
     params: PhysicalParams
@@ -208,20 +206,37 @@ class AxisProfile(Record):
         for name in ("nodes", "u", "du"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         _check_profile_grid(self.nodes, self.u, self.du, self.u0)
-        _require(self.half_width >= self.nodes[-1], "half_width", "must not precede the last node")
+        _require(math.isfinite(self.half_width) and self.half_width >= self.nodes[-1],
+                 "half_width", "must be finite and not precede the last node")
 
-    @property
-    def has_support(self) -> bool:
-        return math.isfinite(self.half_width)
+
+@dataclass(frozen=True)
+class Moments(Record):
+    """Boltzmann-weighted radial moments of one potential profile.
+
+    One quadrature pass (``quadrature.radial_moments``) gives them all: the
+    normalization z of rho = exp(-beta U)/z with its logarithm, the averages
+    u_bar and r2_bar, the kinetic quadrature k_bar_quad and the entropy.
+    """
+
+    z: float
+    log_z: float
+    u_bar: float
+    k_bar_quad: float
+    r2_bar: float
+    entropy: float
+
+    def __post_init__(self):
+        _require(self.z > 0, "z", "must be positive")
 
 
 @dataclass(frozen=True)
 class RadialProfile(Record):
     """Rotationally symmetric quantum potential and density on [0, r_m).
 
-    ``rho``/``z`` may be None on an intermediate (not yet normalized) profile;
-    ``density_from_potential`` fills them.  When present, rho is definitionally
-    exp(-beta u)/z at every node and nonincreasing in r.
+    The profile carries the ``Moments`` of its own quadrature pass; rho is
+    derived from them as exp(-beta u)/z at every node and is nonincreasing
+    in r.
     """
 
     params: PhysicalParams
@@ -230,34 +245,23 @@ class RadialProfile(Record):
     du: np.ndarray
     u0: float
     r_m: float
-    rho: Optional[np.ndarray] = None
-    z: Optional[float] = None
+    moments: Moments
+    rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name in ("nodes", "u", "du"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
         _check_profile_grid(self.nodes, self.u, self.du, self.u0)
         _require(bool(np.all(self.du >= 0)), "du", "must be nonnegative")
-        _require(self.r_m >= self.nodes[-1], "r_m", "must not precede the last node")
-        if (self.rho is None) != (self.z is None):
-            raise ValidationError("rho/z: must be provided together")
-        if self.rho is not None:
-            object.__setattr__(self, "rho", _readonly(self.rho))
-            _require(self.rho.shape == self.nodes.shape, "rho", "must match nodes in length")
-            _require(self.z > 0, "z", "must be positive")
-            expected = np.exp(-self.params.beta * self.u) / self.z
-            _require(bool(np.allclose(self.rho, expected, rtol=1e-12, atol=0.0)),
-                     "rho", "must equal exp(-beta u)/z at every node")
-            _require(bool(np.all(np.diff(self.rho) <= 1e-15 * self.rho[0])),
-                     "rho", "must be nonincreasing")
+        _require(math.isfinite(self.r_m) and self.r_m >= self.nodes[-1],
+                 "r_m", "must be finite and not precede the last node")
+        rho = _readonly(np.exp(-self.params.beta * self.u) / self.moments.z)
+        object.__setattr__(self, "rho", rho)
+        _require(bool(np.all(np.diff(rho) <= 1e-15 * rho[0])), "rho", "must be nonincreasing")
 
     @property
-    def normalized(self) -> bool:
-        return self.rho is not None
-
-    @property
-    def has_support(self) -> bool:
-        return math.isfinite(self.r_m)
+    def z(self) -> float:
+        return self.moments.z
 
 
 @dataclass(frozen=True)
@@ -426,6 +430,6 @@ def to_json(obj) -> str:
 __all__ = [
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError", "NoSolutionError",
     "LaplacianVariant", "Record", "PhysicalParams", "make_params",
-    "AxisProfile", "RadialProfile", "Observables", "SincLimit", "Grid2D",
+    "AxisProfile", "Moments", "RadialProfile", "Observables", "SincLimit", "Grid2D",
     "SweepRow", "FieldSample", "to_json", "replace",
 ]

@@ -16,11 +16,10 @@ density there is below e^-40) is closed with a one-sided cubic fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ValidationError
+from .model import Moments, ValidationError
 
 _REFINE = 4  # per-interval subdivision of the Hermite interpolant
 
@@ -159,18 +158,6 @@ def cubic_tail(x, g, x_end: float) -> float:
     return float(gap * np.dot(coef, upper))
 
 
-@dataclass(frozen=True)
-class Moments:
-    """Boltzmann-weighted radial moments of one potential profile."""
-
-    z: float
-    log_z: float
-    u_bar: float
-    k_bar_quad: float
-    r2_bar: float
-    entropy: float
-
-
 def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
                    nodes, u, du, r_m: float) -> Moments:
     """All scalar moments in one refined-grid pass.
@@ -239,6 +226,6 @@ def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> 
 
 __all__ = [
     "second_derivative", "hermite_refine", "hermite_evaluate",
-    "corrected_trapezoid", "cubic_tail", "Moments", "radial_moments",
+    "corrected_trapezoid", "cubic_tail", "radial_moments",
     "axis_normalization",
 ]

@@ -11,8 +11,9 @@ beta * (U - U0) reaches 40 (relative density e^-40, below double rounding)
 and the support radius is recovered from the dominant balance
 U ~ -(2/beta) ln(r_m - r), i.e.  r_m = r_stop + 2 / (beta U'(r_stop)).
 
-U0 = 0 yields the trivial potential; it is returned as a degenerate
-no-support profile (half-width inf, no density).
+A radial solve normalizes its density in the same step: one pass of
+``quadrature.radial_moments`` gives Z together with every moment, and the
+returned profile carries them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ class SolveRequest:
     geometry: Geometry = Geometry.RADIAL
 
     def __post_init__(self):
-        _require(math.isfinite(self.u0) and self.u0 >= 0.0, "u0",
-                 "must be a nonnegative finite real (self-trapping requires u0 > 0)")
+        _require(math.isfinite(self.u0) and self.u0 > 0.0, "u0",
+                 "must be a positive finite real (self-trapping requires u0 > 0)")
 
 
 def series_coefficient(params: PhysicalParams, u0: float, c_coef: float) -> float:
@@ -103,33 +104,20 @@ def estimate_support(trajectory: Trajectory, params: PhysicalParams) -> float:
     return r_stop + 2.0 / (params.beta * du_stop)
 
 
-def density_from_potential(profile: RadialProfile) -> RadialProfile:
-    """Attach rho = exp(-beta U)/Z with Z from the profile's own quadrature."""
-    _require(bool(np.all(np.isfinite(profile.u))), "u", "must be finite to normalize")
-    _require(math.isfinite(profile.r_m), "r_m", "profile has no finite support")
-    p = profile.params
-    moments = quadrature.radial_moments(p.beta, p.mass, p.lambda_sq,
-                                        profile_c_coef(profile),
-                                        profile.nodes, profile.u, profile.du, profile.r_m)
-    rho = np.exp(-p.beta * profile.u) / moments.z
-    return replace(profile, rho=rho, z=moments.z)
-
-
 def solve_radial(request: SolveRequest) -> RadialProfile:
     """Solve the rotationally symmetric potential and normalize its density."""
     _require(request.geometry is Geometry.RADIAL, "geometry", "must be 'radial'")
     params, u0 = request.params, request.u0
-    if u0 == 0.0:
-        return RadialProfile(params=params, nodes=[0.0], u=[0.0], du=[0.0],
-                             u0=0.0, r_m=math.inf)
     c_coef = params.laplacian_variant.first_derivative_coefficient
     trajectory = _solve_potential(params, u0, request.control, c_coef)
     r_m = estimate_support(trajectory, params)
     nodes = np.concatenate([[0.0], trajectory.nodes])
     u = np.concatenate([[u0], trajectory.states[:, 0]])
     du = np.concatenate([[0.0], trajectory.states[:, 1]])
-    draft = RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, r_m=r_m)
-    return density_from_potential(draft)
+    moments = quadrature.radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
+                                        nodes, u, du, r_m)
+    return RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, r_m=r_m,
+                         moments=moments)
 
 
 def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
@@ -137,9 +125,6 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
     _require(request.geometry is Geometry.CARTESIAN_FACTOR,
              "geometry", "must be 'cartesian-factor'")
     params, u0 = request.params, request.u0
-    if u0 == 0.0:
-        return AxisProfile(params=params, nodes=[0.0], u=[0.0], du=[0.0],
-                           u0=0.0, half_width=math.inf)
     trajectory = _solve_potential(params, u0, request.control, 0.0)
     i_m = estimate_support(trajectory, params)
     return AxisProfile(params=params, nodes=trajectory.nodes,
@@ -171,6 +156,6 @@ def resample(profile, query):
 
 __all__ = [
     "BLOWUP_LOG_MARGIN", "Geometry", "SolveRequest", "series_coefficient",
-    "estimate_support", "density_from_potential", "solve_radial",
+    "estimate_support", "solve_radial",
     "solve_cartesian_factor", "resample", "profile_c_coef",
 ]

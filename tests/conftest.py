@@ -3,6 +3,7 @@ import pytest
 
 import madelung_maxent as mm
 from madelung_maxent import verify
+from madelung_maxent.quadrature import radial_moments
 
 
 @pytest.fixture(scope="session")
@@ -33,10 +34,20 @@ def golden():
 
 
 @pytest.fixture(scope="session")
-def uniform_disk():
+def make_profile():
+    """RadialProfile from tabulated (nodes, u, du), normalized by its own moments pass."""
+    def make(params, nodes, u, du, r_m):
+        c_coef = params.laplacian_variant.first_derivative_coefficient
+        moments = radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
+                                 nodes, u, du, r_m)
+        return mm.RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=float(u[0]),
+                                r_m=r_m, moments=moments)
+    return make
+
+
+@pytest.fixture(scope="session")
+def uniform_disk(make_profile):
     """Synthetic U == 0 on the unit disk (not a solution; exercises plumbing)."""
     nodes = np.linspace(0.0, 1.0, 101)
     zeros = np.zeros_like(nodes)
-    rho = np.full_like(nodes, 1.0 / np.pi)
-    return mm.RadialProfile(params=mm.make_params(1.0, 1.0, 1.0), nodes=nodes,
-                            u=zeros, du=zeros, u0=0.0, r_m=1.0, rho=rho, z=np.pi)
+    return make_profile(mm.make_params(1.0, 1.0, 1.0), nodes, zeros, zeros, 1.0)

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 import madelung_maxent as mm
+from madelung_maxent import quadrature
 
 
 def test_observables_golden(obs1, golden):
@@ -14,12 +15,17 @@ def test_observables_golden(obs1, golden):
     assert obs1.r2_bar == pytest.approx(ref["r2_bar"], rel=1e-8)
 
 
-def test_observables_require_normalized(radial1):
-    from dataclasses import replace
-
-    bare = replace(radial1, rho=None, z=None)
-    with pytest.raises(mm.ValidationError, match="normalized"):
-        mm.observables(bare)
+def test_observables_one_quadrature_pass(params1, monkeypatch):
+    """A solve plus its observables runs the moments quadrature once; the profile carries it."""
+    calls = []
+    moments = quadrature.radial_moments
+    monkeypatch.setattr(quadrature, "radial_moments",
+                        lambda *args: calls.append(args) or moments(*args))
+    profile = mm.solve_radial(mm.SolveRequest(params=params1))
+    obs = mm.observables(profile)
+    assert len(calls) == 1
+    assert (obs.z, obs.u_bar, obs.entropy) == (profile.z, profile.moments.u_bar,
+                                               profile.moments.entropy)
 
 
 def test_omega_origin_limit(radial1):
@@ -27,11 +33,9 @@ def test_omega_origin_limit(radial1):
     assert mm.angular_velocity(radial1, 0.0) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-6)
 
 
-def test_omega_constant_potential_is_zero(params1):
-    nodes = np.linspace(0.0, 1.0, 11)
-    const = mm.RadialProfile(params=params1, nodes=nodes, u=np.full(11, 2.0),
-                             du=np.zeros(11), u0=2.0, r_m=1.0)
-    const = mm.density_from_potential(const)
+def test_omega_constant_potential_is_zero(params1, make_profile):
+    const = make_profile(params1, np.linspace(0.0, 1.0, 11), np.full(11, 2.0),
+                         np.zeros(11), 1.0)
     assert mm.angular_velocity(const, 0.0) == 0.0
     assert mm.angular_velocity(const, 0.7) == 0.0
 
@@ -120,14 +124,11 @@ def test_divergence_octant_equals_full_grid(variant, beta, h, n):
 
 @pytest.mark.parametrize("h, field", [
     (1.0, "h"), (0.5, "h"), (math.inf, "h"), (-1e-3, "h"), (0.0, "h"), (math.nan, "h"),
-    (1e-3, "profile"),  # the u0 = 0 state has no finite support
 ])
-def test_divergence_sup_rejects_vacuous_check(radial1, params1, h, field):
+def test_divergence_sup_rejects_vacuous_check(radial1, h, field):
     """At beta = 1 (r_m = 1.647) h >= 0.44 leaves only the origin, where div reads 0."""
-    prof = radial1 if field == "h" else mm.solve_radial(
-        mm.SolveRequest(params=params1, u0=0.0))
     with pytest.raises(mm.ValidationError, match=f"^{field}: "):
-        mm.divergence_sup(prof, h=h)
+        mm.divergence_sup(radial1, h=h)
 
 
 def test_sweep_closed_form_column():
@@ -161,6 +162,9 @@ def test_sweep_flags_failures():
 def test_sweep_validation():
     with pytest.raises(mm.ValidationError, match="betas"):
         mm.beta_sweep([2.0, 1.0], 1.0, mm.make_params(1, 1, 1))
+    for u0 in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(mm.ValidationError, match="^u0: "):
+            mm.beta_sweep([1.0, 2.0], u0, mm.make_params(1, 1, 1))
 
 
 def test_sinc_limit_k1(params1):

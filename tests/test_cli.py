@@ -47,6 +47,7 @@ def test_solve_radial_json_format(tmp_path):
                    "--out", str(out)) == 0
     profile = json.loads((out / "radial_profile.json").read_text())
     assert profile["params"]["beta"] == 1.0
+    assert "z" not in profile and profile["moments"]["z"] > 0
     assert not (out / "radial_profile.csv").exists()
     manifest = load_manifest(out)
     assert abs(manifest["observables"]["k_bar"] - 1.0) < 1e-12
@@ -67,7 +68,7 @@ def test_radial_json_bytes_pinned(tmp_path):
     """radial_profile.json is written by model.to_json; its bytes are part of the output."""
     assert run_cli("solve-radial", "--beta", "1", "--format", "json", "--out", str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "radial_profile.json").read_bytes()).hexdigest()
-    assert digest == "44d5b05b8e72b5d27d93aa249936bd6efcc67e943a845721d057ac73cf61208d"
+    assert digest == "141c87ea095bb40e6be0e9db493325e9716ee189f5fd4a302f88952105a6ce0b"
 
 
 def test_limit_csv_bytes_pinned(tmp_path):
@@ -92,6 +93,11 @@ def test_usage_error_exit_2(tmp_path, capsys):
     assert run_cli("solve-radial", "--beta", "-1", "--out", str(tmp_path)) == 2
     assert "beta" in capsys.readouterr().err
     assert run_cli("nonsense-command") == 2
+
+
+def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
+    assert run_cli("solve-radial", "--beta", "1", "--u0", "0", "--out", str(tmp_path)) == 2
+    assert "u0:" in capsys.readouterr().err
 
 
 def test_determinism_bitwise(tmp_path):
@@ -166,6 +172,19 @@ def test_sweep_flagged_row_exit_zero(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
     manifest = load_manifest(out)
     assert manifest["failed_betas"] == [1.0, 2.0]
+
+
+def test_sweep_rejects_bad_u0(tmp_path, capsys):
+    for u0 in ("-1", "0", "nan"):
+        assert run_cli("sweep", "--beta-list", "1,2", "--u0", u0, "--out", str(tmp_path)) == 2
+        assert "u0:" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_log_range_rejects_bad_range(tmp_path, capsys):
+    for lo, hi, n in (("1", "2", "2.7"), ("1", "inf", "3")):
+        assert run_cli("sweep", "--beta-log-range", lo, hi, n, "--out", str(tmp_path)) == 2
+        assert "beta-log-range" in capsys.readouterr().err
 
 
 def test_sweep_requires_exactly_one_selector(tmp_path):

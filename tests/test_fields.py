@@ -88,14 +88,12 @@ def test_residual_zero_for_trivial_field(uniform_disk, params1):
     assert norms.rebuild == 0.0
 
 
-def test_residual_flags_corrupted_profile(radial1, params1):
+def test_residual_flags_corrupted_profile(radial1, params1, make_profile):
     bump = 1e-3
     r = radial1.nodes
     u2 = radial1.u + bump * np.sin(np.pi * r / radial1.r_m) ** 2
     du2 = radial1.du + bump * np.pi / radial1.r_m * np.sin(2 * np.pi * r / radial1.r_m)
-    corrupted = mm.RadialProfile(params=radial1.params, nodes=r, u=u2, du=du2,
-                                 u0=u2[0], r_m=radial1.r_m)
-    corrupted = mm.density_from_potential(corrupted)
+    corrupted = make_profile(radial1.params, r, u2, du2, radial1.r_m)
     clean = mm.maxent_residual(radial1, params1, h=1e-3)
     bad = mm.maxent_residual(corrupted, params1, h=1e-3)
     assert bad.pde > 50 * clean.pde

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,12 +48,11 @@ def test_params_immutable(params1):
 
 
 # one instance of every Record subclass, built from the session fixtures
-# (``get`` is request.getfixturevalue); the edge cases carry None, inf and NaN
+# (``get`` is request.getfixturevalue); the edge cases carry inf and NaN
 RECORDS = {
     "params-planar": lambda get: mm.make_params(2.0, 0.5, 3.0, "planar-radial"),
     "radial": lambda get: get("radial1"),
-    "radial-degenerate-u0": lambda get: mm.solve_radial(
-        mm.SolveRequest(params=get("params1"), u0=0.0)),
+    "moments": lambda get: get("radial1").moments,
     "axis": lambda get: get("axis1"),
     "observables": lambda get: get("obs1"),
     "sinc": lambda get: mm.sinc_limit(get("params1"), energy=1.0),
@@ -99,31 +99,31 @@ def test_profile_arrays_readonly(radial1):
         radial1.u[0] = 99.0
 
 
-def test_profile_invariants_rejected(params1):
+def test_profile_invariants_rejected(params1, radial1):
     nodes = np.array([0.0, 0.5, 1.0])
     good_u = np.array([1.0, 1.2, 1.5])
     good_du = np.array([0.0, 0.5, 1.0])
+    moments = radial1.moments
     with pytest.raises(mm.ValidationError, match="nodes"):
         mm.RadialProfile(params=params1, nodes=[0.5, 1.0, 1.5], u=good_u,
-                         du=good_du, u0=1.0, r_m=2.0)
+                         du=good_du, u0=1.0, r_m=2.0, moments=moments)
     with pytest.raises(mm.ValidationError, match="du"):
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=[0.1, 0.5, 1.0], u0=1.0, r_m=2.0)
+                         du=[0.1, 0.5, 1.0], u0=1.0, r_m=2.0, moments=moments)
     with pytest.raises(mm.ValidationError, match="du"):
         # decreasing slope = concave u
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=[0.0, 1.0, 0.5], u0=1.0, r_m=2.0)
+                         du=[0.0, 1.0, 0.5], u0=1.0, r_m=2.0, moments=moments)
     with pytest.raises(mm.ValidationError, match="r_m"):
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=good_du, u0=1.0, r_m=0.9)
-    with pytest.raises(mm.ValidationError, match="rho"):
-        mm.RadialProfile(params=params1, nodes=nodes, u=good_u, du=good_du,
-                         u0=1.0, r_m=2.0, rho=np.array([1.0, 1.0, 1.0]), z=1.0)
+                         du=good_du, u0=1.0, r_m=0.9, moments=moments)
+    with pytest.raises(mm.ValidationError, match="^z: "):
+        replace(moments, z=0.0)
 
 
 def test_rho_definition_enforced(radial1):
-    rho = np.exp(-radial1.params.beta * radial1.u) / radial1.z
-    assert np.allclose(radial1.rho, rho, rtol=1e-12, atol=0)
+    rho = np.exp(-radial1.params.beta * radial1.u) / radial1.moments.z
+    assert np.array_equal(radial1.rho, rho)
 
 
 def test_observables_invariants(obs1):

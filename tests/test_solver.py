@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,13 +37,11 @@ def test_cartesian_half_width_grows_with_beta(axis1, golden):
     assert ax2.half_width > axis1.half_width
 
 
-def test_zero_center_value_degenerates():
-    rad = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1, 1, 1), u0=0.0))
-    assert not rad.has_support and rad.rho is None
-    ax = mm.solve_cartesian_factor(mm.SolveRequest(
-        params=mm.make_params(1, 1, 1), u0=0.0, geometry=mm.Geometry.CARTESIAN_FACTOR))
-    assert math.isinf(ax.half_width)
-    assert np.array_equal(ax.u, [0.0])
+def test_zero_center_value_rejected(params1):
+    """U0 = 0 gives the trivial potential, which traps nothing, in either geometry."""
+    for geometry in mm.Geometry:
+        with pytest.raises(mm.ValidationError, match="^u0: "):
+            mm.SolveRequest(params=params1, u0=0.0, geometry=geometry)
 
 
 def test_negative_u0_rejected():
@@ -93,9 +92,8 @@ def test_support_tolerance_independence(params1, radial1):
 
 
 def test_density_uniform_disk(uniform_disk):
-    fresh = mm.density_from_potential(uniform_disk)
-    assert fresh.z == pytest.approx(math.pi, rel=1e-12)
-    np.testing.assert_allclose(fresh.rho, 1.0 / math.pi, rtol=1e-12)
+    assert uniform_disk.z == pytest.approx(math.pi, rel=1e-12)
+    np.testing.assert_allclose(uniform_disk.rho, 1.0 / math.pi, rtol=1e-12)
 
 
 def test_density_center_value(radial1):
@@ -114,10 +112,11 @@ def test_density_normalization(radial1):
     assert raw == pytest.approx(1.0, abs=5e-4)
 
 
-def test_density_requires_finite_support():
-    degenerate = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1, 1, 1), u0=0.0))
-    with pytest.raises(mm.ValidationError, match="r_m"):
-        mm.density_from_potential(degenerate)
+def test_profile_requires_finite_support(radial1, axis1):
+    with pytest.raises(mm.ValidationError, match="^r_m: "):
+        replace(radial1, r_m=math.inf)
+    with pytest.raises(mm.ValidationError, match="^half_width: "):
+        replace(axis1, half_width=math.inf)
 
 
 def test_scaling_symmetry(radial1):
