@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .integrator import StepControl
 from .model import (FieldSample, NoSolutionError, Observables, OutOfSupportError,
@@ -28,7 +29,7 @@ from .solver import SolveRequest, resample, solve_radial
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _DIV_BLOCK_ROWS = 256  # grid rows per vectorized block of the divergence check
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
-_INVERT_REL_TOL = 1e-6  # relative width at which the beta bisection stops
+_INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; brentq stops at 1/8 of it
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
 _ENTROPY_SEED = 0
 _ENTROPY_GRID = 2049  # odd, for composite Simpson
@@ -288,55 +289,44 @@ def limit_convergence(betas: Sequence[float], u0: float,
                        profiles=tuple(profiles))
 
 
-def invert_beta_for_energy(target_energy: float, u0: float,
-                           params_template: PhysicalParams) -> float:
+def invert_beta_for_energy(target_energy: float, u0: float, params_template: PhysicalParams,
+                           control: StepControl = StepControl()) -> float:
     """Find beta with average energy u_bar(beta) + m/beta = target_energy.
 
     The map is monotone decreasing, bounded below by the infinite-beta
-    average potential, and the kinetic term enforces beta > m/E; bracketing
-    starts just above that bound and doubles until the target is enclosed,
-    then plain bisection finishes, to a relative width of 1e-6.
+    average potential, and the kinetic term enforces beta > m/E.  In
+    x = 1/beta the energy m x + u_bar(1/x) is nearly linear, so Brent's
+    method on x in [1/beta_cap, E/m] pins beta to a relative 1.25e-7 in a
+    handful of solves.  Targets below E(beta_cap) raise NoSolutionError.
     """
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
-    mass = params_template.mass
+    energies = {}
 
-    def energy_at(beta: float) -> float:
-        params = replace(params_template, beta=beta)
-        profile = solve_radial(SolveRequest(params=params, u0=u0))
-        return observables(profile).energy
+    def excess_at(x: float) -> float:
+        """E(1/x) - target; each x is solved once."""
+        if x not in energies:
+            params = replace(params_template, beta=1.0 / x)
+            energies[x] = observables(solve_radial(
+                SolveRequest(params=params, u0=u0, control=control))).energy
+        return energies[x] - target_energy
 
-    lo = mass / target_energy * (1.0 + 1e-9)
     # z = e^{-beta u0} O(1) underflows for beta u0 beyond ~700; targets closer
     # to the infinite-beta energy than E(beta_cap) are reported infeasible
     beta_cap = 500.0 / u0
-    if lo >= beta_cap:
+    x_cap, x_min_beta = 1.0 / beta_cap, target_energy / (params_template.mass * (1.0 + 1e-9))
+    if excess_at(x_cap) > 0.0:
         raise NoSolutionError(
-            f"target energy {target_energy} needs beta > {lo:.3g}, beyond the "
-            f"resolvable range (beta <= {beta_cap:.3g})",
-            feasible_min=energy_at(beta_cap))
-    hi = 2.0 * lo
-    e_hi = energy_at(min(hi, beta_cap))
-    while e_hi > target_energy:
-        hi *= 2.0
-        if hi > beta_cap:
-            raise NoSolutionError(
-                f"target energy {target_energy} is below the attainable range "
-                f"(energies reachable for beta <= {beta_cap:.3g} exceed "
-                f"{e_hi:.9g}); the infinite-beta average potential bounds the "
-                f"energy from below", feasible_min=e_hi)
-        e_hi = energy_at(hi)
-    # energy(lo) > target >= energy(hi): bisect until beta is pinned
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if energy_at(mid) > target_energy:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 0.25 * _INVERT_REL_TOL * mid:
-            return mid
-    return 0.5 * (lo + hi)
+            f"target energy {target_energy} is below the attainable range: energies "
+            f"reachable for beta <= {beta_cap:.3g} are at least E(beta_cap) = "
+            f"{energies[x_cap]:.9g}", feasible_min=energies[x_cap])
+    if excess_at(x_min_beta) < 0.0:
+        raise SolverError(
+            f"E(beta) - {target_energy} keeps one sign on the bracket beta in "
+            f"[{1.0 / x_min_beta:.9g}, {beta_cap:.9g}]")
+    return 1.0 / brentq(excess_at, x_cap, x_min_beta, xtol=1e-300,
+                        rtol=0.125 * _INVERT_REL_TOL)
 
 
 def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) -> float:

@@ -105,11 +105,15 @@ def _add_common(parser: argparse.ArgumentParser, beta_flag: bool = True):
 
 
 def _cmd_solve_radial(args) -> int:
-    params = _params_from(args, args.beta)
+    params = _params_from(args, 1.0 if args.beta is None else args.beta)
     outdir = _outdir(args)
     started = time.monotonic()
-    profile = solve_radial(SolveRequest(params=params, u0=args.u0,
-                                        control=_control_from(args)))
+    control, inversion = _control_from(args), {}
+    if args.energy is not None:
+        beta = analysis.invert_beta_for_energy(args.energy, args.u0, params, control=control)
+        params = _params_from(args, beta)
+        inversion = {"target_energy": args.energy, "beta": beta}
+    profile = solve_radial(SolveRequest(params=params, u0=args.u0, control=control))
     obs = analysis.observables(profile)
     omega = analysis.angular_velocity(profile, profile.nodes)
     outputs = []
@@ -122,9 +126,10 @@ def _cmd_solve_radial(args) -> int:
         outputs.append("radial_profile.json")
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
     _manifest(args, "solve-radial", outdir, outputs, started,
-              observables=obs, residuals=norms)
+              observables=obs, residuals=norms, **inversion)
     outputs.append("manifest.json")
-    print(f"solve-radial: r_m = {profile.r_m:.9g}, K_bar = {obs.k_bar:.9g}, "
+    found = f"beta = {params.beta:.9g} for E = {args.energy:.9g}, " if inversion else ""
+    print(f"solve-radial: {found}r_m = {profile.r_m:.9g}, K_bar = {obs.k_bar:.9g}, "
           f"wrote {', '.join(outputs)} in {outdir}")
     return 0
 
@@ -251,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-radial", help="solve the rotationally symmetric state")
-    _add_common(p)
+    _add_common(p, beta_flag=False)
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--beta", type=float, help="entropy multiplier (positive)")
+    target.add_argument("--energy", type=float,
+                        help="average energy U_bar + m/beta; beta is found by inversion")
     p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
     p.add_argument("--residual-h", type=float, default=1e-3)
     p.set_defaults(func=_cmd_solve_radial)

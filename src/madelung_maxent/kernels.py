@@ -9,8 +9,7 @@ solve, sweep, and inversion, so it is compiled with numba when available.
 
 ``madelung_loop`` is the jitted loop when numba is importable and the plain
 Python function ``_madelung_loop`` otherwise; both run the same source, so
-they share one definition of the arithmetic.  ``benchmarks/benchmark_kernels.py``
-times one against the other.
+they share one definition of the arithmetic.
 
 Stop codes: 0 reached end, 1 blow-up detected, 2 step underflow, 3 max steps.
 """

@@ -239,14 +239,14 @@ def _limit_convergence(case):
 
 def _beta_inversion(case):
     worst, above = 0.0, True
-    for b_star in (1.0, 5.0):
+    for b_star in (0.01, 1.0, 5.0, 100.0):
         target = analysis.observables(solve_radial(SolveRequest(
             params=replace(case.params, beta=b_star)))).energy
         beta = analysis.invert_beta_for_energy(target, 1.0, case.params)
         worst = max(worst, abs(beta - b_star) / b_star)
         above = above and beta > case.params.mass / target  # kinetic lower bound
     return (worst < 1e-6 and above,
-            f"round trip beta* in {{1, 5}} recovered to {worst:.2e}, above m/E")
+            f"round trip beta* in {{0.01, 1, 5, 100}} recovered to {worst:.2e}, above m/E")
 
 
 CHECKS = (

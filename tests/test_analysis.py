@@ -1,11 +1,12 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 import madelung_maxent as mm
-from madelung_maxent import quadrature
+from madelung_maxent import analysis, quadrature
 
 
 def test_observables_golden(obs1, golden):
@@ -231,6 +232,44 @@ def test_invert_beta_no_solution(params1):
         mm.invert_beta_for_energy(0.5, 1.0, params1)
     assert excinfo.value.feasible_min is not None
     assert excinfo.value.feasible_min > 0.5
+
+
+def _energy(beta, variant="paper-radial"):
+    return mm.observables(mm.solve_radial(mm.SolveRequest(
+        params=mm.make_params(1.0, 1.0, beta, variant)))).energy
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+@pytest.mark.parametrize("b_star", [0.01, 1.0, 100.0, 499.0])
+def test_invert_beta_round_trip_few_solves(variant, b_star, monkeypatch):
+    """Brent's method in 1/beta recovers beta* in at most 12 solves (bisection took ~25)."""
+    target = _energy(b_star, variant)
+    solves = []
+    solve = analysis.solve_radial
+    monkeypatch.setattr(analysis, "solve_radial",
+                        lambda request: solves.append(request) or solve(request))
+    beta = mm.invert_beta_for_energy(target, 1.0, mm.make_params(1.0, 1.0, 1.0, variant))
+    assert len(solves) <= 12
+    assert abs(beta - b_star) / b_star < 1e-6
+    assert abs(_energy(beta, variant) - target) / target < 1e-6
+
+
+def test_invert_beta_refuses_exactly_below_beta_cap(params1):
+    """Every target down to E(beta_cap = 500) inverts; a lower one reports E(beta_cap)."""
+    assert mm.invert_beta_for_energy(_energy(400.0), 1.0, params1) == \
+        pytest.approx(400.0, rel=1e-6)
+    e_cap = _energy(500.0)
+    with pytest.raises(mm.NoSolutionError) as excinfo:
+        mm.invert_beta_for_energy(e_cap * (1.0 - 1e-6), 1.0, params1)
+    assert excinfo.value.feasible_min == pytest.approx(e_cap, rel=1e-12)
+
+
+def test_invert_beta_bracket_guard(params1, monkeypatch):
+    """Bracket ends of one sign raise SolverError naming the bracket, not scipy's ValueError."""
+    monkeypatch.setattr(analysis, "solve_radial", lambda request: None)
+    monkeypatch.setattr(analysis, "observables", lambda profile: SimpleNamespace(energy=0.5))
+    with pytest.raises(mm.SolverError, match="bracket"):
+        mm.invert_beta_for_energy(2.0, 1.0, params1)
 
 
 @pytest.mark.parametrize("target, u0, field", [

@@ -100,6 +100,29 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     assert "u0:" in capsys.readouterr().err
 
 
+def test_solve_radial_energy_inverts(tmp_path):
+    """--energy E solves the state whose average energy is E; the manifest keeps both."""
+    target = mm.observables(mm.solve_radial(mm.SolveRequest(
+        params=mm.make_params(1.0, 1.0, 2.0)))).energy
+    assert run_cli("solve-radial", "--energy", repr(target), "--out", str(tmp_path)) == 0
+    manifest = load_manifest(tmp_path)
+    assert manifest["target_energy"] == target
+    assert manifest["beta"] == manifest["observables"]["beta"] == pytest.approx(2.0, rel=1e-6)
+    assert manifest["observables"]["energy"] == pytest.approx(target, rel=1e-6)
+    assert (tmp_path / "radial_profile.csv").exists()
+
+
+def test_solve_radial_unattainable_energy_exit_1(tmp_path, capsys):
+    assert run_cli("solve-radial", "--energy", "0.5", "--out", str(tmp_path)) == 1
+    assert "below the attainable range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["--beta", "1", "--energy", "2"]])
+def test_solve_radial_needs_exactly_one_of_beta_energy(tmp_path, flags, capsys):
+    assert run_cli("solve-radial", *flags, "--out", str(tmp_path)) == 2
+    assert "--beta" in capsys.readouterr().err
+
+
 def test_determinism_bitwise(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     run_cli("solve-radial", "--beta", "1", "--out", str(a))
