@@ -21,9 +21,9 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .integrator import StepControl
-from .model import (FieldSample, NoSolutionError, Observables, OutOfSupportError,
-                    PhysicalParams, RadialProfile, Record, SincLimit, SolverError,
-                    SweepRow, ValidationError, _require)
+from .model import (FieldSample, LaplacianVariant, NoSolutionError, Observables,
+                    OutOfSupportError, PhysicalParams, RadialProfile, Record, SincLimit,
+                    SolverError, SweepRow, ValidationError, _require)
 from .solver import SolveRequest, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
@@ -267,7 +267,11 @@ def limit_convergence(betas: Sequence[float], u0: float,
     The interior potential flattens to its center value U(0) = U0 as beta
     grows, so the limiting state is the sinc profile at that energy.
     Distances are sup-norms over 2001 uniform radii covering both supports.
+    The sinc profile is the limit of the paper's 2/r equation only; the
+    planar 1/r equation tends to a Bessel J0 state, so it is refused.
     """
+    _require(params_template.laplacian_variant is LaplacianVariant.PAPER_RADIAL,
+             "laplacian_variant", "the sinc limit holds for 'paper-radial' only")
     betas = [float(b) for b in betas]
     _require(all(b >= 10.0 for b in betas), "betas", "limit comparison needs beta >= 10")
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")

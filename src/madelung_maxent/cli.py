@@ -116,6 +116,7 @@ def _cmd_solve_radial(args) -> int:
     profile = solve_radial(SolveRequest(params=params, u0=args.u0, control=control))
     obs = analysis.observables(profile)
     omega = analysis.angular_velocity(profile, profile.nodes)
+    norms = fields.maxent_residual(profile, params, h=args.residual_h)
     outputs = []
     if args.format in ("csv", "both"):
         _write_csv(outdir / "radial_profile.csv", ["r", "u", "du", "rho", "omega"],
@@ -124,7 +125,6 @@ def _cmd_solve_radial(args) -> int:
     if args.format in ("json", "both"):
         _write_lines(outdir / "radial_profile.json", [to_json(profile) + "\n"])
         outputs.append("radial_profile.json")
-    norms = fields.maxent_residual(profile, params, h=args.residual_h)
     _manifest(args, "solve-radial", outdir, outputs, started,
               observables=obs, residuals=norms, **inversion)
     outputs.append("manifest.json")
@@ -142,10 +142,6 @@ def _cmd_solve_cartesian(args) -> int:
     factor = solve_cartesian_factor(SolveRequest(
         params=params, u0=args.u0, control=control, geometry=Geometry.CARTESIAN_FACTOR))
     grid = fields.assemble_2d(factor, factor, args.grid_h)
-    outputs = []
-    for name, prof in (("axis_profile_x.csv", factor), ("axis_profile_y.csv", factor)):
-        _write_csv(outdir / name, ["i", "u", "du"], [prof.nodes, prof.u, prof.du])
-        outputs.append(name)
     planes = [("grid2d_u.csv", grid, grid.u), ("grid2d_rho.csv", grid, grid.rho)]
     norms = fields.maxent_residual(grid, params)
     extra = {
@@ -162,6 +158,10 @@ def _cmd_solve_cartesian(args) -> int:
         extra["rotation"] = {"theta": args.rotate,
                              "residuals": rot_norms,
                              "residual_ratio": rot_norms.pde / norms.pde}
+    outputs = []
+    for name, prof in (("axis_profile_x.csv", factor), ("axis_profile_y.csv", factor)):
+        _write_csv(outdir / name, ["i", "u", "du"], [prof.nodes, prof.u, prof.du])
+        outputs.append(name)
     for name, g, plane in planes:
         _write_plane(outdir / name, g, plane)
         outputs.append(name)

@@ -6,6 +6,8 @@ Every state in the package solves one ODE family,
 
 whose solutions blow up at a finite t.  ``integrate`` validates a run and
 hands it to the Dormand-Prince 5(4) loop in :mod:`madelung_maxent.kernels`.
+Every run starts past the origin, t0 > 0, where the (c/t) u' term is finite
+for every c; the solver reaches that start with a Taylor step.
 A step that would push u past ``blowup_threshold`` is rejected and bisected,
 and the run ends at the last accepted node with ``BLOWUP_DETECTED``, so
 recorded values of u never exceed the threshold.
@@ -43,8 +45,10 @@ _STOP_FROM_CODE = {
 class StepControl:
     """Tolerances, the blow-up threshold on u, and the step-attempt budget.
 
-    blowup_threshold = inf disables the monitor.  Defaults reproduce reference
-    curves to plotting accuracy and the recorded scalars to at least six digits.
+    ``integrate`` takes blowup_threshold = inf as no monitor; the solver
+    replaces inf with U0 + 40/beta (``solver.BLOWUP_LOG_MARGIN``), so a solve
+    always stops at a finite threshold.  Defaults reproduce reference curves to
+    plotting accuracy and the recorded scalars to at least six digits.
     """
 
     rel_tol: float = 1e-10
@@ -91,9 +95,8 @@ def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
     y0 = np.asarray(y0, dtype=float)
     _require(y0.shape == (2,), "y0", "must be the pair (u, u')")
     t0, t1 = float(t_span[0]), float(t_span[1])
-    _require(t1 > t0 >= 0.0, "t_span", "must be a nonempty forward interval with t0 >= 0")
-    _require(c_coef == 0.0 or t0 > 0.0, "t_span",
-             "must start past the origin when the (c/t) u' term is present")
+    _require(t1 > t0 > 0.0, "t_span",
+             "must be a nonempty forward interval starting past the origin, t0 > 0")
     _require(math.isfinite(h0) and h0 > 0.0, "h0", "must be a positive finite step")
 
     ts, us, vs, code = kernels.madelung_loop(

@@ -4,8 +4,10 @@ self-trapping quantum-potential ODE family
     u'' = (beta/2) u'^2 + lambda_sq * u - (c/t) u',
 
 with c = 0 (Cartesian factor), 1 (planar-radial) or 2 (paper-radial), and a
-monitored blow-up stop on u.  This scalar loop dominates the runtime of every
-solve, sweep, and inversion, so it is compiled with numba when available.
+monitored blow-up stop on u.  Every run starts past the origin (t0 > 0), so
+each stage evaluates the (c/t) u' term the same way for every c; at c = 0 it
+is an exact zero.  This scalar loop dominates the runtime of every solve,
+sweep, and inversion, so it is compiled with numba when available.
 
 ``madelung_loop`` is the jitted loop when numba is importable and the plain
 Python function ``_madelung_loop`` otherwise; both run the same source, so
@@ -86,57 +88,43 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
 
         # --- one DP45 attempt (state is the scalar pair (u, v)) ---
         k1u = v
-        k1v = 0.5 * beta * v * v + lam_sq * u
-        if c_coef != 0.0:
-            k1v -= c_coef / t * v
+        k1v = 0.5 * beta * v * v + lam_sq * u - c_coef / t * v
 
         tu = u + h * (_A21 * k1u)
         tv = v + h * (_A21 * k1v)
         tt = t + _C2 * h
         k2u = tv
-        k2v = 0.5 * beta * tv * tv + lam_sq * tu
-        if c_coef != 0.0:
-            k2v -= c_coef / tt * tv
+        k2v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
 
         tu = u + h * (_A31 * k1u + _A32 * k2u)
         tv = v + h * (_A31 * k1v + _A32 * k2v)
         tt = t + _C3 * h
         k3u = tv
-        k3v = 0.5 * beta * tv * tv + lam_sq * tu
-        if c_coef != 0.0:
-            k3v -= c_coef / tt * tv
+        k3v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
 
         tu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
         tv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
         tt = t + _C4 * h
         k4u = tv
-        k4v = 0.5 * beta * tv * tv + lam_sq * tu
-        if c_coef != 0.0:
-            k4v -= c_coef / tt * tv
+        k4v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
 
         tu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
         tv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
         tt = t + _C5 * h
         k5u = tv
-        k5v = 0.5 * beta * tv * tv + lam_sq * tu
-        if c_coef != 0.0:
-            k5v -= c_coef / tt * tv
+        k5v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
 
         tu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
         tv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
         tt = t + h
         k6u = tv
-        k6v = 0.5 * beta * tv * tv + lam_sq * tu
-        if c_coef != 0.0:
-            k6v -= c_coef / tt * tv
+        k6v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
 
         u5 = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
         v5 = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
 
         k7u = v5
-        k7v = 0.5 * beta * v5 * v5 + lam_sq * u5
-        if c_coef != 0.0:
-            k7v -= c_coef / tt * v5
+        k7v = 0.5 * beta * v5 * v5 + lam_sq * u5 - c_coef / tt * v5
 
         erru = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
         errv = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)

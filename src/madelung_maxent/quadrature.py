@@ -25,16 +25,13 @@ _REFINE = 4  # per-interval subdivision of the Hermite interpolant
 
 
 def second_derivative(r, u, du, beta, lam_sq, c_coef):
-    """U'' from the potential ODE; removable origin limit when r = 0."""
+    """U'' from the potential ODE; at r = 0 (U' = 0) the limit lam_sq U0 / (1 + c)."""
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
     du = np.asarray(du, dtype=float)
-    acc = 0.5 * beta * du * du + lam_sq * u
-    if c_coef != 0.0:
-        origin = r == 0.0
-        safe_r = np.where(origin, 1.0, r)
-        acc = np.where(origin, lam_sq * u / (1.0 + c_coef), acc - c_coef / safe_r * du)
-    return acc
+    origin = r == 0.0
+    return ((0.5 * beta * du * du + lam_sq * u - c_coef / np.where(origin, 1.0, r) * du)
+            / np.where(origin, 1.0 + c_coef, 1.0))
 
 
 def _hermite_quintic(h, u0, v0, a0, u1, v1, a1, s):
@@ -158,6 +155,13 @@ def cubic_tail(x, g, x_end: float) -> float:
     return float(gap * np.dot(coef, upper))
 
 
+def _refined_weights(beta: float, lam_sq: float, c_coef: float, nodes, u, du):
+    """Refined grid (r, U, U') and Boltzmann weights exp(-beta (U - U0))."""
+    acc = second_derivative(nodes, u, du, beta, lam_sq, c_coef)
+    rr, uu, vv = hermite_refine(nodes, u, du, acc)
+    return rr, uu, vv, np.exp(-beta * (uu - float(u[0])))
+
+
 def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
                    nodes, u, du, r_m: float) -> Moments:
     """All scalar moments in one refined-grid pass.
@@ -167,12 +171,10 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
     the common Boltzmann weight (entropy = beta*u_bar + ln z) hold to rounding
     by construction.
     """
-    acc = second_derivative(nodes, u, du, beta, lam_sq, c_coef)
-    rr, uu, vv = hermite_refine(nodes, u, du, acc)
+    rr, uu, vv, w = _refined_weights(beta, lam_sq, c_coef, nodes, u, du)
     aa = second_derivative(rr, uu, vv, beta, lam_sq, c_coef)
     u0 = float(u[0])
 
-    w = np.exp(-beta * (uu - u0))
     fz = w * rr
     dfz = w * (1.0 - beta * vv * rr)
     fu = uu * w * rr
@@ -215,13 +217,9 @@ def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> 
 
     Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension).
     """
-    acc = second_derivative(nodes, u, du, beta, lam_sq, 0.0)
-    rr, uu, vv = hermite_refine(nodes, u, du, acc)
-    u0 = float(u[0])
-    w = np.exp(-beta * (uu - u0))
-    dw = -beta * vv * w
-    q = corrected_trapezoid(rr, w, dw) + cubic_tail(rr, w, i_m)
-    return float(2.0 * q * np.exp(-beta * u0))
+    rr, _, vv, w = _refined_weights(beta, lam_sq, 0.0, nodes, u, du)
+    q = corrected_trapezoid(rr, w, -beta * vv * w) + cubic_tail(rr, w, i_m)
+    return float(2.0 * q * np.exp(-beta * float(u[0])))
 
 
 __all__ = [

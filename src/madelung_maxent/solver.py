@@ -5,11 +5,13 @@ Both geometries integrate the same family
     U'' = (beta/2) U'^2 + lambda_sq U - (c/r) U',   U(0) = U0 > 0, U'(0) = 0,
 
 with c = 0 for a separable Cartesian factor and c = 2 (default) or 1 for the
-rotationally symmetric form.  Every positive U0 gives a convex, nondecreasing
-potential that blows up at a finite radius; the integration stops when
-beta * (U - U0) reaches 40 (relative density e^-40, below double rounding)
-and the support radius is recovered from the dominant balance
-U ~ -(2/beta) ln(r_m - r), i.e.  r_m = r_stop + 2 / (beta U'(r_stop)).
+rotationally symmetric form.  Both start the same way: a Taylor step
+U0 + a r^2 to r = 1e-4 ell (ell = hbar / sqrt(m U0)), then the adaptive
+integrator; the returned nodes begin at the origin.  Every positive U0 gives
+a convex, nondecreasing potential that blows up at a finite radius; the
+integration stops when beta * (U - U0) reaches 40 (relative density e^-40,
+below double rounding) and the support radius is recovered from the dominant
+balance U ~ -(2/beta) ln(r_m - r), i.e.  r_m = r_stop + 2 / (beta U'(r_stop)).
 
 A radial solve normalizes its density in the same step: one pass of
 ``quadrature.radial_moments`` gives Z together with every moment, and the
@@ -64,11 +66,11 @@ def profile_c_coef(profile) -> float:
 
 
 def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
-                     c_coef: float) -> Trajectory:
-    lam_sq = params.lambda_sq
+                     c_coef: float):
+    """Taylor step to t_switch, then DP45 to the blow-up stop: (nodes from 0, U, U', r_m)."""
     ell = params.hbar / math.sqrt(params.mass * u0)  # natural length scale
     t_switch = 1e-4 * ell
-    t_end = 200.0 * (ell + 1.0 / math.sqrt(lam_sq))
+    t_end = 200.0 * (ell + 1.0 / math.sqrt(params.lambda_sq))
 
     threshold = control.blowup_threshold
     if threshold == math.inf:
@@ -78,21 +80,19 @@ def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
                  f"must exceed u0 = {u0!r}, where the potential starts")
     control = replace(control, blowup_threshold=threshold)
 
-    if c_coef != 0.0:
-        # 1/r singularity at the origin: Taylor-advance before stepping
-        a = series_coefficient(params, u0, c_coef)
-        y_start = (u0 + a * t_switch * t_switch, 2.0 * a * t_switch)
-        t0 = t_switch
-    else:
-        y_start = (u0, 0.0)
-        t0 = 0.0
-
-    trajectory = integrate(params.beta, lam_sq, c_coef, y_start, (t0, t_end), t_switch, control)
+    a = series_coefficient(params, u0, c_coef)
+    y_start = (u0 + a * t_switch * t_switch, 2.0 * a * t_switch)
+    trajectory = integrate(params.beta, params.lambda_sq, c_coef, y_start,
+                           (t_switch, t_end), t_switch, control)
     if trajectory.stop_reason is not StopReason.BLOWUP_DETECTED:
         raise SolverError(
             f"potential integration ended with '{trajectory.stop_reason.value}' "
             f"instead of blow-up (beta={params.beta}, u0={u0})", trajectory=trajectory)
-    return trajectory
+    r_m = estimate_support(trajectory, params)
+    nodes = np.concatenate([[0.0], trajectory.nodes])
+    u = np.concatenate([[u0], trajectory.states[:, 0]])
+    du = np.concatenate([[0.0], trajectory.states[:, 1]])
+    return nodes, u, du, r_m
 
 
 def estimate_support(trajectory: Trajectory, params: PhysicalParams) -> float:
@@ -109,11 +109,7 @@ def solve_radial(request: SolveRequest) -> RadialProfile:
     _require(request.geometry is Geometry.RADIAL, "geometry", "must be 'radial'")
     params, u0 = request.params, request.u0
     c_coef = params.laplacian_variant.first_derivative_coefficient
-    trajectory = _solve_potential(params, u0, request.control, c_coef)
-    r_m = estimate_support(trajectory, params)
-    nodes = np.concatenate([[0.0], trajectory.nodes])
-    u = np.concatenate([[u0], trajectory.states[:, 0]])
-    du = np.concatenate([[0.0], trajectory.states[:, 1]])
+    nodes, u, du, r_m = _solve_potential(params, u0, request.control, c_coef)
     moments = quadrature.radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
                                         nodes, u, du, r_m)
     return RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, r_m=r_m,
@@ -124,12 +120,9 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
     """Solve one even Cartesian factor U_i on the half-axis."""
     _require(request.geometry is Geometry.CARTESIAN_FACTOR,
              "geometry", "must be 'cartesian-factor'")
-    params, u0 = request.params, request.u0
-    trajectory = _solve_potential(params, u0, request.control, 0.0)
-    i_m = estimate_support(trajectory, params)
-    return AxisProfile(params=params, nodes=trajectory.nodes,
-                       u=trajectory.states[:, 0], du=trajectory.states[:, 1],
-                       u0=u0, half_width=i_m)
+    nodes, u, du, i_m = _solve_potential(request.params, request.u0, request.control, 0.0)
+    return AxisProfile(params=request.params, nodes=nodes, u=u, du=du, u0=request.u0,
+                       half_width=i_m)
 
 
 def resample(profile, query):

@@ -210,6 +210,9 @@ def test_limit_convergence_validation(params1):
         mm.limit_convergence([5.0, 50.0], 1.0, params1)
     with pytest.raises(mm.ValidationError, match="^u0: "):
         mm.limit_convergence([10.0], math.inf, params1)
+    # the sinc state is the 2/r limit; the planar 1/r equation tends to Bessel J0
+    with pytest.raises(mm.ValidationError, match="^laplacian_variant: "):
+        mm.limit_convergence([10.0, 50.0, 100.0], 1.0, mm.make_params(1, 1, 1, "planar-radial"))
 
 
 def test_invert_beta_round_trip(params1):

@@ -100,6 +100,18 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     assert "u0:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["solve-radial", "--beta", "1", "--residual-h", "10"], "h:"),
+    (["solve-cartesian", "--beta", "1", "--rotate", "nan"], "theta:"),
+    (["limit", "--variant", "planar", "--betas", "10,50,100"], "laplacian_variant:"),
+])
+def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
+    out = tmp_path / "run"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert field in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == []
+
+
 def test_solve_radial_energy_inverts(tmp_path):
     """--energy E solves the state whose average energy is E; the manifest keeps both."""
     target = mm.observables(mm.solve_radial(mm.SolveRequest(

@@ -6,11 +6,13 @@ import pytest
 import madelung_maxent as mm
 from madelung_maxent.integrator import StepControl, StopReason, integrate
 
-# u'' = -u (beta = 0, lam_sq = -1, c = 0) from (u, u') = (0, 1): u = sin t
-SINE = dict(beta=0.0, lam_sq=-1.0, c_coef=0.0, y0=(0.0, 1.0), t_span=(0.0, math.pi),
-            h0=math.pi * 1e-4)
-# u'' = u'^2 (beta = 2, lam_sq = 0, c = 0) from (0, 1): u = -ln(1 - t), wall at t = 1
-RICCATI = dict(beta=2.0, lam_sq=0.0, c_coef=0.0, y0=(0.0, 1.0), t_span=(0.0, 2.0), h0=2e-4)
+# u'' = -u (beta = 0, lam_sq = -1, c = 0) from its exact state at t0 = 0.5: u = sin t
+SINE = dict(beta=0.0, lam_sq=-1.0, c_coef=0.0, y0=(math.sin(0.5), math.cos(0.5)),
+            t_span=(0.5, math.pi), h0=math.pi * 1e-4)
+# u'' = u'^2 (beta = 2, lam_sq = 0, c = 0) from (ln 2, 2) at t0 = 0.5: u = -ln(1 - t),
+# wall at t = 1
+RICCATI = dict(beta=2.0, lam_sq=0.0, c_coef=0.0, y0=(math.log(2.0), 2.0), t_span=(0.5, 2.0),
+               h0=2e-4)
 
 
 def test_sine_endpoint():
@@ -73,7 +75,7 @@ def test_validation():
     with pytest.raises(mm.ValidationError, match="t_span"):
         integrate(**dict(SINE, t_span=(1.0, 1.0)))
     with pytest.raises(mm.ValidationError, match="t_span"):
-        integrate(**dict(SINE, c_coef=2.0))  # the (c/t) u' term is singular at t = 0
+        integrate(**dict(SINE, t_span=(0.0, math.pi)))  # every run starts past the origin
     with pytest.raises(mm.ValidationError, match="h0"):
         integrate(**dict(SINE, h0=0.0))
     with pytest.raises(mm.ValidationError, match="rel_tol"):

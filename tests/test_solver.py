@@ -37,6 +37,17 @@ def test_cartesian_half_width_grows_with_beta(axis1, golden):
     assert ax2.half_width > axis1.half_width
 
 
+def test_both_geometries_share_the_taylor_start(axis1, radial1, params1):
+    # origin node, then the Taylor step U0 + a t^2 with a = lambda^2 U0 / 2 at c = 0
+    assert axis1.nodes[0] == radial1.nodes[0] == 0.0
+    assert axis1.nodes[1] == radial1.nodes[1]
+    t = axis1.nodes[1]
+    a = mm.series_coefficient(params1, 1.0, 0.0)
+    assert a == params1.lambda_sq / 2.0
+    assert axis1.u[1] == 1.0 + a * t * t
+    assert axis1.du[1] == 2.0 * a * t
+
+
 def test_zero_center_value_rejected(params1):
     """U0 = 0 gives the trivial potential, which traps nothing, in either geometry."""
     for geometry in mm.Geometry:
