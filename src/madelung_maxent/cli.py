@@ -45,12 +45,15 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
 
 
 def _write_plane(path: Path, grid: Grid2D, plane: np.ndarray):
-    """x,y,value rows, x-major: _write_csv's bytes, with each axis value formatted once."""
+    """x,y,value rows, x-major: _write_csv's bytes, with each axis value formatted once.
+
+    A whole x-row is one template, "x,y0,%.17g\nx,y1,%.17g\n...", filled by one
+    % call (a formatted float never contains a '%').
+    """
     xs = ["%.17g," % v for v in grid.x.tolist()]
-    ys = ["%.17g," % v for v in grid.y.tolist()]
-    rows = (xi + yj + "%.17g\n" % v
-            for xi, row in zip(xs, np.asarray(plane, dtype=float).tolist())
-            for yj, v in zip(ys, row))
+    ys = ["%.17g,%%.17g\n" % v for v in grid.y.tolist()]
+    rows = ((xi + xi.join(ys)) % tuple(row)
+            for xi, row in zip(xs, np.asarray(plane, dtype=float).tolist()))
     _write_lines(path, itertools.chain(["x,y,value\n"], rows))
 
 

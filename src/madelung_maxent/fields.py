@@ -161,13 +161,14 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
     u = np.where(np.isfinite(grid.u), grid.u, 0.0)
 
     # margin mask: stay DEFAULT_MARGIN * min-half-extent away from the support edge
-    # (non-finite sentinels and the grid border both count as outside)
+    # (non-finite sentinels and the grid border both count as outside), counted
+    # in cells from the grid's shape alone, so the last bit of h cannot decide
+    # whether a whole ring of cells is kept
     finite = np.isfinite(grid.u)
     padded = np.zeros((finite.shape[0] + 2, finite.shape[1] + 2), dtype=bool)
     padded[1:-1, 1:-1] = finite
     dist = distance_transform_edt(padded)[1:-1, 1:-1]
-    half_extent = 0.5 * h * (min(grid.shape) - 1)
-    margin_cells = DEFAULT_MARGIN * half_extent / h
+    margin_cells = DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1)
     mask = dist[1:-1, 1:-1] >= max(margin_cells, 2.0)
 
     lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]

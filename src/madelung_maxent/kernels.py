@@ -9,6 +9,16 @@ each stage evaluates the (c/t) u' term the same way for every c; at c = 0 it
 is an exact zero.  This scalar loop dominates the runtime of every solve,
 sweep, and inversion, so it is compiled with numba when available.
 
+The tableau is first-same-as-last (FSAL): stage 7 is the slope at the
+accepted point, so it becomes the next step's stage 1, and a rejected step
+keeps its stage 1.  The loop is written for CPython, where every bytecode
+costs: the tableau lives in locals, ``max`` is inlined, and nodes go into
+lists.  None of this moves a bit: each stage is the textbook DP45 formula
+with its operations in textbook order (``x ** 2`` stays, since ``x * x`` can
+round differently), and ``tests/test_kernels.py`` pins the returned nodes.
+numba compiles every construct used (local floats, list append,
+``np.array(list)``).
+
 ``madelung_loop`` is the jitted loop when numba is importable and the plain
 Python function ``_madelung_loop`` otherwise; both run the same source, so
 they share one definition of the arithmetic.
@@ -21,19 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-# Dormand-Prince 5(4): 5th-order propagation, embedded 4th-order error estimate.
-_C2, _C3, _C4, _C5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
-                                49.0 / 176.0, -5103.0 / 18656.0)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-# embedded error weights (5th-order minus 4th-order coefficients)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
-                                -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -57,94 +54,99 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
 
     Returns (ts, us, vs, stop_code).
     """
-    cap = 4096
-    ts = np.empty(cap)
-    us = np.empty(cap)
-    vs = np.empty(cap)
-    ts[0] = t0
-    us[0] = u0
-    vs[0] = v0
-    n = 1
+    # Dormand-Prince 5(4): 5th-order propagation, embedded 4th-order error
+    # estimate (the error weights are 5th- minus 4th-order coefficients)
+    c2, c3, c4, c5 = 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0
+    a21 = 1.0 / 5.0
+    a31, a32 = 3.0 / 40.0, 9.0 / 40.0
+    a41, a42, a43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+    a51, a52, a53, a54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+    a61, a62, a63, a64, a65 = (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0,
+                               49.0 / 176.0, -5103.0 / 18656.0)
+    b1, b3, b4, b5, b6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+    e1, e3, e4, e5, e6, e7 = (71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
+                              -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
+    ts = [t0]
+    us = [u0]
+    vs = [v0]
     t = t0
     u = u0
     v = v0
-    span = t1 - t0
+    hb = 0.5 * beta
     end_slack = 4.0 * _EPS * abs(t1)
     h = h0
-    if h > span:
-        h = span
+    if h > t1 - t0:
+        h = t1 - t0
     stop = STOP_MAX_STEPS
     just_rejected = False
+    au = abs(u)
+    av = abs(v)
+    k1u = v
+    k1v = hb * v * v + lam_sq * u - c_coef / t * v
 
     attempts = 0
     while attempts < max_steps:
         attempts += 1
-        if t1 - t <= end_slack:
+        rest = t1 - t
+        if rest <= end_slack:
             stop = STOP_REACHED_END
             break
-        if h > t1 - t:
-            h = t1 - t
+        if h > rest:
+            h = rest
 
         # --- one DP45 attempt (state is the scalar pair (u, v)) ---
-        k1u = v
-        k1v = 0.5 * beta * v * v + lam_sq * u - c_coef / t * v
-
-        tu = u + h * (_A21 * k1u)
-        tv = v + h * (_A21 * k1v)
-        tt = t + _C2 * h
+        tu = u + h * (a21 * k1u)
+        tv = v + h * (a21 * k1v)
         k2u = tv
-        k2v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
+        k2v = hb * tv * tv + lam_sq * tu - c_coef / (t + c2 * h) * tv
 
-        tu = u + h * (_A31 * k1u + _A32 * k2u)
-        tv = v + h * (_A31 * k1v + _A32 * k2v)
-        tt = t + _C3 * h
+        tu = u + h * (a31 * k1u + a32 * k2u)
+        tv = v + h * (a31 * k1v + a32 * k2v)
         k3u = tv
-        k3v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
+        k3v = hb * tv * tv + lam_sq * tu - c_coef / (t + c3 * h) * tv
 
-        tu = u + h * (_A41 * k1u + _A42 * k2u + _A43 * k3u)
-        tv = v + h * (_A41 * k1v + _A42 * k2v + _A43 * k3v)
-        tt = t + _C4 * h
+        tu = u + h * (a41 * k1u + a42 * k2u + a43 * k3u)
+        tv = v + h * (a41 * k1v + a42 * k2v + a43 * k3v)
         k4u = tv
-        k4v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
+        k4v = hb * tv * tv + lam_sq * tu - c_coef / (t + c4 * h) * tv
 
-        tu = u + h * (_A51 * k1u + _A52 * k2u + _A53 * k3u + _A54 * k4u)
-        tv = v + h * (_A51 * k1v + _A52 * k2v + _A53 * k3v + _A54 * k4v)
-        tt = t + _C5 * h
+        tu = u + h * (a51 * k1u + a52 * k2u + a53 * k3u + a54 * k4u)
+        tv = v + h * (a51 * k1v + a52 * k2v + a53 * k3v + a54 * k4v)
         k5u = tv
-        k5v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
+        k5v = hb * tv * tv + lam_sq * tu - c_coef / (t + c5 * h) * tv
 
-        tu = u + h * (_A61 * k1u + _A62 * k2u + _A63 * k3u + _A64 * k4u + _A65 * k5u)
-        tv = v + h * (_A61 * k1v + _A62 * k2v + _A63 * k3v + _A64 * k4v + _A65 * k5v)
-        tt = t + h
+        tu = u + h * (a61 * k1u + a62 * k2u + a63 * k3u + a64 * k4u + a65 * k5u)
+        tv = v + h * (a61 * k1v + a62 * k2v + a63 * k3v + a64 * k4v + a65 * k5v)
+        t_new = t + h
+        c_t = c_coef / t_new
         k6u = tv
-        k6v = 0.5 * beta * tv * tv + lam_sq * tu - c_coef / tt * tv
+        k6v = hb * tv * tv + lam_sq * tu - c_t * tv
 
-        u5 = u + h * (_B1 * k1u + _B3 * k3u + _B4 * k4u + _B5 * k5u + _B6 * k6u)
-        v5 = v + h * (_B1 * k1v + _B3 * k3v + _B4 * k4v + _B5 * k5v + _B6 * k6v)
-
+        u5 = u + h * (b1 * k1u + b3 * k3u + b4 * k4u + b5 * k5u + b6 * k6u)
+        v5 = v + h * (b1 * k1v + b3 * k3v + b4 * k4v + b5 * k5v + b6 * k6v)
         k7u = v5
-        k7v = 0.5 * beta * v5 * v5 + lam_sq * u5 - c_coef / tt * v5
+        k7v = hb * v5 * v5 + lam_sq * u5 - c_t * v5
 
-        erru = h * (_E1 * k1u + _E3 * k3u + _E4 * k4u + _E5 * k5u + _E6 * k6u + _E7 * k7u)
-        errv = h * (_E1 * k1v + _E3 * k3v + _E4 * k4v + _E5 * k5v + _E6 * k6v + _E7 * k7v)
+        erru = h * (e1 * k1u + e3 * k3u + e4 * k4u + e5 * k5u + e6 * k6u + e7 * k7u)
+        errv = h * (e1 * k1v + e3 * k3v + e4 * k4v + e5 * k5v + e6 * k6v + e7 * k7v)
 
-        finite = math.isfinite(u5) and math.isfinite(v5) and math.isfinite(erru) and math.isfinite(errv)
-        if finite:
-            su = atol + rtol * max(abs(u), abs(u5))
-            sv = atol + rtol * max(abs(v), abs(v5))
-            err_norm = math.sqrt(0.5 * ((erru / su) ** 2 + (errv / sv) ** 2))
-        else:
-            err_norm = 2.0
-
-        if (not finite) or err_norm > 1.0:
-            if not finite:
-                factor = 0.5
-            else:
-                factor = SAFETY * err_norm ** -0.2
-                if factor < MIN_FACTOR:
-                    factor = MIN_FACTOR
-            h *= factor
+        if not (math.isfinite(u5) and math.isfinite(v5)
+                and math.isfinite(erru) and math.isfinite(errv)):
+            h *= 0.5
+            if t + h == t:
+                stop = STOP_UNDERFLOW
+                break
+            just_rejected = True
+            continue
+        au5 = abs(u5)
+        av5 = abs(v5)
+        su = atol + rtol * (au5 if au5 > au else au)
+        sv = atol + rtol * (av5 if av5 > av else av)
+        err_norm = math.sqrt(0.5 * ((erru / su) ** 2 + (errv / sv) ** 2))
+        if err_norm > 1.0:
+            factor = SAFETY * err_norm ** -0.2
+            h *= factor if factor > MIN_FACTOR else MIN_FACTOR
             if t + h == t:
                 stop = STOP_UNDERFLOW
                 break
@@ -161,7 +163,6 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
             continue
 
         # accept
-        t_new = t + h
         if t_new == t:
             # sub-ulp step: only threshold bisection shrinks h this far with
             # the error in control, so the blow-up wall is at the next float
@@ -170,19 +171,13 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         t = t_new
         u = u5
         v = v5
-        if n == cap:
-            cap *= 2
-            nts = np.empty(cap)
-            nus = np.empty(cap)
-            nvs = np.empty(cap)
-            nts[:n] = ts[:n]
-            nus[:n] = us[:n]
-            nvs[:n] = vs[:n]
-            ts, us, vs = nts, nus, nvs
-        ts[n] = t
-        us[n] = u
-        vs[n] = v
-        n += 1
+        au = au5
+        av = av5
+        k1u = k7u
+        k1v = k7v
+        ts.append(t)
+        us.append(u)
+        vs.append(v)
 
         if err_norm == 0.0:
             factor = MAX_FACTOR
@@ -197,7 +192,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         just_rejected = False
         h *= factor
 
-    return ts[:n].copy(), us[:n].copy(), vs[:n].copy(), stop
+    return np.array(ts), np.array(us), np.array(vs), stop
 
 
 madelung_loop = _madelung_loop

@@ -121,38 +121,64 @@ def hermite_cubic_evaluate(r, u, du, query):
     return uu, vv
 
 
+class _Rule:
+    """Derivative-corrected trapezoid on the grid x plus the cubic tail to x_end.
+
+    Everything that depends only on the grid is set up once: the interval
+    weights h/2 and h^2/12, and the tail's sample window and Vandermonde
+    matrix.  The tail fits the interpolating cubic through four samples
+    spanning a window of a few tail widths (so the bisection-shortened final
+    intervals do not force a wild extrapolation) and integrates it over the
+    unreached sliver [x[-1], x_end].  Each integrand still gets its own
+    solve, which keeps its rounding independent of the others'.
+    """
+
+    _UPPER = np.array([1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0])
+
+    def __init__(self, x, x_end: float):
+        x = np.asarray(x, dtype=float)
+        h = np.diff(x)
+        self.half_h = 0.5 * h
+        self.h2_12 = h * h / 12.0
+        self.window = None
+        gap = x_end - x[-1]
+        if gap <= 0.0 or x.size < 4:
+            return
+        lo = np.searchsorted(x, x[-1] - 3.0 * gap)
+        lo = min(lo, x.size - 4)
+        window = np.unique(np.round(np.linspace(lo, x.size - 1, 4)).astype(int))
+        if window.size < 4:
+            window = np.arange(x.size - 4, x.size)
+        self.window = window
+        self.gap = gap
+        # scaled coordinate keeps the Vandermonde system well conditioned
+        self.vander = np.vander((x[window] - x[-1]) / gap, 4, increasing=True)
+
+    def trapezoid(self, f, df) -> float:
+        return float(np.sum(self.half_h * (f[:-1] + f[1:]) + self.h2_12 * (df[:-1] - df[1:])))
+
+    def tail(self, g) -> float:
+        if self.window is None:
+            return 0.0
+        coef = np.linalg.solve(self.vander, np.asarray(g, dtype=float)[self.window])
+        return float(self.gap * np.dot(coef, self._UPPER))
+
+    def __call__(self, f, df) -> float:
+        """Integral over [x[0], x_end] of f with derivative df."""
+        return self.trapezoid(f, df) + self.tail(f)
+
+
 def corrected_trapezoid(x, f, df) -> float:
     """Composite trapezoid with exact endpoint-derivative correction, O(h^4)."""
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         return 0.0
-    h = np.diff(x)
-    return float(np.sum(0.5 * h * (f[:-1] + f[1:]) + h * h / 12.0 * (df[:-1] - df[1:])))
+    return _Rule(x, x[-1]).trapezoid(f, df)
 
 
 def cubic_tail(x, g, x_end: float) -> float:
-    """One-sided cubic closure of the integral of g over [x[-1], x_end].
-
-    Fits the interpolating cubic through four samples spanning a window of a
-    few tail widths (so the bisection-shortened final intervals do not force
-    a wild extrapolation) and integrates it over the unreached sliver.
-    """
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(g, dtype=float)
-    gap = x_end - x[-1]
-    if gap <= 0.0 or x.size < 4:
-        return 0.0
-    lo = np.searchsorted(x, x[-1] - 3.0 * gap)
-    lo = min(lo, x.size - 4)
-    window = np.unique(np.round(np.linspace(lo, x.size - 1, 4)).astype(int))
-    if window.size < 4:
-        window = np.arange(x.size - 4, x.size)
-    xs, gs = x[window], g[window]
-    # scaled coordinate keeps the Vandermonde system well conditioned
-    xi = (xs - x[-1]) / gap
-    coef = np.linalg.solve(np.vander(xi, 4, increasing=True), gs)
-    upper = np.array([1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0])
-    return float(gap * np.dot(coef, upper))
+    """One-sided cubic closure of the integral of g over [x[-1], x_end]."""
+    return _Rule(x, x_end).tail(g)
 
 
 def _refined_weights(beta: float, lam_sq: float, c_coef: float, nodes, u, du):
@@ -184,10 +210,11 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
     f2 = rr**3 * w
     df2 = w * (3.0 * rr * rr - beta * vv * rr**3)
 
-    zq = corrected_trapezoid(rr, fz, dfz) + cubic_tail(rr, fz, r_m)
-    uq = corrected_trapezoid(rr, fu, dfu) + cubic_tail(rr, fu, r_m)
-    kq = corrected_trapezoid(rr, fk, dfk) + cubic_tail(rr, fk, r_m)
-    r2q = corrected_trapezoid(rr, f2, df2) + cubic_tail(rr, f2, r_m)
+    rule = _Rule(rr, r_m)
+    zq = rule(fz, dfz)
+    uq = rule(fu, dfu)
+    kq = rule(fk, dfk)
+    r2q = rule(f2, df2)
 
     if not (np.isfinite(zq) and zq > 0.0):
         raise ValidationError("z: normalization quadrature is not positive")
@@ -203,7 +230,7 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
         log_rho = np.where(rho > 0.0, np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
     fh = -rho * log_rho * rr
     dfh = beta * vv * rho * rr * (log_rho + 1.0) - rho * log_rho
-    hq = corrected_trapezoid(rr, fh, dfh) + cubic_tail(rr, fh, r_m)
+    hq = rule(fh, dfh)
 
     return Moments(z=z, log_z=log_z,
                    u_bar=float(uq / zq),
@@ -218,7 +245,7 @@ def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> 
     Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension).
     """
     rr, _, vv, w = _refined_weights(beta, lam_sq, 0.0, nodes, u, du)
-    q = corrected_trapezoid(rr, w, -beta * vv * w) + cubic_tail(rr, w, i_m)
+    q = _Rule(rr, i_m)(w, -beta * vv * w)
     return float(2.0 * q * np.exp(-beta * float(u[0])))
 
 

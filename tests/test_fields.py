@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,3 +109,17 @@ def test_radial_residual_rejects_bad_step(radial1, params1, h):
 def test_residual_type_check(params1):
     with pytest.raises(mm.ValidationError):
         mm.maxent_residual(object(), params1)
+
+
+def test_grid_residual_margin_ignores_last_bits_of_spacing(axis1, params1):
+    # the quick rotation-invariance grid: 201 points a side, so the margin is
+    # exactly 5 cells and a spacing-based count would round either side of 5
+    grid = mm.assemble_2d(axis1, axis1, axis1.nodes[-1] / 100.5)
+    spacing = grid.spacing
+    norms = []
+    for _ in range(8):
+        norms.append(mm.maxent_residual(dataclasses.replace(grid, spacing=spacing), params1))
+        spacing = float(np.nextafter(spacing, math.inf))
+    for n in norms[1:]:
+        assert n.pde == pytest.approx(norms[0].pde, rel=1e-9)
+        assert n.rebuild == pytest.approx(norms[0].rebuild, rel=1e-9)
