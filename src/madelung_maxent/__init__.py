@@ -14,8 +14,7 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
                        entropy_stationarity_check, invert_beta_for_energy,
                        limit_convergence, observables, sinc_limit,
                        velocity_field)
-from .fields import (ResidualNorms, assemble_2d, maxent_residual,
-                     mixed_second_difference, rotate_grid)
+from .fields import ResidualNorms, assemble_2d, maxent_residual, rotate_grid
 from .integrator import StepControl, StopReason, Trajectory, integrate
 from .kernels import NUMBA_ENABLED
 from .model import (AxisProfile, FieldSample, Grid2D, LaplacianVariant,
@@ -39,8 +38,7 @@ __all__ = [
     "Geometry", "SolveRequest", "solve_radial", "solve_cartesian_factor",
     "estimate_support", "resample", "series_coefficient",
     # fields
-    "assemble_2d", "rotate_grid", "maxent_residual", "mixed_second_difference",
-    "ResidualNorms",
+    "assemble_2d", "rotate_grid", "maxent_residual", "ResidualNorms",
     # analysis
     "observables", "angular_velocity", "velocity_field", "divergence_sup",
     "beta_sweep", "SweepResult", "sinc_limit", "limit_convergence",

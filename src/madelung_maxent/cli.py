@@ -154,8 +154,7 @@ def _cmd_solve_cartesian(args) -> int:
     }
     if args.rotate is not None:
         rotated = fields.rotate_grid(grid, args.rotate)
-        finite = np.isfinite(rotated.u)
-        planes += [("grid2d_u_rotated.csv", rotated, np.where(finite, rotated.u, math.inf)),
+        planes += [("grid2d_u_rotated.csv", rotated, rotated.u),
                    ("grid2d_rho_rotated.csv", rotated, rotated.rho)]
         rot_norms = fields.maxent_residual(rotated, params)
         extra["rotation"] = {"theta": args.rotate,

@@ -17,7 +17,7 @@ lists.  None of this moves a bit: each stage is the textbook DP45 formula
 with its operations in textbook order (``x ** 2`` stays, since ``x * x`` can
 round differently), and ``tests/test_kernels.py`` pins the returned nodes.
 numba compiles every construct used (local floats, list append,
-``np.array(list)``).
+``except Exception``, ``np.array(list)``).
 
 ``madelung_loop`` is the jitted loop when numba is importable and the plain
 Python function ``_madelung_loop`` otherwise; both run the same source, so
@@ -143,7 +143,10 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         av5 = abs(v5)
         su = atol + rtol * (au5 if au5 > au else au)
         sv = atol + rtol * (av5 if av5 > av else av)
-        err_norm = math.sqrt(0.5 * ((erru / su) ** 2 + (errv / sv) ** 2))
+        try:
+            err_norm = math.sqrt(0.5 * ((erru / su) ** 2 + (errv / sv) ** 2))
+        except Exception:  # OverflowError; numba compiles no narrower match
+            err_norm = math.inf  # reject: a float ** raises where * gives inf
         if err_norm > 1.0:
             factor = SAFETY * err_norm ** -0.2
             h *= factor if factor > MIN_FACTOR else MIN_FACTOR

@@ -129,6 +129,14 @@ def test_solve_radial_unattainable_energy_exit_1(tmp_path, capsys):
     assert "below the attainable range" in capsys.readouterr().err
 
 
+def test_solve_radial_overflowing_error_norm_exit_1(tmp_path, capsys):
+    # at tolerances this small the scaled error of a rejected step squares
+    # past the float range; the step is rejected and the run stops on underflow
+    assert run_cli("solve-radial", "--beta", "1", "--rel-tol", "1e-300", "--abs-tol", "1e-300",
+                   "--out", str(tmp_path)) == 1
+    assert "ended with 'step-underflow'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [[], ["--beta", "1", "--energy", "2"]])
 def test_solve_radial_needs_exactly_one_of_beta_energy(tmp_path, flags, capsys):
     assert run_cli("solve-radial", *flags, "--out", str(tmp_path)) == 2

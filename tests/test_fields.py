@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import RectBivariateSpline
 
 import madelung_maxent as mm
 from madelung_maxent import verify
@@ -24,8 +25,14 @@ def test_grid_density_normalized(grid1):
     assert mass == pytest.approx(1.0, abs=1e-6)
 
 
-def test_mixed_second_difference_vanishes(grid1):
-    assert mm.mixed_second_difference(grid1) < 1e-9
+@pytest.mark.parametrize("beta", [0.5, 1.0, 10.0, 500.0])
+def test_assembled_grid_passes_separability_check(beta):
+    params = mm.make_params(1.0, 1.0, beta)
+    factor = mm.solve_cartesian_factor(
+        mm.SolveRequest(params=params, geometry=mm.Geometry.CARTESIAN_FACTOR))
+    for h in (5e-3, 0.05):
+        # rotate_grid refuses a grid whose planes its factors do not rebuild
+        assert np.isfinite(mm.rotate_grid(mm.assemble_2d(factor, factor, h), 0.3).u).any()
 
 
 def test_density_separable_peak(grid1):
@@ -64,6 +71,64 @@ def test_rotation_sentinels(grid1):
     assert outside.any()  # corners leave the source rectangle
     assert np.all(rot.rho[outside] == 0.0)
     assert np.all(np.isposinf(rot.u[outside]))
+
+
+def _spline_rotation(grid, theta):
+    """The rotation as a bicubic RectBivariateSpline of each whole plane."""
+    x, y = grid.x, grid.y
+    ct, st = math.cos(theta), math.sin(theta)
+    xs = ct * x[:, None] + st * y[None, :]
+    ys = -st * x[:, None] + ct * y[None, :]
+    inside = (xs >= x[0]) & (xs <= x[-1]) & (ys >= y[0]) & (ys <= y[-1])
+    xq = np.clip(xs, x[0], x[-1]).ravel()
+    yq = np.clip(ys, y[0], y[-1]).ravel()
+    u = RectBivariateSpline(x, y, grid.u, kx=3, ky=3, s=0).ev(xq, yq).reshape(grid.shape)
+    rho = RectBivariateSpline(x, y, grid.rho, kx=3, ky=3, s=0).ev(xq, yq).reshape(grid.shape)
+    return mm.Grid2D(spacing=grid.spacing, x0=grid.x0, y0=grid.y0,
+                     u=np.where(inside, u, math.inf),
+                     rho=np.where(inside, np.clip(rho, 0.0, None), 0.0))
+
+
+@pytest.mark.parametrize("h", [5e-3, 0.05])
+@pytest.mark.parametrize("theta", [0.2, math.pi / 6, 1.4])
+def test_rotation_matches_bicubic_spline(axis1, params1, h, theta):
+    grid = mm.assemble_2d(axis1, axis1, h)
+    rot = mm.rotate_grid(grid, theta)
+    ref = _spline_rotation(grid, theta)
+    inside = np.isfinite(ref.u)
+    np.testing.assert_array_equal(np.isfinite(rot.u), inside)
+    np.testing.assert_array_equal(rot.rho[~inside], 0.0)
+    np.testing.assert_allclose(rot.u[inside], ref.u[inside], rtol=0,
+                               atol=1e-13 * np.max(grid.u))
+    np.testing.assert_allclose(rot.rho, ref.rho, rtol=0, atol=1e-13 * np.max(grid.rho))
+    pde = mm.maxent_residual(rot, params1).pde
+    assert pde == pytest.approx(mm.maxent_residual(ref, params1).pde, rel=1e-9)
+
+
+@pytest.mark.parametrize("plane", ["u", "rho"])
+@pytest.mark.parametrize("offset", [(7, -11), (0, 5)])  # off and on the centre row
+def test_rotation_refuses_non_separable_grid(grid1, plane, offset):
+    ic, jc = grid1.shape[0] // 2, grid1.shape[1] // 2
+    values = getattr(grid1, plane).copy()
+    values[ic + offset[0], jc + offset[1]] += 1e-6
+    bumped = dataclasses.replace(grid1, **{plane: values})
+    with pytest.raises(mm.ValidationError, match=f"^{plane}: .*separable"):
+        mm.rotate_grid(bumped, math.pi / 6)
+
+
+@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+def test_rotation_refuses_density_it_cannot_factor(grid1, value):
+    # an infinite plane would also set its own tolerance to inf; a zero centre
+    # cannot normalise the row factor
+    rho = grid1.rho.copy()
+    rho[grid1.shape[0] // 2, grid1.shape[1] // 2 + (3 if value else 0)] = value
+    with pytest.raises(mm.ValidationError, match="^rho: .*separable"):
+        mm.rotate_grid(dataclasses.replace(grid1, rho=rho), math.pi / 6)
+
+
+def test_rotation_refuses_rotated_grid(grid1):
+    with pytest.raises(mm.ValidationError, match="^u: .*sentinel-free"):
+        mm.rotate_grid(mm.rotate_grid(grid1, math.pi / 6), 0.1)
 
 
 @pytest.mark.parametrize("beta", sorted({*np.geomspace(0.5, 100.0, 12).round(2), 10.0, 20.0}))
