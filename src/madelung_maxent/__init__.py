@@ -16,7 +16,6 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
                        velocity_field)
 from .fields import ResidualNorms, assemble_2d, maxent_residual, rotate_grid
 from .integrator import StepControl, StopReason, Trajectory, integrate
-from .kernels import NUMBA_ENABLED
 from .model import (AxisProfile, FieldSample, Grid2D, LaplacianVariant,
                     LogicError, Moments, NoSolutionError, Observables, OutOfSupportError,
                     PhysicalParams, RadialProfile, SincLimit, SolverError,
@@ -25,7 +24,7 @@ from .solver import (Geometry, SolveRequest, estimate_support, resample,
                      series_coefficient, solve_cartesian_factor, solve_radial)
 
 __all__ = [
-    "__version__", "NUMBA_ENABLED",
+    "__version__",
     # model
     "PhysicalParams", "make_params", "LaplacianVariant", "AxisProfile",
     "Moments", "RadialProfile", "Observables", "SincLimit", "Grid2D", "SweepRow",

@@ -169,7 +169,7 @@ class SweepResult(Record):
 
 def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParams,
                control: StepControl = StepControl()) -> SweepResult:
-    """Solve and measure one state per beta; failures become flagged rows."""
+    """Solve and measure one state per beta; a failed solve becomes a row holding its error."""
     betas = [float(b) for b in betas]
     _require(len(betas) >= 1 and all(b > 0 for b in betas), "betas", "must be positive")
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
@@ -179,20 +179,13 @@ def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParam
         params = replace(params_template, beta=b)
         try:
             profile = solve_radial(SolveRequest(params=params, u0=u0, control=control))
-            obs = observables(profile)
-            rows.append(SweepRow(beta=b, u0=u0, r_m=obs.r_m, r2_bar=obs.r2_bar, z=obs.z,
-                                 u_bar=obs.u_bar, k_bar_quadrature=obs.k_bar_quad,
-                                 k_bar_closed_form=obs.k_bar, energy=obs.energy,
-                                 entropy=obs.entropy))
+            rows.append(SweepRow(beta=b, u0=u0, observables=observables(profile)))
         except (SolverError, ValidationError, FloatingPointError) as exc:
-            rows.append(SweepRow(beta=b, u0=u0, r_m=math.nan, r2_bar=math.nan, z=math.nan,
-                                 u_bar=math.nan, k_bar_quadrature=math.nan,
-                                 k_bar_closed_form=math.nan, energy=math.nan,
-                                 entropy=math.nan, status="failed", error=str(exc)))
-    ok = [row for row in rows if row.status == "ok"]
+            rows.append(SweepRow(beta=b, u0=u0, error=str(exc)))
+    ok = [row.observables for row in rows if row.observables is not None]
 
     def trend(key, cmp):
-        vals = [getattr(row, key) for row in ok]
+        vals = [getattr(obs, key) for obs in ok]
         return all(cmp(a, b) for a, b in zip(vals, vals[1:]))
 
     slack = 1e-12
@@ -200,7 +193,7 @@ def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParam
         rows=tuple(rows),
         r_m_nondecreasing=trend("r_m", lambda a, b: b >= a * (1 - slack)),
         r2_nondecreasing=trend("r2_bar", lambda a, b: b >= a * (1 - slack)),
-        k_bar_decreasing=trend("k_bar_closed_form", lambda a, b: b < a),
+        k_bar_decreasing=trend("k_bar", lambda a, b: b < a),
         u_bar_nonincreasing=trend("u_bar", lambda a, b: b <= a * (1 + slack)),
     )
 

@@ -57,6 +57,12 @@ def _write_plane(path: Path, grid: Grid2D, plane: np.ndarray):
     _write_lines(path, itertools.chain(["x,y,value\n"], rows))
 
 
+def _write_radial_profile(path: Path, profile):
+    omega = analysis.angular_velocity(profile, profile.nodes)
+    _write_csv(path, ["r", "u", "du", "rho", "omega"],
+               [profile.nodes, profile.u, profile.du, profile.rho, omega])
+
+
 def _outdir(args) -> Path:
     out = args.out or os.environ.get("MADELUNG_MAXENT_OUTDIR") or "."
     path = Path(out)
@@ -118,12 +124,10 @@ def _cmd_solve_radial(args) -> int:
         inversion = {"target_energy": args.energy, "beta": beta}
     profile = solve_radial(SolveRequest(params=params, u0=args.u0, control=control))
     obs = analysis.observables(profile)
-    omega = analysis.angular_velocity(profile, profile.nodes)
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
     outputs = []
     if args.format in ("csv", "both"):
-        _write_csv(outdir / "radial_profile.csv", ["r", "u", "du", "rho", "omega"],
-                   [profile.nodes, profile.u, profile.du, profile.rho, omega])
+        _write_radial_profile(outdir / "radial_profile.csv", profile)
         outputs.append("radial_profile.csv")
     if args.format in ("json", "both"):
         _write_lines(outdir / "radial_profile.json", [to_json(profile) + "\n"])
@@ -199,9 +203,10 @@ def _cmd_sweep(args) -> int:
     sweep = analysis.beta_sweep(betas, args.u0, params, control=_control_from(args))
     cols = ["beta", "r_m", "r2_bar", "z", "u_bar", "k_bar_quad", "k_bar_closed",
             "energy", "entropy"]
-    attr = ["beta", "r_m", "r2_bar", "z", "u_bar", "k_bar_quadrature",
-            "k_bar_closed_form", "energy", "entropy"]
-    data = [np.array([getattr(row, a) for row in sweep.rows]) for a in attr]
+    attr = ["r_m", "r2_bar", "z", "u_bar", "k_bar_quad", "k_bar", "energy", "entropy"]
+    data = [[row.beta for row in sweep.rows]] + [
+        [math.nan if row.observables is None else getattr(row.observables, a)
+         for row in sweep.rows] for a in attr]
     _write_csv(outdir / "sweep.csv", cols, data)
     failed = [row for row in sweep.rows if row.status == "failed"]
     for row in failed:
@@ -223,10 +228,8 @@ def _cmd_limit(args) -> int:
     report = analysis.limit_convergence(betas, args.u0, params, control=control)
     outputs = []
     for row, profile in zip(report.rows, report.profiles):
-        omega = analysis.angular_velocity(profile, profile.nodes)
         name = f"radial_profile_beta_{row.beta:g}.csv"
-        _write_csv(outdir / name, ["r", "u", "du", "rho", "omega"],
-                   [profile.nodes, profile.u, profile.du, profile.rho, omega])
+        _write_radial_profile(outdir / name, profile)
         outputs.append(name)
     rr = np.linspace(0.0, report.sinc.r_inf, 2001)
     _write_csv(outdir / "sinc_profile.csv", ["r", "psi", "rho"],

@@ -5,7 +5,8 @@ Every state in the package solves one ODE family,
     u'' = (beta/2) u'^2 + lam_sq * u - (c/t) u',
 
 whose solutions blow up at a finite t.  ``integrate`` validates a run and
-hands it to the Dormand-Prince 5(4) loop in :mod:`madelung_maxent.kernels`.
+hands it to the Dormand-Prince 5(4) loop in :mod:`madelung_maxent.kernels`,
+which also defines the ``StopReason`` a run ends with.
 Every run starts past the origin, t0 > 0, where the (c/t) u' term is finite
 for every c; the solver reaches that start with a Taylor step.
 A step that would push u past ``blowup_threshold`` is rejected and bisected,
@@ -15,7 +16,6 @@ recorded values of u never exceed the threshold.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,22 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
+from .kernels import StopReason
 from .model import _readonly, _require
-
-
-class StopReason(enum.Enum):
-    REACHED_END = "reached-end"
-    BLOWUP_DETECTED = "blowup-detected"
-    STEP_UNDERFLOW = "step-underflow"
-    MAX_STEPS = "max-steps"
-
-
-_STOP_FROM_CODE = {
-    kernels.STOP_REACHED_END: StopReason.REACHED_END,
-    kernels.STOP_BLOWUP: StopReason.BLOWUP_DETECTED,
-    kernels.STOP_UNDERFLOW: StopReason.STEP_UNDERFLOW,
-    kernels.STOP_MAX_STEPS: StopReason.MAX_STEPS,
-}
 
 
 @dataclass(frozen=True)
@@ -99,11 +85,10 @@ def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
              "must be a nonempty forward interval starting past the origin, t0 > 0")
     _require(math.isfinite(h0) and h0 > 0.0, "h0", "must be a positive finite step")
 
-    ts, us, vs, code = kernels.madelung_loop(
+    ts, us, vs, stop = kernels.madelung_loop(
         t0, t1, float(y0[0]), float(y0[1]), beta, lam_sq, c_coef,
         control.rel_tol, control.abs_tol, h0, control.blowup_threshold, control.max_steps)
-    return Trajectory(nodes=ts, states=np.column_stack([us, vs]),
-                      stop_reason=_STOP_FROM_CODE[code])
+    return Trajectory(nodes=ts, states=np.column_stack([us, vs]), stop_reason=stop)
 
 
 __all__ = ["StopReason", "StepControl", "Trajectory", "integrate"]

@@ -7,7 +7,7 @@ with c = 0 (Cartesian factor), 1 (planar-radial) or 2 (paper-radial), and a
 monitored blow-up stop on u.  Every run starts past the origin (t0 > 0), so
 each stage evaluates the (c/t) u' term the same way for every c; at c = 0 it
 is an exact zero.  This scalar loop dominates the runtime of every solve,
-sweep, and inversion, so it is compiled with numba when available.
+sweep, and inversion.
 
 The tableau is first-same-as-last (FSAL): stage 7 is the slope at the
 accepted point, so it becomes the next step's stage 1, and a rejected step
@@ -16,18 +16,11 @@ costs: the tableau lives in locals, ``max`` is inlined, and nodes go into
 lists.  None of this moves a bit: each stage is the textbook DP45 formula
 with its operations in textbook order (``x ** 2`` stays, since ``x * x`` can
 round differently), and ``tests/test_kernels.py`` pins the returned nodes.
-numba compiles every construct used (local floats, list append,
-``except Exception``, ``np.array(list)``).
-
-``madelung_loop`` is the jitted loop when numba is importable and the plain
-Python function ``_madelung_loop`` otherwise; both run the same source, so
-they share one definition of the arithmetic.
-
-Stop codes: 0 reached end, 1 blow-up detected, 2 step underflow, 3 max steps.
 """
 
 from __future__ import annotations
 
+import enum
 import math
 
 import numpy as np
@@ -37,22 +30,26 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
 _EPS = float(np.finfo(np.float64).eps)
 
-STOP_REACHED_END = 0
-STOP_BLOWUP = 1
-STOP_UNDERFLOW = 2
-STOP_MAX_STEPS = 3
+NUMBA_ENABLED = False  # no numba loop exists; perfbench/run.py still records this flag
 
 
-def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
-                   rtol, atol, h0, threshold, max_steps):
+class StopReason(enum.Enum):
+    REACHED_END = "reached-end"
+    BLOWUP_DETECTED = "blowup-detected"
+    STEP_UNDERFLOW = "step-underflow"
+    MAX_STEPS = "max-steps"
+
+
+def madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
+                  rtol, atol, h0, threshold, max_steps):
     """Integrate the Madelung potential system from (t0, u0, v0) toward t1.
 
     Records every accepted step.  A proposed step whose u-component would
     exceed ``threshold`` is rejected and the step is bisected; once the step
     underflows while bisecting, the run stops at the last accepted node with
-    the blow-up stop code, so no recorded u ever exceeds the threshold.
+    ``BLOWUP_DETECTED``, so no recorded u ever exceeds the threshold.
 
-    Returns (ts, us, vs, stop_code).
+    Returns (ts, us, vs, stop) with ``stop`` a ``StopReason``.
     """
     # Dormand-Prince 5(4): 5th-order propagation, embedded 4th-order error
     # estimate (the error weights are 5th- minus 4th-order coefficients)
@@ -78,7 +75,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
     h = h0
     if h > t1 - t0:
         h = t1 - t0
-    stop = STOP_MAX_STEPS
+    stop = StopReason.MAX_STEPS
     just_rejected = False
     au = abs(u)
     av = abs(v)
@@ -90,7 +87,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         attempts += 1
         rest = t1 - t
         if rest <= end_slack:
-            stop = STOP_REACHED_END
+            stop = StopReason.REACHED_END
             break
         if h > rest:
             h = rest
@@ -135,7 +132,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
                 and math.isfinite(erru) and math.isfinite(errv)):
             h *= 0.5
             if t + h == t:
-                stop = STOP_UNDERFLOW
+                stop = StopReason.STEP_UNDERFLOW
                 break
             just_rejected = True
             continue
@@ -145,13 +142,13 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         sv = atol + rtol * (av5 if av5 > av else av)
         try:
             err_norm = math.sqrt(0.5 * ((erru / su) ** 2 + (errv / sv) ** 2))
-        except Exception:  # OverflowError; numba compiles no narrower match
+        except OverflowError:
             err_norm = math.inf  # reject: a float ** raises where * gives inf
         if err_norm > 1.0:
             factor = SAFETY * err_norm ** -0.2
             h *= factor if factor > MIN_FACTOR else MIN_FACTOR
             if t + h == t:
-                stop = STOP_UNDERFLOW
+                stop = StopReason.STEP_UNDERFLOW
                 break
             just_rejected = True
             continue
@@ -160,7 +157,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
             # monitored component would overshoot: bisect toward the crossing
             h *= 0.5
             if t + h == t:
-                stop = STOP_BLOWUP
+                stop = StopReason.BLOWUP_DETECTED
                 break
             just_rejected = True
             continue
@@ -169,7 +166,7 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
         if t_new == t:
             # sub-ulp step: only threshold bisection shrinks h this far with
             # the error in control, so the blow-up wall is at the next float
-            stop = STOP_BLOWUP
+            stop = StopReason.BLOWUP_DETECTED
             break
         t = t_new
         u = u5
@@ -198,18 +195,4 @@ def _madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
     return np.array(ts), np.array(us), np.array(vs), stop
 
 
-madelung_loop = _madelung_loop
-NUMBA_ENABLED = False
-try:
-    import numba
-except ImportError:
-    pass
-else:
-    madelung_loop = numba.njit(cache=True)(_madelung_loop)
-    NUMBA_ENABLED = True
-
-__all__ = [
-    "madelung_loop", "NUMBA_ENABLED",
-    "STOP_REACHED_END", "STOP_BLOWUP", "STOP_UNDERFLOW", "STOP_MAX_STEPS",
-    "SAFETY", "MIN_FACTOR", "MAX_FACTOR",
-]
+__all__ = ["madelung_loop", "StopReason", "SAFETY", "MIN_FACTOR", "MAX_FACTOR"]

@@ -102,6 +102,8 @@ def _load(hint, value, name: str):
             raise ValidationError(f"{name}: {value!r} is not a {hint.__name__} value") from None
     if typing.get_origin(hint) is tuple:
         return tuple(_load(typing.get_args(hint)[0], v, name) for v in value)
+    if type(None) in typing.get_args(hint):  # X | None
+        return None if value is None else _load(typing.get_args(hint)[0], value, name)
     return value  # lists become read-only arrays in the constructor
 
 
@@ -156,7 +158,13 @@ class PhysicalParams(Record):
             value = float(getattr(self, name))
             _require(math.isfinite(value) and value > 0, name, "must be a positive finite real")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "lambda_sq", 4.0 * self.mass / (self.hbar**2 * self.beta))
+        try:
+            lambda_sq = 4.0 * self.mass / (self.hbar**2 * self.beta)
+        except (OverflowError, ZeroDivisionError):  # hbar**2 overflowed or underflowed to 0
+            lambda_sq = math.nan
+        _require(0 < lambda_sq < math.inf, "lambda_sq",
+                 "4*mass/(hbar^2*beta) must be a positive finite float")
+        object.__setattr__(self, "lambda_sq", lambda_sq)
 
 
 def make_params(mass: float, hbar: float, beta: float,
@@ -379,29 +387,25 @@ class Grid2D(Record):
 
 @dataclass(frozen=True)
 class SweepRow(Record):
-    """One beta point of a sweep; failed solves carry status='failed'."""
+    """One beta point of a sweep: the observables of its solve, or why it failed."""
 
     beta: float
     u0: float
-    r_m: float
-    r2_bar: float
-    z: float
-    u_bar: float
-    k_bar_quadrature: float
-    k_bar_closed_form: float
-    energy: float
-    entropy: float
-    status: str = "ok"
+    observables: Observables | None = None
     error: str = ""
 
     def __post_init__(self):
-        _require(self.status in ("ok", "failed"), "status", "must be 'ok' or 'failed'")
-        if self.status == "ok":
-            rel = abs(self.k_bar_quadrature - self.k_bar_closed_form) / self.k_bar_closed_form
-            _require(rel < 1e-6, "k_bar_quadrature",
+        obs = self.observables
+        _require((obs is None) == bool(self.error), "observables",
+                 "a row holds exactly one of observables and error")
+        if obs is not None:
+            rel = abs(obs.k_bar_quad - obs.k_bar) / obs.k_bar
+            _require(rel < 1e-6, "k_bar_quad",
                      f"disagrees with closed form by {rel:.2e} (limit 1e-6)")
-            _require(self.energy == self.u_bar + self.k_bar_closed_form, "energy",
-                     "must equal u_bar + k_bar_closed_form exactly")
+
+    @property
+    def status(self) -> str:
+        return "failed" if self.observables is None else "ok"
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,14 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import analysis, fields
 from .integrator import StepControl
-from .model import PhysicalParams, to_json
+from .model import PhysicalParams, ValidationError, _require, to_json
 from .solver import (BLOWUP_LOG_MARGIN, Geometry, SolveRequest,
                      solve_cartesian_factor, solve_radial)
 
@@ -36,11 +37,17 @@ class CheckResult:
 
 
 def load_golden(path=None) -> dict:
-    if path is not None:
-        with open(path) as f:
-            return json.load(f)
-    ref = importlib.resources.files("madelung_maxent").joinpath("data/golden.json")
-    return json.loads(ref.read_text())
+    """The golden reference values: the package's file, or the JSON file at ``path``."""
+    keys = ("radial", "I_sinc", "r_inf_u0_1")  # the entries the checks read
+    source = (importlib.resources.files("madelung_maxent").joinpath("data/golden.json")
+              if path is None else Path(path))
+    try:
+        golden = json.loads(source.read_text())
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise ValidationError(f"golden: cannot load {source}: {exc}") from None
+    _require(isinstance(golden, dict) and all(k in golden for k in keys), "golden",
+             f"{source} must be a JSON object with the keys {', '.join(keys)}")
+    return golden
 
 
 @dataclass(frozen=True)
@@ -217,11 +224,12 @@ def _support_stability(case):
 
 def _sweep_trends(case):
     sweep = analysis.beta_sweep(np.logspace(-4, 2, 13), 1.0, case.params)
-    r_m = [row.r_m for row in sweep.rows]
-    r2 = [row.r2_bar for row in sweep.rows]
+    if any(row.status == "failed" for row in sweep.rows):
+        return False, "a sweep solve failed"
+    r_m = [row.observables.r_m for row in sweep.rows]
+    r2 = [row.observables.r2_bar for row in sweep.rows]
     monotone = (sweep.r_m_nondecreasing and sweep.r2_nondecreasing
-                and sweep.k_bar_decreasing and sweep.u_bar_nonincreasing
-                and all(row.status == "ok" for row in sweep.rows))
+                and sweep.k_bar_decreasing and sweep.u_bar_nonincreasing)
     flattening = all(v[-1] - v[-2] < 0.5 * (v[-3] - v[-4]) for v in (r_m, r2))
     collapse = r2[0] < 0.01 * r2[-1]
     return (monotone and flattening and collapse,

@@ -134,19 +134,19 @@ def test_divergence_sup_rejects_vacuous_check(radial1, h, field):
 
 def test_sweep_closed_form_column():
     sweep = mm.beta_sweep([1.0, 5.0, 10.0, 100.0], 1.0, mm.make_params(1, 1, 1))
-    assert [row.k_bar_closed_form for row in sweep.rows] == [1.0, 0.2, 0.1, 0.01]
+    assert [row.observables.k_bar for row in sweep.rows] == [1.0, 0.2, 0.1, 0.01]
     assert sweep.k_bar_decreasing and sweep.u_bar_nonincreasing
 
 
 def test_sweep_small_beta_collapse():
     sweep = mm.beta_sweep([1e-6, 1e-5, 1e-4], 1.0, mm.make_params(1, 1, 1))
-    r2 = [row.r2_bar for row in sweep.rows]
+    r2 = [row.observables.r2_bar for row in sweep.rows]
     assert r2[0] < r2[1] < r2[2] < 2e-3  # second moment collapses as beta -> 0
 
 
 def test_sweep_r_m_flattens():
     sweep = mm.beta_sweep([10.0, 50.0, 100.0], 1.0, mm.make_params(1, 1, 1))
-    r_m = [row.r_m for row in sweep.rows]
+    r_m = [row.observables.r_m for row in sweep.rows]
     assert r_m[1] - r_m[0] > r_m[2] - r_m[1] > 0
 
 
@@ -156,7 +156,7 @@ def test_sweep_flags_failures():
     sweep = mm.beta_sweep([1.0, 2.0], 1.0, mm.make_params(1, 1, 1),
                           control=StepControl(max_steps=50))
     assert all(row.status == "failed" for row in sweep.rows)
-    assert all(math.isnan(row.r_m) for row in sweep.rows)
+    assert all(row.observables is None for row in sweep.rows)
     assert all(row.error for row in sweep.rows)
 
 

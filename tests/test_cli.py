@@ -112,6 +112,15 @@ def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
     assert sorted(p.name for p in out.iterdir()) == []
 
 
+@pytest.mark.parametrize("hbar", ["1e160", "1e-200"])
+def test_extreme_hbar_exit_2_writes_nothing(tmp_path, capsys, hbar):
+    """hbar**2 overflows or underflows to 0, so lambda_sq is not a positive finite float."""
+    out = tmp_path / "run"
+    assert run_cli("solve-radial", "--beta", "1", "--hbar", hbar, "--out", str(out)) == 2
+    assert "lambda_sq:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_radial_energy_inverts(tmp_path):
     """--energy E solves the state whose average energy is E; the manifest keeps both."""
     target = mm.observables(mm.solve_radial(mm.SolveRequest(
@@ -268,6 +277,16 @@ def test_verify_detects_tampered_golden(tmp_path):
     tampered.write_text(json.dumps(golden))
     assert run_cli("verify", "--beta", "1", "--quick",
                    "--golden", str(tampered)) == 1
+
+
+@pytest.mark.parametrize("content", [None, "{not json", "{}", "[]"],
+                         ids=("missing", "invalid-json", "no-keys", "not-an-object"))
+def test_verify_bad_golden_exit_2(tmp_path, capsys, content):
+    path = tmp_path / "golden.json"
+    if content is not None:
+        path.write_text(content)
+    assert run_cli("verify", "--beta", "1", "--quick", "--golden", str(path)) == 2
+    assert "golden:" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from madelung_maxent import kernels
+from madelung_maxent.kernels import StopReason
 
 ARGS = dict(t0=1e-4, t1=50.0, u0=1.0 + (2.0 / 3.0) * 1e-8, v0=(4.0 / 3.0) * 1e-4,
             beta=1.0, lam_sq=4.0, c_coef=2.0, rtol=1e-10, atol=1e-12,
@@ -12,26 +13,15 @@ ARGS = dict(t0=1e-4, t1=50.0, u0=1.0 + (2.0 / 3.0) * 1e-8, v0=(4.0 / 3.0) * 1e-4
 
 
 def test_python_kernel_blowup():
-    ts, us, vs, stop = kernels._madelung_loop(**ARGS)
-    assert stop == kernels.STOP_BLOWUP
+    ts, us, vs, stop = kernels.madelung_loop(**ARGS)
+    assert stop == StopReason.BLOWUP_DETECTED
     assert np.all(np.diff(ts) > 0)
     assert np.all(us <= 41.0)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba unavailable")
-def test_numba_matches_python_fallback():
-    jt, ju, jv, jstop = kernels.madelung_loop(**ARGS)
-    pt, pu, pv, pstop = kernels._madelung_loop(**ARGS)
-    assert jstop == pstop
-    assert jt.size == pt.size
-    np.testing.assert_allclose(jt, pt, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(ju, pu, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(jv, pv, rtol=1e-11, atol=1e-12)
-
-
 def test_kernel_deterministic():
-    a = kernels._madelung_loop(**ARGS)
-    b = kernels._madelung_loop(**ARGS)
+    a = kernels.madelung_loop(**ARGS)
+    b = kernels.madelung_loop(**ARGS)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -48,11 +38,11 @@ def _solver_args(c_coef, beta, **override):
 
 
 def _digest(args):
-    ts, us, vs, stop = kernels._madelung_loop(**args)
+    ts, us, vs, stop = kernels.madelung_loop(**args)
     return hashlib.sha256(ts.tobytes() + us.tobytes() + vs.tobytes()).hexdigest(), stop
 
 
-# sha256 of the returned ts|us|vs bytes and the stop code: any change of the
+# sha256 of the returned ts|us|vs bytes and the stop reason: any change of the
 # loop's arithmetic or of its step sequence moves them
 SOLVE_PINS = {
     (0, 1e-4): "a37a9e814177e0d662c8ed199b6a4bd5d3df96a6397aac6bb09ba3065e86902f",
@@ -69,26 +59,27 @@ SOLVE_PINS = {
 
 @pytest.mark.parametrize("c_coef,beta", sorted(SOLVE_PINS))
 def test_kernel_bits_pinned_per_geometry(c_coef, beta):
-    assert _digest(_solver_args(c_coef, beta)) == (SOLVE_PINS[c_coef, beta], kernels.STOP_BLOWUP)
+    assert _digest(_solver_args(c_coef, beta)) == (SOLVE_PINS[c_coef, beta],
+                                                   StopReason.BLOWUP_DETECTED)
 
 
 STOP_PINS = {
-    "reached-end": (dict(t1=0.5), kernels.STOP_REACHED_END,
+    "reached-end": (dict(t1=0.5), StopReason.REACHED_END,
                     "b708febff64bd575c2fcab4aa9799c160fdf1e7654761f3a26a40cab30747678"),
     # every attempt fails the error test until t + h == t
-    "underflow-tolerance": (dict(rtol=1e-100, atol=1e-100), kernels.STOP_UNDERFLOW,
+    "underflow-tolerance": (dict(rtol=1e-100, atol=1e-100), StopReason.STEP_UNDERFLOW,
                             "a90a253f1fad923562a145c0596d035f45482bb235d8e50c54df53cab11fdd77"),
     # every attempt overflows and is halved until t + h == t
-    "underflow-non-finite": (dict(v0=1e100), kernels.STOP_UNDERFLOW,
+    "underflow-non-finite": (dict(v0=1e100), StopReason.STEP_UNDERFLOW,
                              "1a120a20862243fd118d7aa35b1154d6f5de64ea2458f56da33e9ebabf40262c"),
-    "max-steps": (dict(max_steps=50), kernels.STOP_MAX_STEPS,
+    "max-steps": (dict(max_steps=50), StopReason.MAX_STEPS,
                   "24f5eca761c7229a71bc5d25dd61dbf389ccd6fa437292f67622af257fb1afc6"),
     # the first attempts fail the error test, so the first stage is reused
     # after rejections before any step is accepted
-    "rejected-start": (dict(h0=1.0), kernels.STOP_BLOWUP,
+    "rejected-start": (dict(h0=1.0), StopReason.BLOWUP_DETECTED,
                        "5c9d79a54dd4174297a48328458639363b178ec3e01cefbdae67663ac09e00bc"),
     # no monitor: the run ends on a sub-ulp step at the wall
-    "no-threshold": (dict(threshold=math.inf), kernels.STOP_BLOWUP,
+    "no-threshold": (dict(threshold=math.inf), StopReason.BLOWUP_DETECTED,
                      "1d02d56eae6f4d2d71f4105de3d8b445476977fb1db73e03aaa964a0f1c6244b"),
 }
 

@@ -59,9 +59,7 @@ RECORDS = {
     "grid-rotated": lambda get: mm.rotate_grid(
         mm.assemble_2d(get("axis1"), get("axis1"), 0.1), 0.5),
     "sweep-row-failed": lambda get: mm.SweepRow(
-        beta=1e3, u0=1.0, r_m=math.nan, r2_bar=math.nan, z=math.nan, u_bar=math.nan,
-        k_bar_quadrature=math.nan, k_bar_closed_form=math.nan, energy=math.nan,
-        entropy=math.nan, status="failed", error="z: normalization underflowed"),
+        beta=1e3, u0=1.0, error="z: normalization underflowed"),
     "sweep-result": lambda get: mm.beta_sweep([1.0, 2.0], 1.0, get("params1")),
     "field-sample-outside": lambda get: mm.velocity_field(get("radial1"), [[5.0, 0.0]])[0],
     "residual-norms": lambda get: mm.maxent_residual(get("radial1"), get("params1"), h=1e-2),
@@ -156,8 +154,13 @@ def test_grid2d_congruence(params1):
         mm.Grid2D(spacing=0.1, x0=0.0, y0=0.0, u=np.zeros((3, 3)), rho=np.zeros((3, 4)))
 
 
-def test_sweeprow_identity_enforced():
-    with pytest.raises(mm.ValidationError, match="k_bar_quadrature"):
-        mm.SweepRow(beta=1.0, u0=1.0, r_m=1.0, r2_bar=1.0, z=1.0, u_bar=1.0,
-                    k_bar_quadrature=1.001, k_bar_closed_form=1.0,
-                    energy=2.0, entropy=1.0)
+def test_sweeprow_identity_enforced(obs1):
+    with pytest.raises(mm.ValidationError, match="k_bar_quad"):
+        mm.SweepRow(beta=1.0, u0=1.0, observables=replace(obs1, k_bar_quad=1.001 * obs1.k_bar))
+
+
+@pytest.mark.parametrize("with_obs, error", [(False, ""), (True, "solve failed")],
+                         ids=("neither", "both"))
+def test_sweeprow_holds_observables_or_error(obs1, with_obs, error):
+    with pytest.raises(mm.ValidationError, match="^observables: "):
+        mm.SweepRow(beta=1.0, u0=1.0, observables=obs1 if with_obs else None, error=error)
