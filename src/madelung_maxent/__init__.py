@@ -17,7 +17,7 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
 from .fields import ResidualNorms, assemble_2d, maxent_residual, rotate_grid
 from .integrator import StepControl, StopReason, Trajectory, integrate
 from .model import (AxisProfile, FieldSample, Grid2D, LaplacianVariant,
-                    LogicError, Moments, NoSolutionError, Observables, OutOfSupportError,
+                    LogicError, NoSolutionError, Observables, OutOfSupportError,
                     PhysicalParams, RadialProfile, SincLimit, SolverError,
                     SweepRow, ValidationError, make_params, to_json)
 from .solver import (Geometry, SolveRequest, estimate_support, resample,
@@ -27,7 +27,7 @@ __all__ = [
     "__version__",
     # model
     "PhysicalParams", "make_params", "LaplacianVariant", "AxisProfile",
-    "Moments", "RadialProfile", "Observables", "SincLimit", "Grid2D", "SweepRow",
+    "RadialProfile", "Observables", "SincLimit", "Grid2D", "SweepRow",
     "FieldSample", "to_json",
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError",
     "NoSolutionError",

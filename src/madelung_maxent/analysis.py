@@ -1,9 +1,10 @@
 """Observables and diagnostics of the solved states.
 
-Scalar observables come from Boltzmann-weighted radial moments over the
-solver's nodes; the kinetic energy is evaluated both by quadrature of
-m pi int r^2 U' rho dr and by the closed form m/beta that the stationarity
-balance implies, and the two must agree to 1e-6 relative.  The velocity field
+Scalar observables are the ``Observables`` record each radial solve carries:
+Boltzmann-weighted radial moments over the solver's nodes, taken once in the
+solve's own normalization pass.  The kinetic energy is there both as the
+quadrature of m pi int r^2 U' rho dr and as the closed form m/beta that the
+stationarity balance implies, and the two must agree to 1e-6 relative.  The velocity field
 of a stationary-spinning state is v = (-omega y, omega x) with
 omega = sqrt(U'/(r m)), which balances the quantum force by construction.
 
@@ -36,12 +37,8 @@ _ENTROPY_GRID = 2049  # odd, for composite Simpson
 
 
 def observables(profile: RadialProfile) -> Observables:
-    """All scalar observables of a solved radial state, from the moments it carries."""
-    p, m = profile.params, profile.moments
-    k_closed = p.mass / p.beta
-    return Observables(beta=p.beta, z=m.z, u_bar=m.u_bar, k_bar=k_closed,
-                       k_bar_quad=m.k_bar_quad, entropy=m.entropy, r2_bar=m.r2_bar,
-                       energy=m.u_bar + k_closed, r_m=profile.r_m)
+    """All scalar observables of a solved radial state: the record its solve made."""
+    return profile.observables
 
 
 def _du_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from .model import (Grid2D, NoSolutionError, SolverError, ValidationError, make_
                     to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
-FORMAT_VERSION = "2"
+FORMAT_VERSION = "3"
 
 
 def _write_lines(path: Path, lines):

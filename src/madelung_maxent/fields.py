@@ -35,6 +35,9 @@ from .model import (AxisProfile, Grid2D, PhysicalParams, RadialProfile, Record,
 from .solver import resample
 
 DEFAULT_MARGIN = 0.05
+# most samples of a radial residual or cells of a 2D grid, refused before any
+# allocation (2^25 float64 values are 256 MiB per plane)
+MAX_POINTS = 2**25
 # an assembled plane rebuilds from its factors to within ~1 ulp of its max
 _SEPARABLE_TOL = 8.0 * float(np.finfo(np.float64).eps)
 _NOT_SEPARABLE = "rotation requires a separable source grid"
@@ -54,6 +57,9 @@ def assemble_2d(ux: AxisProfile, uy: AxisProfile, grid_spacing: float) -> Grid2D
     """
     _require(_same_physics(ux.params, uy.params), "params", "factor profiles disagree")
     _require(grid_spacing > 0, "grid_spacing", "must be positive")
+    cells = math.prod(2 * float(p.nodes[-1]) / grid_spacing + 1 for p in (ux, uy))
+    _require(cells <= MAX_POINTS, "grid_spacing",
+             f"too fine: the grid would exceed MAX_POINTS = {MAX_POINTS} cells")
     beta = ux.params.beta
 
     def axis_values(profile):
@@ -61,8 +67,7 @@ def assemble_2d(ux: AxisProfile, uy: AxisProfile, grid_spacing: float) -> Grid2D
         _require(n >= 2, "grid_spacing", "too coarse for the factor support")
         coords = grid_spacing * np.arange(-n, n + 1)
         u, _ = resample(profile, np.abs(coords))
-        z = quad_axis_norm(profile)
-        return coords, u, np.exp(-beta * u) / z
+        return coords, u, np.exp(-beta * u) / profile.z
 
     x, ux_vals, rho_x = axis_values(ux)
     y, uy_vals, rho_y = axis_values(uy)
@@ -71,12 +76,8 @@ def assemble_2d(ux: AxisProfile, uy: AxisProfile, grid_spacing: float) -> Grid2D
 
 
 def quad_axis_norm(profile: AxisProfile) -> float:
-    """Full-line normalization of exp(-beta U_i) for one even factor."""
-    from .quadrature import axis_normalization
-
-    p = profile.params
-    return axis_normalization(p.beta, profile.nodes, profile.u, profile.du,
-                              p.lambda_sq, profile.half_width)
+    """Full-line normalization of exp(-beta U_i) for one even factor, as its solve took it."""
+    return profile.z
 
 
 def rotate_grid(grid: Grid2D, theta: float) -> Grid2D:
@@ -129,6 +130,7 @@ def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -
     beta, lam_sq = params.beta, params.lambda_sq
     r_hi = min((1.0 - DEFAULT_MARGIN) * profile.r_m, profile.nodes[-1] - h)
     _require(r_hi > 2 * h, "h", "grid step too coarse for the support")
+    _require(r_hi / h <= MAX_POINTS, "h", f"too fine: more than MAX_POINTS = {MAX_POINTS} samples")
     rg = np.arange(1, int(r_hi / h) + 1) * h
     um, _ = resample(profile, rg - h)
     u, _ = resample(profile, rg)
@@ -206,5 +208,5 @@ def maxent_residual(solution, params: PhysicalParams, h: float = 1e-3) -> Residu
 
 __all__ = [
     "assemble_2d", "rotate_grid",
-    "ResidualNorms", "maxent_residual", "quad_axis_norm", "DEFAULT_MARGIN",
+    "ResidualNorms", "maxent_residual", "quad_axis_norm", "DEFAULT_MARGIN", "MAX_POINTS",
 ]

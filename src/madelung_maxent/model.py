@@ -200,7 +200,8 @@ class AxisProfile(Record):
 
     The factor is even (U(-i) = U(i)); only the half-line is stored.  The
     potential is convex and nondecreasing, and blows up at finite half-width
-    i_m; ``half_width`` is the blow-up estimate, at or past the last node.
+    i_m; ``half_width`` is the blow-up estimate, at or past the last node, and
+    ``z`` the full-line normalization of exp(-beta U_i) over (-i_m, i_m).
     """
 
     params: PhysicalParams
@@ -209,6 +210,7 @@ class AxisProfile(Record):
     du: np.ndarray
     u0: float
     half_width: float
+    z: float
 
     def __post_init__(self):
         for name in ("nodes", "u", "du"):
@@ -216,35 +218,48 @@ class AxisProfile(Record):
         _check_profile_grid(self.nodes, self.u, self.du, self.u0)
         _require(math.isfinite(self.half_width) and self.half_width >= self.nodes[-1],
                  "half_width", "must be finite and not precede the last node")
+        _require(self.z > 0, "z", "must be positive")
 
 
 @dataclass(frozen=True)
-class Moments(Record):
-    """Boltzmann-weighted radial moments of one potential profile.
+class Observables(Record):
+    """Normalization and scalar observables of one solved radial state.
 
     One quadrature pass (``quadrature.radial_moments``) gives them all: the
     normalization z of rho = exp(-beta U)/z with its logarithm, the averages
     u_bar and r2_bar, the kinetic quadrature k_bar_quad and the entropy.
+    k_bar is the closed form mass/beta (exact for every stationary-spinning
+    state) and k_bar_quad must agree with it to the quadrature tolerance;
+    energy is derived as u_bar + k_bar.
     """
 
+    beta: float
     z: float
     log_z: float
     u_bar: float
+    k_bar: float
     k_bar_quad: float
-    r2_bar: float
     entropy: float
+    r2_bar: float
+    r_m: float
+    energy: float = field(init=False)
 
     def __post_init__(self):
         _require(self.z > 0, "z", "must be positive")
+        _require(self.k_bar > 0, "k_bar", "must be positive")
+        object.__setattr__(self, "energy", self.u_bar + self.k_bar)
+        ident = abs(self.entropy - (self.beta * self.u_bar + math.log(self.z)))
+        _require(ident <= 1e-8 * max(1.0, abs(self.entropy)), "entropy",
+                 "violates entropy = beta*u_bar + ln(z)")
 
 
 @dataclass(frozen=True)
 class RadialProfile(Record):
     """Rotationally symmetric quantum potential and density on [0, r_m).
 
-    The profile carries the ``Moments`` of its own quadrature pass; rho is
-    derived from them as exp(-beta u)/z at every node and is nonincreasing
-    in r.
+    The profile carries the ``Observables`` of its own quadrature pass, which
+    hold z and r_m; rho is derived as exp(-beta u)/z at every node and is
+    nonincreasing in r.
     """
 
     params: PhysicalParams
@@ -252,8 +267,7 @@ class RadialProfile(Record):
     u: np.ndarray
     du: np.ndarray
     u0: float
-    r_m: float
-    moments: Moments
+    observables: Observables
     rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -263,43 +277,19 @@ class RadialProfile(Record):
         _require(bool(np.all(self.du >= 0)), "du", "must be nonnegative")
         _require(math.isfinite(self.r_m) and self.r_m >= self.nodes[-1],
                  "r_m", "must be finite and not precede the last node")
-        rho = _readonly(np.exp(-self.params.beta * self.u) / self.moments.z)
+        # U rises from u0, so its Boltzmann average cannot fall below it
+        _require(self.observables.u_bar >= self.u0, "u_bar", "must not be below u0")
+        rho = _readonly(np.exp(-self.params.beta * self.u) / self.z)
         object.__setattr__(self, "rho", rho)
         _require(bool(np.all(np.diff(rho) <= 1e-15 * rho[0])), "rho", "must be nonincreasing")
 
     @property
+    def r_m(self) -> float:
+        return self.observables.r_m
+
+    @property
     def z(self) -> float:
-        return self.moments.z
-
-
-@dataclass(frozen=True)
-class Observables(Record):
-    """Scalar observables of one solved state.
-
-    k_bar is the closed form mass/beta (exact for every stationary-spinning
-    state); k_bar_quad is the independent quadrature of the kinetic integrand
-    and must agree with k_bar to the quadrature tolerance.  energy is the
-    exact decomposition u_bar + k_bar.
-    """
-
-    beta: float
-    z: float
-    u_bar: float
-    k_bar: float
-    k_bar_quad: float
-    entropy: float
-    r2_bar: float
-    energy: float
-    r_m: float
-
-    def __post_init__(self):
-        _require(self.u_bar > 0, "u_bar", "must be positive")
-        _require(self.k_bar > 0, "k_bar", "must be positive")
-        _require(self.energy == self.u_bar + self.k_bar, "energy",
-                 "must equal u_bar + k_bar exactly")
-        ident = abs(self.entropy - (self.beta * self.u_bar + math.log(self.z)))
-        _require(ident <= 1e-8 * max(1.0, abs(self.entropy)), "entropy",
-                 "violates entropy = beta*u_bar + ln(z)")
+        return self.observables.z
 
 
 @dataclass(frozen=True)
@@ -434,6 +424,6 @@ def to_json(obj) -> str:
 __all__ = [
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError", "NoSolutionError",
     "LaplacianVariant", "Record", "PhysicalParams", "make_params",
-    "AxisProfile", "Moments", "RadialProfile", "Observables", "SincLimit", "Grid2D",
+    "AxisProfile", "RadialProfile", "Observables", "SincLimit", "Grid2D",
     "SweepRow", "FieldSample", "to_json", "replace",
 ]

@@ -11,15 +11,20 @@ after subdividing every interval 4x with the Hermite interpolant, which
 pushes the kinetic-energy identity error to ~1e-9 even on sparse node sets.
 The unreached sliver between the last node and the support radius (relative
 density there is below e^-40) is closed with a one-sided cubic fit.
+
+Both normalizations, ``radial_moments`` (which returns a radial solve's
+``Observables``) and ``axis_normalization``, refuse a Z that is not a normal
+positive float: a subnormal Z has lost digits, a zero one normalizes nothing.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from .model import Moments, ValidationError
+from .model import Observables, ValidationError
 
 _REFINE = 4  # per-interval subdivision of the Hermite interpolant
 
@@ -188,14 +193,27 @@ def _refined_weights(beta: float, lam_sq: float, c_coef: float, nodes, u, du):
     return rr, uu, vv, np.exp(-beta * (uu - float(u[0])))
 
 
+def _require_normal(z: float, log_z: float) -> float:
+    """Z itself, if it is a normal positive float (it is not past beta * U0 ~ 708)."""
+    if not z >= sys.float_info.min:
+        raise ValidationError(f"z: normalization underflowed (log z = {log_z:.3g}); "
+                              "beta * u0 is too large to represent rho")
+    return z
+
+
+def _require_positive(q: float):
+    if not (math.isfinite(q) and q > 0.0):
+        raise ValidationError("z: normalization quadrature is not positive")
+
+
 def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
-                   nodes, u, du, r_m: float) -> Moments:
-    """All scalar moments in one refined-grid pass.
+                   nodes, u, du, r_m: float) -> Observables:
+    """Normalization and every scalar observable in one refined-grid pass.
 
     Normalization, average potential, kinetic quadrature, second moment and
     entropy share one rule and one node set, so identities that are linear in
     the common Boltzmann weight (entropy = beta*u_bar + ln z) hold to rounding
-    by construction.
+    by construction.  k_bar is the closed form mass/beta.
     """
     rr, uu, vv, w = _refined_weights(beta, lam_sq, c_coef, nodes, u, du)
     aa = second_derivative(rr, uu, vv, beta, lam_sq, c_coef)
@@ -216,13 +234,9 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
     kq = rule(fk, dfk)
     r2q = rule(f2, df2)
 
-    if not (np.isfinite(zq) and zq > 0.0):
-        raise ValidationError("z: normalization quadrature is not positive")
+    _require_positive(zq)
     log_z = float(np.log(2.0 * np.pi * zq) - beta * u0)
-    z = float(np.exp(log_z))
-    if z == 0.0 or not math.isfinite(z):
-        raise ValidationError(f"z: normalization underflowed (log z = {log_z:.3g}); "
-                              "beta * u0 is too large to represent rho")
+    z = _require_normal(float(np.exp(log_z)), log_z)
 
     # entropy from the actual density values; shares nodes and rule with zq
     rho = w * (np.exp(-beta * u0) / z)
@@ -232,21 +246,26 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
     dfh = beta * vv * rho * rr * (log_rho + 1.0) - rho * log_rho
     hq = rule(fh, dfh)
 
-    return Moments(z=z, log_z=log_z,
-                   u_bar=float(uq / zq),
-                   k_bar_quad=float(mass * kq / (2.0 * zq)),
-                   r2_bar=float(r2q / zq),
-                   entropy=float(2.0 * np.pi * hq))
+    return Observables(beta=beta, z=z, log_z=log_z,
+                       u_bar=float(uq / zq),
+                       k_bar=mass / beta,
+                       k_bar_quad=float(mass * kq / (2.0 * zq)),
+                       entropy=float(2.0 * np.pi * hq),
+                       r2_bar=float(r2q / zq),
+                       r_m=r_m)
 
 
 def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> float:
     """Full-line normalization integral of exp(-beta U_i) for one even factor.
 
-    Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension).
+    Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension), under
+    the same normal-float rule as the radial Z.
     """
     rr, _, vv, w = _refined_weights(beta, lam_sq, 0.0, nodes, u, du)
     q = _Rule(rr, i_m)(w, -beta * vv * w)
-    return float(2.0 * q * np.exp(-beta * float(u[0])))
+    _require_positive(q)
+    u0 = float(u[0])
+    return _require_normal(float(2.0 * q * np.exp(-beta * u0)), math.log(2.0 * q) - beta * u0)
 
 
 __all__ = [

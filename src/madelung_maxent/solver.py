@@ -13,9 +13,11 @@ integration stops when beta * (U - U0) reaches 40 (relative density e^-40,
 below double rounding) and the support radius is recovered from the dominant
 balance U ~ -(2/beta) ln(r_m - r), i.e.  r_m = r_stop + 2 / (beta U'(r_stop)).
 
-A radial solve normalizes its density in the same step: one pass of
-``quadrature.radial_moments`` gives Z together with every moment, and the
-returned profile carries them.
+Each solve normalizes its density in the same step, and every consumer reads
+that Z from the returned profile.  For a radial solve one pass of
+``quadrature.radial_moments`` gives Z together with every scalar observable,
+and the profile carries that ``Observables`` record; a Cartesian factor
+carries the full-line Z of ``quadrature.axis_normalization``.
 """
 
 from __future__ import annotations
@@ -110,19 +112,20 @@ def solve_radial(request: SolveRequest) -> RadialProfile:
     params, u0 = request.params, request.u0
     c_coef = params.laplacian_variant.first_derivative_coefficient
     nodes, u, du, r_m = _solve_potential(params, u0, request.control, c_coef)
-    moments = quadrature.radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
-                                        nodes, u, du, r_m)
-    return RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, r_m=r_m,
-                         moments=moments)
+    obs = quadrature.radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
+                                    nodes, u, du, r_m)
+    return RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, observables=obs)
 
 
 def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
-    """Solve one even Cartesian factor U_i on the half-axis."""
+    """Solve one even Cartesian factor U_i on the half-axis and normalize it."""
     _require(request.geometry is Geometry.CARTESIAN_FACTOR,
              "geometry", "must be 'cartesian-factor'")
-    nodes, u, du, i_m = _solve_potential(request.params, request.u0, request.control, 0.0)
-    return AxisProfile(params=request.params, nodes=nodes, u=u, du=du, u0=request.u0,
-                       half_width=i_m)
+    p = request.params
+    nodes, u, du, i_m = _solve_potential(p, request.u0, request.control, 0.0)
+    z = quadrature.axis_normalization(p.beta, nodes, u, du, p.lambda_sq, i_m)
+    return AxisProfile(params=p, nodes=nodes, u=u, du=du, u0=request.u0,
+                       half_width=i_m, z=z)
 
 
 def resample(profile, query):

@@ -35,13 +35,13 @@ def golden():
 
 @pytest.fixture(scope="session")
 def make_profile():
-    """RadialProfile from tabulated (nodes, u, du), normalized by its own moments pass."""
+    """RadialProfile from tabulated (nodes, u, du), normalized by its own quadrature pass."""
     def make(params, nodes, u, du, r_m):
         c_coef = params.laplacian_variant.first_derivative_coefficient
-        moments = radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
-                                 nodes, u, du, r_m)
+        obs = radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
+                             nodes, u, du, r_m)
         return mm.RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=float(u[0]),
-                                r_m=r_m, moments=moments)
+                                observables=obs)
     return make
 
 

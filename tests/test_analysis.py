@@ -17,7 +17,7 @@ def test_observables_golden(obs1, golden):
 
 
 def test_observables_one_quadrature_pass(params1, monkeypatch):
-    """A solve plus its observables runs the moments quadrature once; the profile carries it."""
+    """A solve plus its observables runs the moments quadrature once; the profile carries the record."""
     calls = []
     moments = quadrature.radial_moments
     monkeypatch.setattr(quadrature, "radial_moments",
@@ -25,8 +25,7 @@ def test_observables_one_quadrature_pass(params1, monkeypatch):
     profile = mm.solve_radial(mm.SolveRequest(params=params1))
     obs = mm.observables(profile)
     assert len(calls) == 1
-    assert (obs.z, obs.u_bar, obs.entropy) == (profile.z, profile.moments.u_bar,
-                                               profile.moments.entropy)
+    assert obs is profile.observables and obs.z == profile.z and obs.r_m == profile.r_m
 
 
 def test_omega_origin_limit(radial1):

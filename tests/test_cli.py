@@ -47,7 +47,7 @@ def test_solve_radial_json_format(tmp_path):
                    "--out", str(out)) == 0
     profile = json.loads((out / "radial_profile.json").read_text())
     assert profile["params"]["beta"] == 1.0
-    assert "z" not in profile and profile["moments"]["z"] > 0
+    assert "z" not in profile and "r_m" not in profile and profile["observables"]["z"] > 0
     assert not (out / "radial_profile.csv").exists()
     manifest = load_manifest(out)
     assert abs(manifest["observables"]["k_bar"] - 1.0) < 1e-12
@@ -68,7 +68,7 @@ def test_radial_json_bytes_pinned(tmp_path):
     """radial_profile.json is written by model.to_json; its bytes are part of the output."""
     assert run_cli("solve-radial", "--beta", "1", "--format", "json", "--out", str(tmp_path)) == 0
     digest = hashlib.sha256((tmp_path / "radial_profile.json").read_bytes()).hexdigest()
-    assert digest == "141c87ea095bb40e6be0e9db493325e9716ee189f5fd4a302f88952105a6ce0b"
+    assert digest == "65722edb137d23da805cf588cf79e1b0f4d11249e3bf7e8493c61addef517257"
 
 
 def test_limit_csv_bytes_pinned(tmp_path):
@@ -104,6 +104,12 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     (["solve-radial", "--beta", "1", "--residual-h", "10"], "h:"),
     (["solve-cartesian", "--beta", "1", "--rotate", "nan"], "theta:"),
     (["limit", "--variant", "planar", "--betas", "10,50,100"], "laplacian_variant:"),
+    # Z = e^{-beta U0} (...) is subnormal at 745 and 0 at 800: refused like the radial solve
+    (["solve-cartesian", "--beta", "800"], "z: normalization underflowed"),
+    (["solve-cartesian", "--beta", "745"], "z: normalization underflowed"),
+    # refused before allocating 1e300 samples or cells
+    (["solve-radial", "--beta", "1", "--residual-h", "1e-300"], "h: too fine"),
+    (["solve-cartesian", "--beta", "1", "--grid-h", "1e-300"], "grid_spacing: too fine"),
 ])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
     out = tmp_path / "run"
@@ -279,14 +285,39 @@ def test_verify_detects_tampered_golden(tmp_path):
                    "--golden", str(tampered)) == 1
 
 
-@pytest.mark.parametrize("content", [None, "{not json", "{}", "[]"],
-                         ids=("missing", "invalid-json", "no-keys", "not-an-object"))
+GOLDEN_KEYS = '"I_sinc": 1.2, "r_inf_u0_1": 2.2'
+
+
+@pytest.mark.parametrize("content", [
+    None, "{not json", "{}", "[]",
+    '{"radial": {"1.0": {}}, %s}' % GOLDEN_KEYS,
+    '{"radial": {"1.0": {"r_m": "1.6", "u_bar": 1.6}}, %s}' % GOLDEN_KEYS,
+    '{"radial": {"one": {"r_m": 1.6, "u_bar": 1.6}}, %s}' % GOLDEN_KEYS,
+    '{"radial": [], %s}' % GOLDEN_KEYS,
+    '{"radial": {}, "I_sinc": NaN, "r_inf_u0_1": 2.2}',
+    '{"radial": {}, "I_sinc": 1.2, "r_inf_u0_1": true}',
+], ids=("missing", "invalid-json", "no-keys", "not-an-object", "empty-entry",
+        "string-r_m", "bad-beta-key", "radial-not-an-object", "nan-I_sinc", "bool-r_inf"))
 def test_verify_bad_golden_exit_2(tmp_path, capsys, content):
     path = tmp_path / "golden.json"
     if content is not None:
         path.write_text(content)
     assert run_cli("verify", "--beta", "1", "--quick", "--golden", str(path)) == 2
     assert "golden:" in capsys.readouterr().err
+
+
+def test_verify_reports_raising_checks_as_failures(capsys):
+    """At beta = 1e-6 one check raises; the other 13 quick rows still run and print."""
+    assert run_cli("verify", "--beta", "1e-6", "--quick") == 1
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.lstrip().startswith("[")]
+    assert len(rows) == 14 and "11/14 checks passed, 3 FAILED" in out
+    assert "[FAIL] divergence-free" in out and "raised ValidationError: h: too coarse" in out
+
+
+def test_verify_bad_beta_exit_2(capsys):
+    assert run_cli("verify", "--beta", "nan", "--quick") == 2
+    assert "beta:" in capsys.readouterr().err
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

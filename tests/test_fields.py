@@ -6,7 +6,7 @@ import pytest
 from scipy.interpolate import RectBivariateSpline
 
 import madelung_maxent as mm
-from madelung_maxent import verify
+from madelung_maxent import fields, quadrature, verify
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +23,20 @@ def test_center_value(grid1):
 def test_grid_density_normalized(grid1):
     mass = grid1.rho.sum() * grid1.spacing**2
     assert mass == pytest.approx(1.0, abs=1e-6)
+
+
+def test_factor_normalized_once(params1, monkeypatch):
+    """The factor's solve takes its Z; assembling and quad_axis_norm read it, never re-integrate."""
+    calls = []
+    norm = quadrature.axis_normalization
+    monkeypatch.setattr(quadrature, "axis_normalization",
+                        lambda *args: calls.append(args) or norm(*args))
+    factor = mm.solve_cartesian_factor(
+        mm.SolveRequest(params=params1, geometry=mm.Geometry.CARTESIAN_FACTOR))
+    mm.assemble_2d(factor, factor, 0.05)
+    z = fields.quad_axis_norm(factor)
+    assert len(calls) == 1
+    assert z == factor.z > 0
 
 
 @pytest.mark.parametrize("beta", [0.5, 1.0, 10.0, 500.0])

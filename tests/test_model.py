@@ -52,7 +52,6 @@ def test_params_immutable(params1):
 RECORDS = {
     "params-planar": lambda get: mm.make_params(2.0, 0.5, 3.0, "planar-radial"),
     "radial": lambda get: get("radial1"),
-    "moments": lambda get: get("radial1").moments,
     "axis": lambda get: get("axis1"),
     "observables": lambda get: get("obs1"),
     "sinc": lambda get: mm.sinc_limit(get("params1"), energy=1.0),
@@ -101,26 +100,29 @@ def test_profile_invariants_rejected(params1, radial1):
     nodes = np.array([0.0, 0.5, 1.0])
     good_u = np.array([1.0, 1.2, 1.5])
     good_du = np.array([0.0, 0.5, 1.0])
-    moments = radial1.moments
+    obs = radial1.observables
     with pytest.raises(mm.ValidationError, match="nodes"):
         mm.RadialProfile(params=params1, nodes=[0.5, 1.0, 1.5], u=good_u,
-                         du=good_du, u0=1.0, r_m=2.0, moments=moments)
+                         du=good_du, u0=1.0, observables=obs)
     with pytest.raises(mm.ValidationError, match="du"):
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=[0.1, 0.5, 1.0], u0=1.0, r_m=2.0, moments=moments)
+                         du=[0.1, 0.5, 1.0], u0=1.0, observables=obs)
     with pytest.raises(mm.ValidationError, match="du"):
         # decreasing slope = concave u
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=[0.0, 1.0, 0.5], u0=1.0, r_m=2.0, moments=moments)
+                         du=[0.0, 1.0, 0.5], u0=1.0, observables=obs)
     with pytest.raises(mm.ValidationError, match="r_m"):
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=good_du, u0=1.0, r_m=0.9, moments=moments)
+                         du=good_du, u0=1.0, observables=replace(obs, r_m=0.9))
+    with pytest.raises(mm.ValidationError, match="^u_bar: "):  # U rises from u0 > u_bar
+        mm.RadialProfile(params=params1, nodes=nodes, u=good_u + 5.0,
+                         du=good_du, u0=6.0, observables=obs)
     with pytest.raises(mm.ValidationError, match="^z: "):
-        replace(moments, z=0.0)
+        replace(obs, z=0.0)
 
 
 def test_rho_definition_enforced(radial1):
-    rho = np.exp(-radial1.params.beta * radial1.u) / radial1.moments.z
+    rho = np.exp(-radial1.params.beta * radial1.u) / radial1.observables.z
     assert np.array_equal(radial1.rho, rho)
 
 
@@ -128,13 +130,6 @@ def test_observables_invariants(obs1):
     assert obs1.energy == obs1.u_bar + obs1.k_bar
     assert obs1.u_bar > 0 and obs1.k_bar > 0
     assert abs(obs1.entropy - (obs1.beta * obs1.u_bar + math.log(obs1.z))) < 1e-8
-
-
-def test_observables_bad_energy_rejected(obs1):
-    d = obs1.to_dict()
-    d["energy"] += 1e-9
-    with pytest.raises(mm.ValidationError, match="energy"):
-        mm.Observables.from_dict(d)
 
 
 def test_sinclimit_invariants(params1):

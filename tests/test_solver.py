@@ -125,7 +125,7 @@ def test_density_normalization(radial1):
 
 def test_profile_requires_finite_support(radial1, axis1):
     with pytest.raises(mm.ValidationError, match="^r_m: "):
-        replace(radial1, r_m=math.inf)
+        replace(radial1, observables=replace(radial1.observables, r_m=math.inf))
     with pytest.raises(mm.ValidationError, match="^half_width: "):
         replace(axis1, half_width=math.inf)
 
