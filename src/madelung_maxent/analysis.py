@@ -22,13 +22,14 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .integrator import StepControl
-from .model import (FieldSample, LaplacianVariant, NoSolutionError, Observables,
-                    OutOfSupportError, PhysicalParams, RadialProfile, Record, SincLimit,
-                    SolverError, SweepRow, ValidationError, _require)
-from .solver import SolveRequest, resample, solve_radial
+from .model import (MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
+                    Observables, OutOfSupportError, PhysicalParams, RadialProfile, Record,
+                    SincLimit, SolverError, SweepRow, ValidationError, _require)
+from .solver import SolveRequest, _resample_slope, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _DIV_BLOCK_ROWS = 256  # grid rows per vectorized block of the divergence check
+_DIV_TABLE_CHUNK = 1 << 14  # radii per slice of its U' table: temporaries stay in cache
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
 _INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; brentq stops at 1/8 of it
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
@@ -47,8 +48,7 @@ def _du_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
     tabulated = (r > 0.0) & (r <= profile.nodes[-1])
     asymptotic = r > profile.nodes[-1]
     if tabulated.any():
-        _, du = resample(profile, r[tabulated])
-        out[tabulated] = du
+        out[tabulated] = _resample_slope(profile, r[tabulated])
     if asymptotic.any():
         out[asymptotic] = 2.0 / (profile.params.beta * (profile.r_m - r[asymptotic]))
     return out
@@ -103,12 +103,43 @@ def velocity_field(profile: RadialProfile, positions) -> list[FieldSample]:
     return samples
 
 
+def _interp_uniform(q: np.ndarray, table_r: np.ndarray, table_y: np.ndarray) -> np.ndarray:
+    """np.interp(q, table_r, table_y) for table_r = np.linspace(0, r_end, n), 0 <= q <= r_end.
+
+    The bracket table_r[j] <= q < table_r[j + 1] is computed, not searched
+    for: linspace's nodes lie within a few ulps of j r_end / (n - 1), so
+    q (n - 1) / r_end truncates to j except for q within rounding of a node,
+    where one step corrects it.  The value is np.interp's own formula,
+    slope (q - table_r[j]) + table_y[j] with
+    slope = (table_y[j + 1] - table_y[j]) / (table_r[j + 1] - table_r[j]),
+    and q == r_end gives table_y[-1].  So the float is np.interp's wherever
+    both values of the bracket are finite (and not -0.0): there np.interp's
+    NaN fallback never applies.
+    """
+    last = table_r.size - 2
+    j = (q * ((last + 1) / table_r[-1])).astype(np.intp)
+    np.minimum(j, last, out=j)
+    r0 = table_r[j]
+    r1 = table_r[j + 1]
+    off = np.flatnonzero((r0 > q) | (r1 <= q))  # near a node, or q == r_end
+    if off.size:
+        j[off] = np.minimum(j[off] - (r0[off] > q[off]) + (r1[off] <= q[off]), last)
+        r0[off] = table_r[j[off]]
+        r1[off] = table_r[j[off] + 1]
+    y0 = table_y[j]
+    out = (table_y[j + 1] - y0) / (r1 - r0) * (q - r0) + y0
+    out[off[q[off] == table_r[-1]]] = table_y[-1]
+    return out
+
+
 def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     """Max |div v| by centered differences on an h-grid inside r <= 0.8 r_m.
 
     Analytically div v = 0; the discrete value is O(h^2) with a constant that
     grows like (r_m - r)^(-7/2), so the check region stays away from the wall.
-    The origin alone always reads 0, so h must leave the points (+-h, 0) in.
+    The origin alone always reads 0, so h must leave the points (+-h, 0) in,
+    and the (2n + 1)^2 grid of centers may not exceed MAX_POINTS.  A NaN
+    omega makes the sup NaN.
 
     Only the centers of the octant 0 <= y <= x are evaluated, and the sup is
     the same float as over the whole disk.  The grid is h * k for integer k,
@@ -117,22 +148,34 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     x -> -x, y -> -y and x <-> y permute the four stencil radii of a center
     exactly (x + h <-> x - h, or the x pair with the y pair), and each flips
     the sign of the discrete divergence exactly.
+
+    omega depends on the radius only, so U' is tabulated once on 2^18 uniform
+    radii up to clamp and interpolated linearly (table error ~ dr^2 U''' / 8,
+    orders below the h^2 signal).  The table takes the slope half of
+    ``resample``'s Hermite alone, the same bits as its U'.  Each stencil
+    radius finds its bracket in O(1) (``_interp_uniform``) and gets np.interp's
+    float: it is at most r_lim - h, so both ends of its bracket lie below r_m,
+    where the table holds finite U' (the Hermite slope on the nodes, the
+    blow-up asymptote past them).
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     r_lim = _DIV_R_FRAC * profile.r_m
     _require(h <= r_lim - 2 * h, "h", "too coarse: no point off the origin inside 0.8 r_m")
+    side = 2 * r_lim / h + 1
+    _require(side * side <= MAX_POINTS, "h",
+             f"too fine: the grid would exceed MAX_POINTS = {MAX_POINTS} points")
     n = int(r_lim / h)
     axis = h * np.arange(n + 1)
     clamp = r_lim + 4 * h  # stencil radii of kept centers stay below this
 
-    # omega depends on radius only: tabulate U' densely once and interpolate
-    # linearly (table error ~ (dr)^2 U''' / 8, orders below the h^2 signal)
     table_r = np.linspace(0.0, clamp, 1 << 18)
-    table_du = _du_values(profile, table_r)
+    table_du = np.empty_like(table_r)
+    for lo in range(0, table_r.size, _DIV_TABLE_CHUNK):
+        table_du[lo:lo + _DIV_TABLE_CHUNK] = _du_values(profile, table_r[lo:lo + _DIV_TABLE_CHUNK])
 
     def omega_at(rr):
         rq = np.minimum(rr, clamp)
-        return _omega_from_du(profile, rq, np.interp(rq, table_r, table_du))
+        return _omega_from_du(profile, rq, _interp_uniform(rq, table_r, table_du))
 
     sup = 0.0
     for lo in range(0, axis.size, _DIV_BLOCK_ROWS):
@@ -149,7 +192,7 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
         wym = omega_at(np.hypot(x, y - h))
         # v = (-omega y, omega x), centered differences of each component
         div = (wxm - wxp) * y / (2 * h) + (wyp - wym) * x / (2 * h)
-        sup = max(sup, float(np.max(np.abs(div))))
+        sup = float(np.maximum(sup, np.max(np.abs(div))))  # NaN propagates, unlike max()
     return sup
 
 
@@ -330,7 +373,8 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
     normalization and the average potential fixed to first order (g is
     projected against {1, U} under the rho-weighted measure), so the entropy
     change of the maximizer must be second order and nonpositive.  Returns the
-    largest observed change (expected ~ -eps^2/2 * <g^2>).
+    largest observed change (expected ~ -eps^2/2 * <g^2>), or NaN if a
+    density value is NaN.
     """
     _require(isinstance(n_directions, (int, np.integer)) and n_directions >= 1,
              "n_directions", "must be a positive integer")
@@ -350,8 +394,9 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
         return float(np.sum(measure * f))
 
     def entropy_of(dens):
+        # 0 log 0 = 0, and a NaN density stays NaN
         with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(dens > 0.0, dens * np.log(np.where(dens > 0.0, dens, 1.0)), 0.0)
+            term = np.where(dens == 0.0, 0.0, dens * np.log(np.where(dens == 0.0, 1.0, dens)))
         return -integral(term)
 
     h0 = entropy_of(rho)
@@ -374,7 +419,7 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
             continue
         g /= peak
         perturbed = rho * (1.0 + _ENTROPY_EPSILON * g)
-        worst = max(worst, entropy_of(perturbed) - h0)
+        worst = float(np.maximum(worst, entropy_of(perturbed) - h0))  # NaN propagates
     return worst
 
 

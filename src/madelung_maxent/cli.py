@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, analysis, fields, verify
 from .integrator import StepControl
-from .model import (Grid2D, NoSolutionError, SolverError, ValidationError, make_params,
-                    to_json)
+from .model import (MAX_POINTS, Grid2D, NoSolutionError, SolverError, ValidationError,
+                    make_params, to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
 FORMAT_VERSION = "3"
@@ -194,8 +194,9 @@ def _cmd_sweep(args) -> int:
         betas = _parse_beta_list(args.beta_list)
     else:
         lo, hi, n = args.beta_log_range
-        if not (0 < lo < hi < math.inf and n >= 2 and n.is_integer()):
-            raise ValidationError("beta-log-range: need 0 < lo < hi < inf and an integer n >= 2")
+        if not (0 < lo < hi < math.inf and 2 <= n <= MAX_POINTS and n.is_integer()):
+            raise ValidationError("beta-log-range: need 0 < lo < hi < inf and an integer n "
+                                  f"in [2, MAX_POINTS = {MAX_POINTS}]")
         betas = list(np.logspace(math.log10(lo), math.log10(hi), int(n)))
     params = _params_from(args, betas[0])
     outdir = _outdir(args)

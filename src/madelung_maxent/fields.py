@@ -30,14 +30,11 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 from scipy.ndimage import distance_transform_edt
 
-from .model import (AxisProfile, Grid2D, PhysicalParams, RadialProfile, Record,
-                    ValidationError, _require)
+from .model import (MAX_POINTS, AxisProfile, Grid2D, PhysicalParams, RadialProfile,
+                    Record, ValidationError, _require)
 from .solver import resample
 
 DEFAULT_MARGIN = 0.05
-# most samples of a radial residual or cells of a 2D grid, refused before any
-# allocation (2^25 float64 values are 256 MiB per plane)
-MAX_POINTS = 2**25
 # an assembled plane rebuilds from its factors to within ~1 ulp of its max
 _SEPARABLE_TOL = 8.0 * float(np.finfo(np.float64).eps)
 _NOT_SEPARABLE = "rotation requires a separable source grid"

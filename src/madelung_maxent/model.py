@@ -66,6 +66,11 @@ class LaplacianVariant(enum.Enum):
         return 2.0 if self is LaplacianVariant.PAPER_RADIAL else 1.0
 
 
+# most samples, grid points or sweep betas one call may ask for, refused before
+# any allocation (2^25 float64 values are 256 MiB per array)
+MAX_POINTS = 2**25
+
+
 def _require(condition: bool, name: str, message: str):
     if not condition:
         raise ValidationError(f"{name}: {message}")

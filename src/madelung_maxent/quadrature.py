@@ -39,25 +39,31 @@ def second_derivative(r, u, du, beta, lam_sq, c_coef):
             / np.where(origin, 1.0 + c_coef, 1.0))
 
 
-def _hermite_quintic(h, u0, v0, a0, u1, v1, a1, s):
-    """Two-point quintic Hermite (value, slope) at fractions s of an interval."""
+def _hermite_value(h, u0, v0, a0, u1, v1, a1, s):
+    """Two-point quintic Hermite value at fractions s of an interval."""
     s2 = s * s
     s3 = s2 * s
     s4 = s3 * s
     s5 = s4 * s
-    uu = (u0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
-          + h * v0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
-          + h * h * a0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
-          + u1 * (10 * s3 - 15 * s4 + 6 * s5)
-          + h * v1 * (-4 * s3 + 7 * s4 - 3 * s5)
-          + h * h * a1 * (0.5 * s3 - s4 + 0.5 * s5))
-    vv = (u0 * (-30 * s2 + 60 * s3 - 30 * s4)
-          + h * v0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
-          + h * h * a0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
-          + u1 * (30 * s2 - 60 * s3 + 30 * s4)
-          + h * v1 * (-12 * s2 + 28 * s3 - 15 * s4)
-          + h * h * a1 * (1.5 * s2 - 4 * s3 + 2.5 * s4)) / h
-    return uu, vv
+    return (u0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
+            + h * v0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
+            + h * h * a0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
+            + u1 * (10 * s3 - 15 * s4 + 6 * s5)
+            + h * v1 * (-4 * s3 + 7 * s4 - 3 * s5)
+            + h * h * a1 * (0.5 * s3 - s4 + 0.5 * s5))
+
+
+def _hermite_slope(h, u0, v0, a0, u1, v1, a1, s):
+    """Two-point quintic Hermite slope at fractions s of an interval."""
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    return (u0 * (-30 * s2 + 60 * s3 - 30 * s4)
+            + h * v0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
+            + h * h * a0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
+            + u1 * (30 * s2 - 60 * s3 + 30 * s4)
+            + h * v1 * (-12 * s2 + 28 * s3 - 15 * s4)
+            + h * h * a1 * (1.5 * s2 - 4 * s3 + 2.5 * s4)) / h
 
 
 def hermite_refine(r, u, du, acc):
@@ -67,8 +73,9 @@ def hermite_refine(r, u, du, acc):
         return r.copy(), np.asarray(u, float).copy(), np.asarray(du, float).copy()
     h = np.diff(r)[:, None]
     s = (np.arange(_REFINE) / _REFINE)[None, :]
-    uu, vv = _hermite_quintic(h, u[:-1, None], du[:-1, None], acc[:-1, None],
-                              u[1:, None], du[1:, None], acc[1:, None], s)
+    args = (h, u[:-1, None], du[:-1, None], acc[:-1, None],
+            u[1:, None], du[1:, None], acc[1:, None], s)
+    uu, vv = _hermite_value(*args), _hermite_slope(*args)
     rr = (r[:-1, None] + h * s)
     return (np.append(rr.ravel(), r[-1]),
             np.append(uu.ravel(), u[-1]),
@@ -82,6 +89,12 @@ def hermite_evaluate(r, u, du, acc, query):
     The acc array must be the true second derivative (e.g. from the ODE), so
     this is only for profiles that solve their equation.
     """
+    args = _quintic_intervals(r, u, du, acc, query)
+    return _hermite_value(*args), _hermite_slope(*args)
+
+
+def _quintic_intervals(r, u, du, acc, query):
+    """Per query, the arguments (h, u0, v0, a0, u1, v1, a1, s) of its node interval."""
     r = np.asarray(r, dtype=float)
     u = np.asarray(u, dtype=float)
     du = np.asarray(du, dtype=float)
@@ -91,9 +104,7 @@ def hermite_evaluate(r, u, du, acc, query):
     idx = np.clip(np.searchsorted(r, q, side="right") - 1, 0, r.size - 2)
     h = r[idx + 1] - r[idx]
     s = (q - r[idx]) / h
-    uu, vv = _hermite_quintic(h, u[idx], du[idx], acc[idx],
-                              u[idx + 1], du[idx + 1], acc[idx + 1], s)
-    return uu, vv
+    return h, u[idx], du[idx], acc[idx], u[idx + 1], du[idx + 1], acc[idx + 1], s
 
 
 def hermite_cubic_evaluate(r, u, du, query):

@@ -137,17 +137,33 @@ def resample(profile, query):
     synthetic constant potentials -- fall back to a cubic Hermite on the
     stored (u, u') alone.
     """
+    acc = _equation_acc(profile)
+    if acc is None:
+        return quadrature.hermite_cubic_evaluate(profile.nodes, profile.u, profile.du, query)
+    return quadrature.hermite_evaluate(profile.nodes, profile.u, profile.du, acc, query)
+
+
+def _resample_slope(profile, query):
+    """U' of ``resample`` alone: the same bits, without evaluating U."""
+    acc = _equation_acc(profile)
+    if acc is None:
+        return quadrature.hermite_cubic_evaluate(profile.nodes, profile.u, profile.du, query)[1]
+    return quadrature._hermite_slope(*quadrature._quintic_intervals(
+        profile.nodes, profile.u, profile.du, acc, query))
+
+
+def _equation_acc(profile):
+    """U'' at the nodes from the ODE, or None if the stored slopes do not follow it."""
     nodes, u, du = profile.nodes, profile.u, profile.du
-    if nodes.size >= 3:
-        p = profile.params
-        acc = quadrature.second_derivative(nodes, u, du, p.beta, p.lambda_sq,
-                                           profile_c_coef(profile))
-        slope = np.diff(du) / np.diff(nodes)
-        mid = 0.5 * (acc[:-1] + acc[1:])
-        dev = np.abs(slope - mid) / (np.abs(acc[:-1]) + np.abs(acc[1:]) + 1e-300)
-        if float(np.median(dev)) < 0.05:
-            return quadrature.hermite_evaluate(nodes, u, du, acc, query)
-    return quadrature.hermite_cubic_evaluate(nodes, u, du, query)
+    if nodes.size < 3:
+        return None
+    p = profile.params
+    acc = quadrature.second_derivative(nodes, u, du, p.beta, p.lambda_sq,
+                                       profile_c_coef(profile))
+    slope = np.diff(du) / np.diff(nodes)
+    mid = 0.5 * (acc[:-1] + acc[1:])
+    dev = np.abs(slope - mid) / (np.abs(acc[:-1]) + np.abs(acc[1:]) + 1e-300)
+    return acc if float(np.median(dev)) < 0.05 else None
 
 
 __all__ = [

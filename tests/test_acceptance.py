@@ -17,7 +17,7 @@ SUITES = [(1.0, False)] + [(beta, True) for beta in (0.5, 2.0, 10.0, 100.0)]
 
 # wall-time budgets in seconds; each includes the shared solves the check builds first
 BUDGETS = {"kinetic-identity": 5.0, "pde-residual": 2.0, "sweep-trends": 60.0,
-           "limit-convergence": 30.0, "divergence-free": 1.5}
+           "limit-convergence": 30.0, "divergence-free": 1.0}
 
 
 @functools.cache

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 
 import madelung_maxent as mm
-from madelung_maxent import analysis, quadrature
+from madelung_maxent import analysis, quadrature, verify
 
 
 def test_observables_golden(obs1, golden):
@@ -114,6 +114,8 @@ def _full_grid_divergence_sup(profile, h):
     ("planar-radial", 1.0, 8e-3, 134),
     ("paper-radial", 4.0, 4e-3, 397),     # a full block and a partial one
     ("planar-radial", 100.0, 4e-3, 338),
+    ("paper-radial", 0.01, 2e-3, 168),    # r_m = 0.42: the table's lookup at small r_m
+    ("planar-radial", 0.01, 2e-3, 149),
 ])
 def test_divergence_octant_equals_full_grid(variant, beta, h, n):
     """The octant sup is the full grid's float, whatever the block layout."""
@@ -129,6 +131,50 @@ def test_divergence_sup_rejects_vacuous_check(radial1, h, field):
     """At beta = 1 (r_m = 1.647) h >= 0.44 leaves only the origin, where div reads 0."""
     with pytest.raises(mm.ValidationError, match=f"^{field}: "):
         mm.divergence_sup(radial1, h=h)
+
+
+def test_divergence_sup_refuses_a_grid_past_max_points(radial1):
+    """h = 1e-300 would ask for ~1e600 centers: refused before anything is allocated."""
+    with pytest.raises(mm.ValidationError, match="^h: too fine"):
+        mm.divergence_sup(radial1, h=1e-300)
+
+
+def test_uniform_lookup_is_np_interp_bitwise():
+    """The O(1) bracket of the divergence table returns np.interp's floats."""
+    rng = np.random.default_rng(7)
+    table_r = np.linspace(0.0, 1.3, 1 << 18)
+    table_y = np.cumsum(rng.uniform(0.0, 1e-5, table_r.size))
+    queries = np.concatenate([
+        rng.uniform(0.0, table_r[-1], 200_000), table_r,
+        np.nextafter(table_r[1:], -np.inf), np.nextafter(table_r[:-1], np.inf), [table_r[-1]]])
+    got = analysis._interp_uniform(queries, table_r, table_y)
+    assert np.array_equal(got.view(np.int64), np.interp(queries, table_r, table_y).view(np.int64))
+
+
+def _quick_check(name):
+    case = verify.Case(1.0, True, verify.load_golden())
+    return verify.run_check(next(c for c in verify.CHECKS if c.name == name), case)
+
+
+def test_divergence_sup_reports_a_nan_block(radial1, monkeypatch):
+    """A block holding a NaN omega is not dropped from the sup; divergence-free fails."""
+    du_values = analysis._du_values
+    monkeypatch.setattr(analysis, "_du_values",
+                        lambda profile, r: np.where(r < 0.3, math.nan, du_values(profile, r)))
+    assert math.isnan(mm.divergence_sup(radial1, h=4e-3))
+    assert not _quick_check("divergence-free").passed
+
+
+def test_entropy_check_reports_a_nan_entropy(radial1, monkeypatch):
+    """A NaN density makes the entropy gain NaN, not -inf; maxent-stationarity fails."""
+    resample = analysis.resample
+
+    def poisoned(profile, query):
+        u, du = resample(profile, query)
+        return np.where(query < 0.3, math.nan, u), du
+    monkeypatch.setattr(analysis, "resample", poisoned)
+    assert math.isnan(mm.entropy_stationarity_check(radial1, n_directions=5))
+    assert not _quick_check("maxent-stationarity").passed
 
 
 def test_sweep_closed_form_column():

@@ -6,6 +6,7 @@ import pytest
 
 import madelung_maxent as mm
 from madelung_maxent.integrator import StepControl, StopReason, Trajectory
+from madelung_maxent.solver import _resample_slope
 
 
 def test_radial_golden_r_m(radial1, golden):
@@ -175,3 +176,12 @@ def test_boundary_density_slope_decays(radial1):
     slopes = np.abs(np.diff(rho[-8:]) / np.diff(r[-8:]))
     assert slopes[-1] < slopes[0]
     assert rho[-1] < 1e-16 * rho[0]
+
+
+@pytest.mark.parametrize("which", ["radial1", "axis1", "uniform_disk"])
+def test_resample_slope_matches_resample_bitwise(which, request):
+    """The slope-only path (quintic, or the cubic fallback) gives resample's U' bits."""
+    profile = request.getfixturevalue(which)
+    query = np.linspace(0.0, float(profile.nodes[-1]), 5001)
+    _, du = mm.resample(profile, query)
+    assert np.array_equal(_resample_slope(profile, query).view(np.int64), du.view(np.int64))
