@@ -56,8 +56,6 @@ def _du_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
 
 def _omega_limit_origin(profile: RadialProfile) -> float:
     """Removable limit sqrt(U'/r -> 2a) at the origin, from the stored slope."""
-    if profile.nodes.size < 2:
-        return 0.0
     two_a = profile.du[1] / profile.nodes[1]
     return math.sqrt(two_a / profile.params.mass)
 

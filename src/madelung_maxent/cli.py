@@ -222,14 +222,19 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_limit(args) -> int:
     betas = _parse_beta_list(args.betas)
+    names = {}
+    for beta in betas:
+        name = f"radial_profile_beta_{beta:g}.csv"
+        if name in names:
+            raise ValidationError(f"betas: {names[name]!r} and {beta!r} would both write {name}")
+        names[name] = beta
     params = _params_from(args, betas[0])
     outdir = _outdir(args)
     started = time.monotonic()
     control = _control_from(args)
     report = analysis.limit_convergence(betas, args.u0, params, control=control)
     outputs = []
-    for row, profile in zip(report.rows, report.profiles):
-        name = f"radial_profile_beta_{row.beta:g}.csv"
+    for name, profile in zip(names, report.profiles):
         _write_radial_profile(outdir / name, profile)
         outputs.append(name)
     rr = np.linspace(0.0, report.sinc.r_inf, 2001)

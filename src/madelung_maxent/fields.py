@@ -193,10 +193,13 @@ def maxent_residual(solution, params: PhysicalParams, h: float = 1e-3) -> Residu
 
     ``solution`` is a RadialProfile (uniform resample at step h) or a Grid2D
     (its own spacing).  Both norms exclude a margin (5% of the support
-    radius / half-extent) next to the boundary.
+    radius / half-extent) next to the boundary.  A profile is measured
+    against its own equation, so params must equal ``solution.params``; a
+    grid carries no params and takes them from the caller.
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     if isinstance(solution, RadialProfile):
+        _require(params == solution.params, "params", "must equal the profile's own params")
         return _radial_residual(solution, params, h)
     if isinstance(solution, Grid2D):
         return _grid_residual(solution, params)

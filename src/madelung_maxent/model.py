@@ -181,22 +181,21 @@ def make_params(mass: float, hbar: float, beta: float,
 
 
 def _check_profile_grid(nodes, u, du, u0):
-    _require(nodes.ndim == 1 and nodes.size >= 1, "nodes", "must be a non-empty 1D sequence")
+    _require(nodes.ndim == 1 and nodes.size >= 2, "nodes",
+             "must be a 1D sequence of at least two nodes (one interval to interpolate)")
     _require(u.shape == nodes.shape and du.shape == nodes.shape,
              "u/du", "must match nodes in length")
     _require(nodes[0] == 0.0, "nodes", "must start at the origin")
     _require(bool(np.all(np.diff(nodes) > 0)), "nodes", "must be strictly ascending")
     _require(du[0] == 0.0, "du", "boundary condition du(0) = 0 violated")
     _require(u[0] == u0, "u", "u[0] must equal u0")
-    if nodes.size >= 2:
-        # convexity of the C1 data: the stored slope must not decrease
-        # (second divided differences of u are hopeless on the bisection-
-        # shortened intervals next to the wall, eps*|u|/h^2 noise)
-        tol_du = 1e-10 * (1.0 + float(np.max(np.abs(du))))
-        _require(bool(np.all(np.diff(du) >= -tol_du)), "du",
-                 "must be nondecreasing (convexity of u)")
-        tol_u = 1e-12 * (1.0 + float(np.max(np.abs(u))))
-        _require(bool(np.all(np.diff(u) >= -tol_u)), "u", "must be nondecreasing")
+    # convexity of the C1 data: the stored slope must not decrease (second
+    # divided differences of u are hopeless on the bisection-shortened
+    # intervals next to the wall, eps*|u|/h^2 noise)
+    tol_du = 1e-10 * (1.0 + float(np.max(np.abs(du))))
+    _require(bool(np.all(np.diff(du) >= -tol_du)), "du", "must be nondecreasing (convexity of u)")
+    tol_u = 1e-12 * (1.0 + float(np.max(np.abs(u))))
+    _require(bool(np.all(np.diff(u) >= -tol_u)), "u", "must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -207,6 +206,8 @@ class AxisProfile(Record):
     potential is convex and nondecreasing, and blows up at finite half-width
     i_m; ``half_width`` is the blow-up estimate, at or past the last node, and
     ``z`` the full-line normalization of exp(-beta U_i) over (-i_m, i_m).
+    The stored (u, du) hold a solution of the factor's own equation (c = 0)
+    on at least two nodes: ``solver.resample`` takes U'' at the nodes from it.
     """
 
     params: PhysicalParams
@@ -264,7 +265,9 @@ class RadialProfile(Record):
 
     The profile carries the ``Observables`` of its own quadrature pass, which
     hold z and r_m; rho is derived as exp(-beta u)/z at every node and is
-    nonincreasing in r.
+    nonincreasing in r.  The stored (u, du) hold a solution of the profile's
+    own equation (its params' variant) on at least two nodes:
+    ``solver.resample`` takes U'' at the nodes from it.
     """
 
     params: PhysicalParams

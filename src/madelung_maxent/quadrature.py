@@ -86,8 +86,8 @@ def hermite_evaluate(r, u, du, acc, query):
     """Evaluate the piecewise quintic Hermite (value, slope) at query points.
 
     Queries must lie within [r[0], r[-1]]; exact node hits return node data.
-    The acc array must be the true second derivative (e.g. from the ODE), so
-    this is only for profiles that solve their equation.
+    acc must be the true second derivative at the nodes, which the ODE gives
+    for every profile: a profile holds a solution of its own equation.
     """
     args = _quintic_intervals(r, u, du, acc, query)
     return _hermite_value(*args), _hermite_slope(*args)
@@ -105,36 +105,6 @@ def _quintic_intervals(r, u, du, acc, query):
     h = r[idx + 1] - r[idx]
     s = (q - r[idx]) / h
     return h, u[idx], du[idx], acc[idx], u[idx + 1], du[idx + 1], acc[idx + 1], s
-
-
-def hermite_cubic_evaluate(r, u, du, query):
-    """Cubic Hermite (value, slope) from (u, u') data alone.
-
-    Safe for arbitrary C1 profile data (no equation assumed); one order lower
-    than the quintic used inside the quadrature of solved profiles.
-    """
-    r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
-    q = np.atleast_1d(np.asarray(query, dtype=float))
-    if np.any(q < r[0]) or np.any(q > r[-1]):
-        raise ValueError("query points outside the tabulated range")
-    if r.size == 1:
-        return np.full_like(q, u[0]), np.full_like(q, du[0])
-    idx = np.clip(np.searchsorted(r, q, side="right") - 1, 0, r.size - 2)
-    h = r[idx + 1] - r[idx]
-    s = (q - r[idx]) / h
-    s2 = s * s
-    s3 = s2 * s
-    uu = (u[idx] * (1 - 3 * s2 + 2 * s3)
-          + h * du[idx] * (s - 2 * s2 + s3)
-          + u[idx + 1] * (3 * s2 - 2 * s3)
-          + h * du[idx + 1] * (s3 - s2))
-    vv = (u[idx] * (6 * s2 - 6 * s) / h
-          + du[idx] * (1 - 4 * s + 3 * s2)
-          + u[idx + 1] * (6 * s - 6 * s2) / h
-          + du[idx + 1] * (3 * s2 - 2 * s))
-    return uu, vv
 
 
 class _Rule:
@@ -160,15 +130,13 @@ class _Rule:
         gap = x_end - x[-1]
         if gap <= 0.0 or x.size < 4:
             return
-        lo = np.searchsorted(x, x[-1] - 3.0 * gap)
-        lo = min(lo, x.size - 4)
-        window = np.unique(np.round(np.linspace(lo, x.size - 1, 4)).astype(int))
-        if window.size < 4:
-            window = np.arange(x.size - 4, x.size)
-        self.window = window
+        lo = min(np.searchsorted(x, x[-1] - 3.0 * gap), x.size - 4)
+        # lo <= size - 4 spaces the four indices at least one apart, and their
+        # fractions are thirds (never a rounding tie): rounded, still distinct
+        self.window = np.round(np.linspace(lo, x.size - 1, 4)).astype(int)
         self.gap = gap
         # scaled coordinate keeps the Vandermonde system well conditioned
-        self.vander = np.vander((x[window] - x[-1]) / gap, 4, increasing=True)
+        self.vander = np.vander((x[self.window] - x[-1]) / gap, 4, increasing=True)
 
     def trapezoid(self, f, df) -> float:
         return float(np.sum(self.half_h * (f[:-1] + f[1:]) + self.h2_12 * (df[:-1] - df[1:])))

@@ -131,39 +131,26 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
 def resample(profile, query):
     """Hermite-resampled (U, U') at arbitrary radii within the tabulated range.
 
-    Solver outputs resample with the equation-informed quintic (the stored
-    slopes determine U'' through the ODE, one extra order near the steep
-    wall); profiles whose data is not consistent with the equation -- e.g.
-    synthetic constant potentials -- fall back to a cubic Hermite on the
-    stored (u, u') alone.
+    A profile holds a solution of its own equation, so the stored (U, U') at
+    each node fix U'' there through the ODE, and the piecewise quintic Hermite
+    on (U, U', U'') is the profile's interpolant, one order above a cubic on
+    (U, U') alone, which matters near the steep wall.
     """
-    acc = _equation_acc(profile)
-    if acc is None:
-        return quadrature.hermite_cubic_evaluate(profile.nodes, profile.u, profile.du, query)
-    return quadrature.hermite_evaluate(profile.nodes, profile.u, profile.du, acc, query)
+    return quadrature.hermite_evaluate(profile.nodes, profile.u, profile.du,
+                                       _equation_acc(profile), query)
 
 
 def _resample_slope(profile, query):
     """U' of ``resample`` alone: the same bits, without evaluating U."""
-    acc = _equation_acc(profile)
-    if acc is None:
-        return quadrature.hermite_cubic_evaluate(profile.nodes, profile.u, profile.du, query)[1]
     return quadrature._hermite_slope(*quadrature._quintic_intervals(
-        profile.nodes, profile.u, profile.du, acc, query))
+        profile.nodes, profile.u, profile.du, _equation_acc(profile), query))
 
 
 def _equation_acc(profile):
-    """U'' at the nodes from the ODE, or None if the stored slopes do not follow it."""
-    nodes, u, du = profile.nodes, profile.u, profile.du
-    if nodes.size < 3:
-        return None
+    """U'' at the nodes from the profile's own equation."""
     p = profile.params
-    acc = quadrature.second_derivative(nodes, u, du, p.beta, p.lambda_sq,
-                                       profile_c_coef(profile))
-    slope = np.diff(du) / np.diff(nodes)
-    mid = 0.5 * (acc[:-1] + acc[1:])
-    dev = np.abs(slope - mid) / (np.abs(acc[:-1]) + np.abs(acc[1:]) + 1e-300)
-    return acc if float(np.median(dev)) < 0.05 else None
+    return quadrature.second_derivative(profile.nodes, profile.u, profile.du, p.beta,
+                                        p.lambda_sq, profile_c_coef(profile))
 
 
 __all__ = [

@@ -47,7 +47,7 @@ def make_profile():
 
 @pytest.fixture(scope="session")
 def uniform_disk(make_profile):
-    """Synthetic U == 0 on the unit disk (not a solution; exercises plumbing)."""
+    """U == 0 on the unit disk: solves its equation, but is no self-trapped state."""
     nodes = np.linspace(0.0, 1.0, 101)
     zeros = np.zeros_like(nodes)
     return make_profile(mm.make_params(1.0, 1.0, 1.0), nodes, zeros, zeros, 1.0)

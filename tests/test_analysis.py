@@ -33,11 +33,9 @@ def test_omega_origin_limit(radial1):
     assert mm.angular_velocity(radial1, 0.0) == pytest.approx(math.sqrt(4.0 / 3.0), rel=1e-6)
 
 
-def test_omega_constant_potential_is_zero(params1, make_profile):
-    const = make_profile(params1, np.linspace(0.0, 1.0, 11), np.full(11, 2.0),
-                         np.zeros(11), 1.0)
-    assert mm.angular_velocity(const, 0.0) == 0.0
-    assert mm.angular_velocity(const, 0.7) == 0.0
+def test_omega_constant_potential_is_zero(uniform_disk):
+    assert mm.angular_velocity(uniform_disk, 0.0) == 0.0
+    assert mm.angular_velocity(uniform_disk, 0.7) == 0.0
 
 
 def test_omega_out_of_support(radial1):

@@ -111,6 +111,8 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     (["solve-radial", "--beta", "1", "--residual-h", "1e-300"], "h: too fine"),
     (["solve-cartesian", "--beta", "1", "--grid-h", "1e-300"], "grid_spacing: too fine"),
     (["sweep", "--beta-log-range", "1e-4", "100", "1e300"], "beta-log-range:"),
+    # both betas print as 10, so both profiles would be radial_profile_beta_10.csv
+    (["limit", "--betas", "10.0000001,10.0000002"], "betas:"),
 ])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
     out = tmp_path / "run"

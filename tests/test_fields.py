@@ -185,6 +185,14 @@ def test_radial_residual_rejects_bad_step(radial1, params1, h):
         mm.maxent_residual(radial1, params1, h=h)
 
 
+@pytest.mark.parametrize("other", [mm.make_params(1.0, 1.0, 2.0),
+                                   mm.make_params(1.0, 1.0, 1.0, "planar-radial")])
+def test_radial_residual_refuses_other_params(radial1, other):
+    """A profile is measured against its own equation, not another one."""
+    with pytest.raises(mm.ValidationError, match="^params: "):
+        mm.maxent_residual(radial1, other)
+
+
 def test_residual_type_check(params1):
     with pytest.raises(mm.ValidationError):
         mm.maxent_residual(object(), params1)

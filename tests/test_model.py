@@ -121,6 +121,15 @@ def test_profile_invariants_rejected(params1, radial1):
         replace(obs, z=0.0)
 
 
+def test_one_node_profile_rejected(params1, obs1):
+    """A profile interpolates over node intervals, so it needs at least one."""
+    one = dict(params=params1, nodes=[0.0], u=[1.0], du=[0.0], u0=1.0)
+    with pytest.raises(mm.ValidationError, match="^nodes: "):
+        mm.RadialProfile(**one, observables=obs1)
+    with pytest.raises(mm.ValidationError, match="^nodes: "):
+        mm.AxisProfile(**one, half_width=1.0, z=1.0)
+
+
 def test_rho_definition_enforced(radial1):
     rho = np.exp(-radial1.params.beta * radial1.u) / radial1.observables.z
     assert np.array_equal(radial1.rho, rho)

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import madelung_maxent as mm
 from madelung_maxent.integrator import StepControl, StopReason, Trajectory
-from madelung_maxent.solver import _resample_slope
+from madelung_maxent.solver import _equation_acc, _resample_slope
 
 
 def test_radial_golden_r_m(radial1, golden):
@@ -180,8 +182,40 @@ def test_boundary_density_slope_decays(radial1):
 
 @pytest.mark.parametrize("which", ["radial1", "axis1", "uniform_disk"])
 def test_resample_slope_matches_resample_bitwise(which, request):
-    """The slope-only path (quintic, or the cubic fallback) gives resample's U' bits."""
+    """The slope-only path gives resample's U' bits."""
     profile = request.getfixturevalue(which)
     query = np.linspace(0.0, float(profile.nodes[-1]), 5001)
     _, du = mm.resample(profile, query)
     assert np.array_equal(_resample_slope(profile, query).view(np.int64), du.view(np.int64))
+
+
+def _slopes_follow_equation(profile) -> bool:
+    """The stored slopes' divided differences track the ODE's U'' (median within 5%)."""
+    acc = _equation_acc(profile)
+    slope = np.diff(profile.du) / np.diff(profile.nodes)
+    dev = np.abs(slope - 0.5 * (acc[:-1] + acc[1:])) / (np.abs(acc[:-1]) + np.abs(acc[1:]))
+    return float(np.median(dev)) < 0.05
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(log_g=st.floats(-4.0, 4.0), log_u0=st.floats(-3.0, 3.0),
+       shape=st.sampled_from(["paper", "planar", "cartesian"]))
+def test_every_solve_is_solved_or_refused(log_g, log_u0, shape):
+    """Over g = beta * u0 in [1e-4, 1e4] and u0 in [1e-3, 1e3], in every geometry,
+    a solve holds its kinetic identity and slopes that follow its equation, or
+    refuses the one thing past g ~ 708 that floating point cannot hold: Z."""
+    g, u0 = 10.0 ** log_g, 10.0 ** log_u0
+    variant = "planar-radial" if shape == "planar" else "paper-radial"
+    request = mm.SolveRequest(params=mm.make_params(1.0, 1.0, g / u0, variant), u0=u0,
+                              geometry=(mm.Geometry.CARTESIAN_FACTOR if shape == "cartesian"
+                                        else mm.Geometry.RADIAL))
+    solve = mm.solve_cartesian_factor if shape == "cartesian" else mm.solve_radial
+    try:
+        profile = solve(request)
+    except mm.ValidationError as exc:
+        assert str(exc).startswith("z: normalization underflowed") and g > 700.0, str(exc)
+        return
+    if shape != "cartesian":
+        obs = profile.observables
+        assert abs(obs.k_bar_quad - obs.k_bar) <= 1e-6 * obs.k_bar
+    assert _slopes_follow_equation(profile)
