@@ -14,9 +14,9 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
                        entropy_stationarity_check, invert_beta_for_energy,
                        limit_convergence, observables, sinc_limit,
                        velocity_field)
-from .fields import ResidualNorms, assemble_2d, maxent_residual, rotate_grid
+from .fields import Grid2D, ResidualNorms, assemble_2d, maxent_residual, rotate_grid
 from .integrator import StepControl, StopReason, Trajectory, integrate
-from .model import (AxisProfile, FieldSample, Grid2D, LaplacianVariant,
+from .model import (AxisProfile, FieldSample, LaplacianVariant,
                     LogicError, NoSolutionError, Observables, OutOfSupportError,
                     PhysicalParams, RadialProfile, SincLimit, SolverError,
                     SweepRow, ValidationError, make_params, to_json)
@@ -27,7 +27,7 @@ __all__ = [
     "__version__",
     # model
     "PhysicalParams", "make_params", "LaplacianVariant", "AxisProfile",
-    "RadialProfile", "Observables", "SincLimit", "Grid2D", "SweepRow",
+    "RadialProfile", "Observables", "SincLimit", "SweepRow",
     "FieldSample", "to_json",
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError",
     "NoSolutionError",
@@ -37,7 +37,7 @@ __all__ = [
     "Geometry", "SolveRequest", "solve_radial", "solve_cartesian_factor",
     "estimate_support", "resample", "series_coefficient",
     # fields
-    "assemble_2d", "rotate_grid", "maxent_residual", "ResidualNorms",
+    "Grid2D", "assemble_2d", "rotate_grid", "maxent_residual", "ResidualNorms",
     # analysis
     "observables", "angular_velocity", "velocity_field", "divergence_sup",
     "beta_sweep", "SweepResult", "sinc_limit", "limit_convergence",

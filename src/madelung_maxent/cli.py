@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, analysis, fields, verify
 from .integrator import StepControl
-from .model import (MAX_POINTS, Grid2D, NoSolutionError, SolverError, ValidationError,
-                    make_params, to_json)
+from .model import (MAX_POINTS, NoSolutionError, SolverError, ValidationError, make_params,
+                    to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
 FORMAT_VERSION = "3"
@@ -44,7 +44,7 @@ def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
     _write_lines(path, itertools.chain([",".join(header) + "\n"], map(line.__mod__, rows)))
 
 
-def _write_plane(path: Path, grid: Grid2D, plane: np.ndarray):
+def _write_plane(path: Path, grid: fields.Grid2D, plane: np.ndarray):
     """x,y,value rows, x-major: _write_csv's bytes, with each axis value formatted once.
 
     A whole x-row is one template, "x,y0,%.17g\nx,y1,%.17g\n...", filled by one

@@ -1,75 +1,128 @@
-"""Two-dimensional assembly, rotation, and residual diagnostics.
+"""Two-dimensional separable states, their rotations, and residual diagnostics.
 
 The separable solution U(x, y) = U_x(|x|) + U_y(|y|) lives on the rectangle
 spanned by the factor half-widths; its density is the product of the
-normalized factor densities.  Rotated copies are themselves solutions, which
-is checked by comparing finite-difference residuals of the defining equation
+normalized factor densities.  Rotated copies are themselves solutions: a
+``Grid2D`` evaluates U_x(|x'|) + U_y(|y'|) at the inversely rotated nodes
+(x', y') through each factor's own interpolant (``solver.resample``).  The
+rotation check compares finite-difference residuals of the defining equation
 
     lap U = (beta/2) |grad U|^2 + lambda_sq U
 
-on the original and rotated grids.  Rotation resamples with a C2 bicubic
-spline: a rougher interpolant (e.g. bilinear) leaves an error field that the
-discrete Laplacian amplifies to O(U''), drowning the residual.  On a separable
-grid that spline is a sum (U) or a product (rho) of two 1D cubic splines, as
-tensor-product interpolation is linear and exact on constants (de Boor 1978).
-
-Residual norms are sup-norms over the support with a 5% margin to the
-boundary, where the potential's quartic derivative grows like
-12/(beta (r_m - r)^4) and any fixed-step FD residual is dominated by
-truncation.  The PDE residual is normalized by the sum of the magnitudes of
-the equation's terms ("digits of the equation satisfied"); the
-self-consistency rebuild of U from rho is reported as an absolute deviation.
+on the original and rotated grids.  Residual norms are sup-norms over the
+support with a 5% margin to the boundary, where the potential's quartic
+derivative grows like 12/(beta (r_m - r)^4) and any fixed-step FD residual is
+dominated by truncation.  On a grid the margin is counted in cells: a node
+whose source index is (i', j') lies min(n_x + 1 - |i'|, n_y + 1 - |j'|) cells
+from the first cell past the source rectangle, and the grid border counts the
+same way.  The PDE residual is normalized by the sum of the magnitudes of the
+equation's terms ("digits of the equation satisfied"); the self-consistency
+rebuild of U from rho is reported as an absolute deviation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
-from scipy.ndimage import distance_transform_edt
+# unused here: loaded so that perfbench's `_grid` reference does not import it inside its
+# first timed pass, until perfbench/run.py imports it before that pass (ROADMAP item 1)
+import scipy.ndimage  # noqa: F401
 
-from .model import (MAX_POINTS, AxisProfile, Grid2D, PhysicalParams, RadialProfile,
-                    Record, ValidationError, _require)
+from .model import (MAX_POINTS, AxisProfile, PhysicalParams, RadialProfile, Record,
+                    ValidationError, _require)
 from .solver import resample
 
 DEFAULT_MARGIN = 0.05
-# an assembled plane rebuilds from its factors to within ~1 ulp of its max
-_SEPARABLE_TOL = 8.0 * float(np.finfo(np.float64).eps)
-_NOT_SEPARABLE = "rotation requires a separable source grid"
+_ROTATE_BLOCK_ROWS = 64  # grid rows per block of a rotated evaluation: bounded temporaries
 
 
 def _same_physics(a: PhysicalParams, b: PhysicalParams) -> bool:
     return a.beta == b.beta and a.mass == b.mass and a.hbar == b.hbar
 
 
-def assemble_2d(ux: AxisProfile, uy: AxisProfile, grid_spacing: float) -> Grid2D:
-    """Tensor the two factor profiles onto a centered uniform grid.
+@dataclass(frozen=True)
+class Grid2D(Record):
+    """The separable state of two factor profiles, rotated by theta, on a centred grid.
 
-    U adds, rho multiplies (each factor density normalized on its own axis,
-    so the product is normalized on the rectangle).  The grid covers the
-    resolved region; the unresolved sliver next to the support boundary is
-    ~1e-9 half-widths wide and carries relative density below e^-40.
+    The factors, the spacing h and theta define the grid; the nodes and planes
+    are derived from them.  The nodes are x = h k, k in [-n_x, n_x] with n_x =
+    floor(i_stop / h) for the factor's last node i_stop (likewise y): the
+    unresolved sliver next to the wall is ~1e-9 half-widths wide and carries
+    relative density below e^-40.  U adds and rho multiplies the factor values
+    (each density normalized on its own axis); nodes whose source leaves the
+    rectangle carry rho = 0 and U = +inf.
     """
-    _require(_same_physics(ux.params, uy.params), "params", "factor profiles disagree")
-    _require(grid_spacing > 0, "grid_spacing", "must be positive")
-    cells = math.prod(2 * float(p.nodes[-1]) / grid_spacing + 1 for p in (ux, uy))
-    _require(cells <= MAX_POINTS, "grid_spacing",
+
+    ux: AxisProfile
+    uy: AxisProfile
+    spacing: float
+    theta: float = 0.0
+    x: np.ndarray = field(init=False)
+    y: np.ndarray = field(init=False)
+    u: np.ndarray = field(init=False)
+    rho: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        ux, uy, h = self.ux, self.uy, self.spacing
+        _require(_same_physics(ux.params, uy.params), "params", "factor profiles disagree")
+        nx, ny = _half_counts(ux, uy, h, "spacing")
+        _require(math.isfinite(self.theta), "theta", "must be a finite angle")
+        x, y = h * np.arange(-nx, nx + 1), h * np.arange(-ny, ny + 1)
+        for name, value in zip(("x", "y", "u", "rho"), (x, y, *_planes(ux, uy, x, y, self.theta))):
+            value.setflags(write=False)  # built here, so frozen without a copy
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self):
+        return self.u.shape
+
+
+def _half_counts(ux: AxisProfile, uy: AxisProfile, h: float, name: str):
+    """(n_x, n_y) at spacing h; refuses, naming ``name``, an h not positive, too fine or coarse."""
+    _require(h > 0, name, "must be positive")
+    _require(math.prod(2 * float(p.nodes[-1]) / h + 1 for p in (ux, uy)) <= MAX_POINTS, name,
              f"too fine: the grid would exceed MAX_POINTS = {MAX_POINTS} cells")
-    beta = ux.params.beta
+    counts = [int(math.floor(p.nodes[-1] / h)) for p in (ux, uy)]
+    _require(min(counts) >= 2, name, "too coarse for the factor support")
+    return counts
 
-    def axis_values(profile):
-        n = int(math.floor(profile.nodes[-1] / grid_spacing))
-        _require(n >= 2, "grid_spacing", "too coarse for the factor support")
-        coords = grid_spacing * np.arange(-n, n + 1)
-        u, _ = resample(profile, np.abs(coords))
-        return coords, u, np.exp(-beta * u) / profile.z
 
-    x, ux_vals, rho_x = axis_values(ux)
-    y, uy_vals, rho_y = axis_values(uy)
-    return Grid2D(spacing=grid_spacing, x0=float(x[0]), y0=float(y[0]),
-                  u=np.add.outer(ux_vals, uy_vals), rho=np.multiply.outer(rho_x, rho_y))
+def _factor_values(profile: AxisProfile, s):
+    """(U_i, rho_i) of one factor at |coordinate| values s."""
+    u, _ = resample(profile, s)
+    return u, np.exp(-profile.params.beta * u) / profile.z
+
+
+def _planes(ux: AxisProfile, uy: AxisProfile, x, y, theta: float):
+    """(U, rho) at the nodes x, y; at theta = 0 the outer sum and product of the axis values."""
+    if theta == 0.0:
+        (fx, px), (fy, py) = _factor_values(ux, np.abs(x)), _factor_values(uy, np.abs(y))
+        return np.add.outer(fx, fy), np.multiply.outer(px, py)
+    ct, st = math.cos(theta), math.sin(theta)
+    u, rho = np.full((x.size, y.size), math.inf), np.zeros((x.size, y.size))
+    half = x.size // 2 + 1  # rows up to the centre row
+    for lo in range(0, half, _ROTATE_BLOCK_ROWS):
+        rows = slice(lo, min(lo + _ROTATE_BLOCK_ROWS, half))
+        # source coordinates of each target node (inverse rotation)
+        xs = np.abs(ct * x[rows, None] + st * y)
+        ys = np.abs(-st * x[rows, None] + ct * y)
+        inside = (xs <= x[-1]) & (ys <= y[-1])
+        (fx, px), (fy, py) = _factor_values(ux, xs[inside]), _factor_values(uy, ys[inside])
+        u[rows][inside] = fx + fy
+        rho[rows][inside] = px * py
+    # the nodes are h k, so (x, y) -> (-x, -y) negates both source coordinates
+    # exactly: the rows past the centre mirror the ones before it, bit for bit
+    u[half:] = u[half - 2::-1, ::-1]
+    rho[half:] = rho[half - 2::-1, ::-1]
+    return u, rho
+
+
+def assemble_2d(ux: AxisProfile, uy: AxisProfile, grid_spacing: float) -> Grid2D:
+    """Tensor the two factor profiles onto a centered uniform grid (``Grid2D`` at theta = 0)."""
+    _half_counts(ux, uy, grid_spacing, "grid_spacing")
+    return Grid2D(ux, uy, grid_spacing)
 
 
 def quad_axis_norm(profile: AxisProfile) -> float:
@@ -78,39 +131,16 @@ def quad_axis_norm(profile: AxisProfile) -> float:
 
 
 def rotate_grid(grid: Grid2D, theta: float) -> Grid2D:
-    """Resample a separable grid rotated by theta about the origin.
+    """The grid's state rotated by a further theta about the origin, on the same nodes.
 
-    The bicubic spline of each plane is evaluated through 1D cubic splines of
-    the factors on the centre row and column; a plane they do not rebuild to a
-    few ulps (anything but ``assemble_2d`` output) is refused.  Points whose
-    source lies outside the grid get rho = 0, U = +inf; theta = 0 returns the
-    grid unchanged.
+    The planes are evaluated from the factor profiles at the inversely rotated
+    nodes.  The angles add, so rotations compose; a total angle that is a
+    multiple of 2 pi (0 included) gives the unrotated grid.
     """
     _require(math.isfinite(theta), "theta", "must be a finite angle")
-    if theta == 0.0 or theta % (2.0 * math.pi) == 0.0:
-        return grid
-    u, rho = grid.u, grid.rho
-    _require(bool(np.all(np.isfinite(u))), "u", "rotation requires a sentinel-free source grid")
-    ic, jc = u.shape[0] // 2, u.shape[1] // 2
-    _require(rho[ic, jc] > 0.0 and bool(np.all(np.isfinite(rho))), "rho", _NOT_SEPARABLE)
-    a, b = u[:, jc], u[ic, :] - u[ic, jc]
-    p, q = rho[:, jc], rho[ic, :] / rho[ic, jc]
-    for name, plane, outer, f, g in (("u", u, np.add.outer, a, b),
-                                     ("rho", rho, np.multiply.outer, p, q)):
-        off = np.max(np.abs(plane - outer(f, g)))
-        _require(bool(off <= _SEPARABLE_TOL * np.max(np.abs(plane))), name, _NOT_SEPARABLE)
-    x, y = grid.x, grid.y
-    ct, st = math.cos(theta), math.sin(theta)
-    # source coordinates of each target node (inverse rotation)
-    xs = ct * x[:, None] + st * y[None, :]
-    ys = -st * x[:, None] + ct * y[None, :]
-    inside = (xs >= x[0]) & (xs <= x[-1]) & (ys >= y[0]) & (ys <= y[-1])
-    # a and p share the x knots, b and q the y knots: one two-column spline per axis
-    fx = make_interp_spline(x, np.column_stack([a, p]), k=3)(np.clip(xs, x[0], x[-1]))
-    fy = make_interp_spline(y, np.column_stack([b, q]), k=3)(np.clip(ys, y[0], y[-1]))
-    u_rot = np.where(inside, fx[..., 0] + fy[..., 0], math.inf)
-    rho_rot = np.where(inside, np.clip(fx[..., 1] * fy[..., 1], 0.0, None), 0.0)
-    return Grid2D(spacing=grid.spacing, x0=grid.x0, y0=grid.y0, u=u_rot, rho=rho_rot)
+    total = grid.theta + theta
+    total = 0.0 if total % (2.0 * math.pi) == 0.0 else total
+    return grid if total == grid.theta else replace(grid, theta=total)
 
 
 @dataclass(frozen=True)
@@ -156,15 +186,14 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
     beta, lam_sq = params.beta, params.lambda_sq
     h = grid.spacing
     u = np.where(np.isfinite(grid.u), grid.u, 0.0)
-
-    # margin mask: stay DEFAULT_MARGIN * min-half-extent away from the support edge
-    # (non-finite sentinels and the grid border both count as outside), counted
-    # in cells from the grid's shape alone, so the last bit of h cannot decide
-    # whether a whole ring of cells is kept
-    finite = np.isfinite(grid.u)
-    padded = np.zeros((finite.shape[0] + 2, finite.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = finite
-    dist = distance_transform_edt(padded)[1:-1, 1:-1]
+    # cells to the first cell past the rotated source rectangle or the grid
+    # border, from the shape and angle alone, so the last bit of h cannot
+    # decide whether a whole ring of cells is kept
+    nx, ny = grid.shape[0] // 2, grid.shape[1] // 2
+    i, j = np.arange(-nx, nx + 1.0)[:, None], np.arange(-ny, ny + 1.0)
+    ct, st = math.cos(grid.theta), math.sin(grid.theta)
+    source = np.minimum(nx + 1 - np.abs(ct * i + st * j), ny + 1 - np.abs(ct * j - st * i))
+    dist = np.minimum(source, np.minimum(nx + 1 - np.abs(i), ny + 1 - np.abs(j)))
     margin_cells = DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1)
     mask = dist[1:-1, 1:-1] >= max(margin_cells, 2.0)
 
@@ -193,20 +222,22 @@ def maxent_residual(solution, params: PhysicalParams, h: float = 1e-3) -> Residu
 
     ``solution`` is a RadialProfile (uniform resample at step h) or a Grid2D
     (its own spacing).  Both norms exclude a margin (5% of the support
-    radius / half-extent) next to the boundary.  A profile is measured
-    against its own equation, so params must equal ``solution.params``; a
-    grid carries no params and takes them from the caller.
+    radius / half-extent) next to the boundary.  A solution is measured
+    against its own equation, so params must equal a profile's own params,
+    and match a grid's factors in beta, mass and hbar.
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     if isinstance(solution, RadialProfile):
         _require(params == solution.params, "params", "must equal the profile's own params")
         return _radial_residual(solution, params, h)
     if isinstance(solution, Grid2D):
+        _require(_same_physics(params, solution.ux.params), "params",
+                 "must match the grid's factor params in beta, mass and hbar")
         return _grid_residual(solution, params)
     raise ValidationError("solution: expected a RadialProfile or Grid2D")
 
 
 __all__ = [
-    "assemble_2d", "rotate_grid",
+    "Grid2D", "assemble_2d", "rotate_grid",
     "ResidualNorms", "maxent_residual", "quad_axis_norm", "DEFAULT_MARGIN", "MAX_POINTS",
 ]

@@ -350,40 +350,6 @@ class SincLimit(Record):
 
 
 @dataclass(frozen=True)
-class Grid2D(Record):
-    """Uniform Cartesian grid carrying congruent U and rho planes.
-
-    Points outside the support carry rho = 0 and U = +inf (rotation sentinels).
-    Axis coordinates are origin + index * spacing.
-    """
-
-    spacing: float
-    x0: float
-    y0: float
-    u: np.ndarray
-    rho: np.ndarray
-
-    def __post_init__(self):
-        _require(self.spacing > 0, "spacing", "must be positive")
-        object.__setattr__(self, "u", _readonly(self.u))
-        object.__setattr__(self, "rho", _readonly(self.rho))
-        _require(self.u.ndim == 2, "u", "must be a 2D plane")
-        _require(self.u.shape == self.rho.shape, "rho", "plane must be congruent with u")
-
-    @property
-    def shape(self):
-        return self.u.shape
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.x0 + self.spacing * np.arange(self.u.shape[0])
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.y0 + self.spacing * np.arange(self.u.shape[1])
-
-
-@dataclass(frozen=True)
 class SweepRow(Record):
     """One beta point of a sweep: the observables of its solve, or why it failed."""
 
@@ -432,6 +398,6 @@ def to_json(obj) -> str:
 __all__ = [
     "ValidationError", "SolverError", "LogicError", "OutOfSupportError", "NoSolutionError",
     "LaplacianVariant", "Record", "PhysicalParams", "make_params",
-    "AxisProfile", "RadialProfile", "Observables", "SincLimit", "Grid2D",
+    "AxisProfile", "RadialProfile", "Observables", "SincLimit",
     "SweepRow", "FieldSample", "to_json", "replace",
 ]

@@ -229,7 +229,7 @@ def _rotation_invariance(case):
     base = fields.maxent_residual(grid, case.params)
     rotated = fields.maxent_residual(fields.rotate_grid(grid, math.pi / 6), case.params)
     ratio = rotated.pde / base.pde
-    return ratio <= 10.0, f"rotated/unrotated residual = {ratio:.2f} (<= 10) at h={h:.4g}"
+    return ratio <= 2.0, f"rotated/unrotated residual = {ratio:.2f} (<= 2) at h={h:.4g}"
 
 
 def _maxent_stationarity(case):

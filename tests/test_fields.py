@@ -1,9 +1,7 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import RectBivariateSpline
 
 import madelung_maxent as mm
 from madelung_maxent import fields, quadrature, verify
@@ -12,6 +10,13 @@ from madelung_maxent import fields, quadrature, verify
 @pytest.fixture(scope="module")
 def grid1(axis1):
     return mm.assemble_2d(axis1, axis1, 5e-3)
+
+
+@pytest.fixture(scope="module")
+def other(axis1):
+    """A second factor of the same physics with a narrower support (U0 = 1.5)."""
+    return mm.solve_cartesian_factor(mm.SolveRequest(
+        params=axis1.params, u0=1.5, geometry=mm.Geometry.CARTESIAN_FACTOR))
 
 
 def test_center_value(grid1):
@@ -45,7 +50,7 @@ def test_assembled_grid_passes_separability_check(beta):
     factor = mm.solve_cartesian_factor(
         mm.SolveRequest(params=params, geometry=mm.Geometry.CARTESIAN_FACTOR))
     for h in (5e-3, 0.05):
-        # rotate_grid refuses a grid whose planes its factors do not rebuild
+        # the rotated state evaluates from the factors at every beta and spacing
         assert np.isfinite(mm.rotate_grid(mm.assemble_2d(factor, factor, h), 0.3).u).any()
 
 
@@ -87,62 +92,65 @@ def test_rotation_sentinels(grid1):
     assert np.all(np.isposinf(rot.u[outside]))
 
 
-def _spline_rotation(grid, theta):
-    """The rotation as a bicubic RectBivariateSpline of each whole plane."""
+def _inverse_rotation(grid, theta):
+    """Source coordinates (x', y') of every node and whether they lie in the source rectangle."""
     x, y = grid.x, grid.y
     ct, st = math.cos(theta), math.sin(theta)
     xs = ct * x[:, None] + st * y[None, :]
     ys = -st * x[:, None] + ct * y[None, :]
-    inside = (xs >= x[0]) & (xs <= x[-1]) & (ys >= y[0]) & (ys <= y[-1])
-    xq = np.clip(xs, x[0], x[-1]).ravel()
-    yq = np.clip(ys, y[0], y[-1]).ravel()
-    u = RectBivariateSpline(x, y, grid.u, kx=3, ky=3, s=0).ev(xq, yq).reshape(grid.shape)
-    rho = RectBivariateSpline(x, y, grid.rho, kx=3, ky=3, s=0).ev(xq, yq).reshape(grid.shape)
-    return mm.Grid2D(spacing=grid.spacing, x0=grid.x0, y0=grid.y0,
-                     u=np.where(inside, u, math.inf),
-                     rho=np.where(inside, np.clip(rho, 0.0, None), 0.0))
+    return xs, ys, (np.abs(xs) <= x[-1]) & (np.abs(ys) <= y[-1])
 
 
 @pytest.mark.parametrize("h", [5e-3, 0.05])
 @pytest.mark.parametrize("theta", [0.2, math.pi / 6, 1.4])
-def test_rotation_matches_bicubic_spline(axis1, params1, h, theta):
-    grid = mm.assemble_2d(axis1, axis1, h)
+def test_rotation_matches_factor_resample(axis1, other, h, theta):
+    """Rotated planes are U_x(|x'|) + U_y(|y'|) and rho_x(|x'|) rho_y(|y'|) at the source points."""
+    grid = mm.assemble_2d(axis1, other, h)
     rot = mm.rotate_grid(grid, theta)
-    ref = _spline_rotation(grid, theta)
-    inside = np.isfinite(ref.u)
+    xs, ys, inside = _inverse_rotation(grid, theta)
+    assert 0 < inside.sum() < inside.size
+    ax, _ = mm.resample(axis1, np.abs(xs[inside]))
+    ay, _ = mm.resample(other, np.abs(ys[inside]))
+    beta = axis1.params.beta
+    rho = np.exp(-beta * ax) / axis1.z * (np.exp(-beta * ay) / other.z)
     np.testing.assert_array_equal(np.isfinite(rot.u), inside)
     np.testing.assert_array_equal(rot.rho[~inside], 0.0)
-    np.testing.assert_allclose(rot.u[inside], ref.u[inside], rtol=0,
-                               atol=1e-13 * np.max(grid.u))
-    np.testing.assert_allclose(rot.rho, ref.rho, rtol=0, atol=1e-13 * np.max(grid.rho))
-    pde = mm.maxent_residual(rot, params1).pde
-    assert pde == pytest.approx(mm.maxent_residual(ref, params1).pde, rel=1e-9)
+    np.testing.assert_allclose(rot.u[inside], ax + ay, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(rot.rho[inside], rho, rtol=1e-13, atol=0)
 
 
-@pytest.mark.parametrize("plane", ["u", "rho"])
-@pytest.mark.parametrize("offset", [(7, -11), (0, 5)])  # off and on the centre row
-def test_rotation_refuses_non_separable_grid(grid1, plane, offset):
-    ic, jc = grid1.shape[0] // 2, grid1.shape[1] // 2
-    values = getattr(grid1, plane).copy()
-    values[ic + offset[0], jc + offset[1]] += 1e-6
-    bumped = dataclasses.replace(grid1, **{plane: values})
-    with pytest.raises(mm.ValidationError, match=f"^{plane}: .*separable"):
-        mm.rotate_grid(bumped, math.pi / 6)
+def test_assembled_planes_are_factor_values_at_the_coordinates(axis1, other):
+    """x and y name the exact points the planes were evaluated at."""
+    grid = mm.assemble_2d(axis1, other, 5e-3)
+    ax = np.array([mm.resample(axis1, abs(v))[0][0] for v in grid.x])
+    ay = np.array([mm.resample(other, abs(v))[0][0] for v in grid.y])
+    assert grid.u.tobytes() == (ax[:, None] + ay[None, :]).tobytes()
 
 
-@pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
-def test_rotation_refuses_density_it_cannot_factor(grid1, value):
-    # an infinite plane would also set its own tolerance to inf; a zero centre
-    # cannot normalise the row factor
-    rho = grid1.rho.copy()
-    rho[grid1.shape[0] // 2, grid1.shape[1] // 2 + (3 if value else 0)] = value
-    with pytest.raises(mm.ValidationError, match="^rho: .*separable"):
-        mm.rotate_grid(dataclasses.replace(grid1, rho=rho), math.pi / 6)
+def test_rotation_composes(grid1):
+    """Angles add; a whole turn in total gives back the unrotated grid."""
+    for a, b in [(0.3, 0.9), (math.pi, math.pi), (-0.4, 0.4)]:
+        twice = mm.rotate_grid(mm.rotate_grid(grid1, a), b)
+        once = mm.rotate_grid(grid1, a + b)
+        assert twice.theta == once.theta
+        assert twice.u.tobytes() == once.u.tobytes()
+        assert twice.rho.tobytes() == once.rho.tobytes()
+    assert once.theta == 0.0 and once.u.tobytes() == grid1.u.tobytes()
 
 
-def test_rotation_refuses_rotated_grid(grid1):
-    with pytest.raises(mm.ValidationError, match="^u: .*sentinel-free"):
-        mm.rotate_grid(mm.rotate_grid(grid1, math.pi / 6), 0.1)
+def test_spacing_refusals_name_the_key(axis1):
+    """Grid2D names its field, assemble_2d its own argument."""
+    for h, why in [(-1.0, "must be positive"), (1e-300, "too fine"), (10.0, "too coarse")]:
+        with pytest.raises(mm.ValidationError, match=f"^spacing: {why}"):
+            mm.Grid2D(axis1, axis1, h)
+        with pytest.raises(mm.ValidationError, match=f"^grid_spacing: {why}"):
+            mm.assemble_2d(axis1, axis1, h)
+
+
+def test_grid_residual_refuses_other_params(grid1):
+    """A grid is measured against its factors' equation, not another one."""
+    with pytest.raises(mm.ValidationError, match="^params: "):
+        mm.maxent_residual(grid1, mm.make_params(1.0, 1.0, 2.0))
 
 
 @pytest.mark.parametrize("beta", sorted({*np.geomspace(0.5, 100.0, 12).round(2), 10.0, 20.0}))
@@ -198,15 +206,16 @@ def test_residual_type_check(params1):
         mm.maxent_residual(object(), params1)
 
 
-def test_grid_residual_margin_ignores_last_bits_of_spacing(axis1, params1):
+def test_grid_residual_margin_ignores_last_bits_of_spacing(axis1, params1, monkeypatch):
     # the quick rotation-invariance grid: 201 points a side, so the margin is
-    # exactly 5 cells and a spacing-based count would round either side of 5
-    grid = mm.assemble_2d(axis1, axis1, axis1.nodes[-1] / 100.5)
-    spacing = grid.spacing
-    norms = []
+    # exactly 5 cells and a spacing-based count would round either side of 5;
+    # each spacing re-evaluates the planes at its own nodes, so each is compared
+    # with itself under a margin half a cell lower, which surely keeps the ring
+    spacing = axis1.nodes[-1] / 100.5
     for _ in range(8):
-        norms.append(mm.maxent_residual(dataclasses.replace(grid, spacing=spacing), params1))
+        grid = mm.assemble_2d(axis1, axis1, spacing)
+        norms = mm.maxent_residual(grid, params1)
+        with monkeypatch.context() as m:
+            m.setattr(fields, "DEFAULT_MARGIN", 4.5 / 100)
+            assert mm.maxent_residual(grid, params1) == norms
         spacing = float(np.nextafter(spacing, math.inf))
-    for n in norms[1:]:
-        assert n.pde == pytest.approx(norms[0].pde, rel=1e-9)
-        assert n.rebuild == pytest.approx(norms[0].rebuild, rel=1e-9)

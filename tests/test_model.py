@@ -153,11 +153,6 @@ def test_axis_profile_rejects_extrapolated_key(axis1):
         mm.AxisProfile.from_dict(d)
 
 
-def test_grid2d_congruence(params1):
-    with pytest.raises(mm.ValidationError, match="rho"):
-        mm.Grid2D(spacing=0.1, x0=0.0, y0=0.0, u=np.zeros((3, 3)), rho=np.zeros((3, 4)))
-
-
 def test_sweeprow_identity_enforced(obs1):
     with pytest.raises(mm.ValidationError, match="k_bar_quad"):
         mm.SweepRow(beta=1.0, u0=1.0, observables=replace(obs1, k_bar_quad=1.001 * obs1.k_bar))
