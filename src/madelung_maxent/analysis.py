@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .integrator import StepControl
 from .model import (MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
@@ -297,13 +296,15 @@ def limit_convergence(betas: Sequence[float], u0: float,
 
     The interior potential flattens to its center value U(0) = U0 as beta
     grows, so the limiting state is the sinc profile at that energy.
-    Distances are sup-norms over 2001 uniform radii covering both supports.
-    The sinc profile is the limit of the paper's 2/r equation only; the
-    planar 1/r equation tends to a Bessel J0 state, so it is refused.
+    Distances are sup-norms over 2001 uniform radii covering both supports,
+    for at least two ascending betas >= 10.  The sinc profile is the limit of
+    the paper's 2/r equation only; the planar 1/r equation tends to a Bessel
+    J0 state, so it is refused.
     """
     _require(params_template.laplacian_variant is LaplacianVariant.PAPER_RADIAL,
              "laplacian_variant", "the sinc limit holds for 'paper-radial' only")
     betas = [float(b) for b in betas]
+    _require(len(betas) >= 2, "betas", "need at least two to compare distances")
     _require(all(b >= 10.0 for b in betas), "betas", "limit comparison needs beta >= 10")
     _require(all(b2 > b1 for b1, b2 in zip(betas, betas[1:])), "betas", "must be ascending")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
@@ -360,6 +361,8 @@ def invert_beta_for_energy(target_energy: float, u0: float, params_template: Phy
         raise SolverError(
             f"E(beta) - {target_energy} keeps one sign on the bracket beta in "
             f"[{1.0 / x_min_beta:.9g}, {beta_cap:.9g}]")
+    # only the inversion needs scipy.optimize; importing it here keeps it off the import path
+    from scipy.optimize import brentq
     return 1.0 / brentq(excess_at, x_cap, x_min_beta, xtol=1e-300,
                         rtol=0.125 * _INVERT_REL_TOL)
 

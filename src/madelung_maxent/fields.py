@@ -42,7 +42,7 @@ def _same_physics(a: PhysicalParams, b: PhysicalParams) -> bool:
     return a.beta == b.beta and a.mass == b.mass and a.hbar == b.hbar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid2D(Record):
     """The separable state of two factor profiles, rotated by theta, on a centred grid.
 

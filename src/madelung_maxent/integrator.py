@@ -52,9 +52,12 @@ class StepControl:
                  "max_steps", "must be a positive integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted integration nodes, states (u, u'), and the reason the run stopped."""
+    """Accepted integration nodes, states (u, u'), and the reason the run stopped.
+
+    Compared and hashed by identity: ``==`` on its arrays has no truth value.
+    """
 
     nodes: np.ndarray
     states: np.ndarray

@@ -112,14 +112,16 @@ def _load(hint, value, name: str):
     return value  # lists become read-only arrays in the constructor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Record:
     """Base of every serialized type: one rule for to_dict and from_dict.
 
     ``to_dict`` maps every field, derived ones included.  ``from_dict`` passes
     the constructor fields back to the constructor, which recomputes the
     derived ones and judges the values; a missing or unknown key and a bad
-    enum value raise ValidationError naming the key.
+    enum value raise ValidationError naming the key.  Records holding arrays
+    are declared ``eq=False`` and compare and hash by identity, since ``==``
+    on an array field has no truth value; the others compare by value.
     """
 
     def to_dict(self) -> dict:
@@ -198,7 +200,7 @@ def _check_profile_grid(nodes, u, du, u0):
     _require(bool(np.all(np.diff(u) >= -tol_u)), "u", "must be nondecreasing")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisProfile(Record):
     """One separable Cartesian factor U_i on the half-axis [0, i_stop].
 
@@ -259,7 +261,7 @@ class Observables(Record):
                  "violates entropy = beta*u_bar + ln(z)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProfile(Record):
     """Rotationally symmetric quantum potential and density on [0, r_m).
 

@@ -116,6 +116,8 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     (["sweep", "--beta-log-range", "1e-4", "100", "1e300"], "beta-log-range:"),
     # both betas print as 10, so both profiles would be radial_profile_beta_10.csv
     (["limit", "--betas", "10.0000001,10.0000002"], "betas:"),
+    # one beta has nothing to be decreasing against
+    (["limit", "--betas", "10"], "betas:"),
 ])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
     out = tmp_path / "run"
@@ -209,13 +211,24 @@ def test_solve_cartesian_rotation_smoke(tmp_path):
     assert manifest["rotation"]["residual_ratio"] <= 2.0
 
 
-def test_cli_import_leaves_scipy_interpolate_out():
-    """The 2D fields evaluate their factor profiles; no spline package is loaded."""
-    code = "import sys, madelung_maxent.cli; print('scipy.interpolate' in sys.modules)"
+def test_cli_import_defers_scipy_optimize_to_inversion():
+    """Importing the CLI loads no scipy it does not use; the inversion imports brentq itself."""
+    code = (
+        "import sys, madelung_maxent.cli\n"
+        "from madelung_maxent import invert_beta_for_energy, make_params, observables, "
+        "solve_radial, SolveRequest\n"
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg', "
+        "'scipy.sparse') if m in sys.modules))\n"
+        "beta = invert_beta_for_energy(1.3, 1.0, make_params(1, 1, 1))\n"
+        "energy = observables(solve_radial(SolveRequest(params=make_params(1, 1, beta)))).energy\n"
+        "print(abs(energy - 1.3) / 1.3)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(mm.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    loaded, rel = done.stdout.splitlines()
+    assert loaded == "[]"
+    assert float(rel) <= 1e-6
 
 
 def test_sweep_list(tmp_path):

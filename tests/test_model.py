@@ -79,6 +79,37 @@ def test_record_roundtrip_covers_every_record(request):
     assert made == set(Record.__subclasses__())
 
 
+def _axis(params):
+    return mm.solve_cartesian_factor(
+        mm.SolveRequest(params=params, geometry=mm.Geometry.CARTESIAN_FACTOR))
+
+
+# each call solves afresh, so two calls give equal arrays in separate records
+ARRAY_RECORDS = {
+    "radial": lambda p: mm.solve_radial(mm.SolveRequest(params=p)),
+    "axis": _axis,
+    "grid": lambda p: mm.assemble_2d(_axis(p), _axis(p), 0.1),
+    "trajectory": lambda p: mm.integrate(p.beta, p.lambda_sq, 2.0, (1.0, 0.0), (1e-4, 1.0), 1e-3),
+}
+
+
+@pytest.mark.parametrize("solve", ARRAY_RECORDS.values(), ids=ARRAY_RECORDS.keys())
+def test_array_records_compare_and_hash_by_identity(params1, solve):
+    """== on array fields would be ambiguous, so records holding arrays compare by identity."""
+    a, b = solve(params1), solve(params1)
+    assert a == a
+    assert a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
+def test_scalar_records_compare_by_value(params1):
+    a, b = (mm.solve_radial(mm.SolveRequest(params=params1)) for _ in range(2))
+    assert a.params == b.params == mm.make_params(1.0, 1.0, 1.0)
+    assert a.observables == b.observables
+    assert hash(a.observables) == hash(b.observables)
+
+
 @pytest.mark.parametrize("key, edit", [
     ("beta", lambda d: d.pop("beta")),
     ("spin", lambda d: d.update(spin=1.0)),
