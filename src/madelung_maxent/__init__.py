@@ -15,13 +15,13 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
                        limit_convergence, observables, sinc_limit,
                        velocity_field)
 from .fields import Grid2D, ResidualNorms, assemble_2d, maxent_residual, rotate_grid
-from .integrator import StepControl, StopReason, Trajectory, integrate
-from .model import (AxisProfile, FieldSample, LaplacianVariant,
-                    LogicError, NoSolutionError, Observables, OutOfSupportError,
-                    PhysicalParams, RadialProfile, SincLimit, SolverError,
-                    SweepRow, ValidationError, make_params, to_json)
-from .solver import (Geometry, SolveRequest, estimate_support, resample,
-                     series_coefficient, solve_cartesian_factor, solve_radial)
+from .integrator import StepControl, StopReason, integrate
+from .model import (AxisProfile, FieldSample, LaplacianVariant, NoSolutionError,
+                    Observables, OutOfSupportError, PhysicalParams, RadialProfile,
+                    SincLimit, SolverError, SweepRow, ValidationError, make_params,
+                    to_json)
+from .solver import (Geometry, SolveRequest, resample, series_coefficient,
+                     solve_cartesian_factor, solve_radial)
 
 __all__ = [
     "__version__",
@@ -29,13 +29,13 @@ __all__ = [
     "PhysicalParams", "make_params", "LaplacianVariant", "AxisProfile",
     "RadialProfile", "Observables", "SincLimit", "SweepRow",
     "FieldSample", "to_json",
-    "ValidationError", "SolverError", "LogicError", "OutOfSupportError",
+    "ValidationError", "SolverError", "OutOfSupportError",
     "NoSolutionError",
     # integrator
-    "StepControl", "StopReason", "Trajectory", "integrate",
+    "StepControl", "StopReason", "integrate",
     # solver
     "Geometry", "SolveRequest", "solve_radial", "solve_cartesian_factor",
-    "estimate_support", "resample", "series_coefficient",
+    "resample", "series_coefficient",
     # fields
     "Grid2D", "assemble_2d", "rotate_grid", "maxent_residual", "ResidualNorms",
     # analysis

@@ -153,7 +153,7 @@ class ResidualNorms(Record):
 
 
 def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -> ResidualNorms:
-    c = params.laplacian_variant.first_derivative_coefficient
+    c = profile.c_coef
     beta, lam_sq = params.beta, params.lambda_sq
     r_hi = min((1.0 - DEFAULT_MARGIN) * profile.r_m, profile.nodes[-1] - h)
     _require(r_hi > 2 * h, "h", "grid step too coarse for the support")

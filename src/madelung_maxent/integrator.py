@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .kernels import StopReason
-from .model import _readonly, _require
+from .model import _require
 
 
 @dataclass(frozen=True)
@@ -52,34 +52,16 @@ class StepControl:
                  "max_steps", "must be a positive integer")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Accepted integration nodes, states (u, u'), and the reason the run stopped.
-
-    Compared and hashed by identity: ``==`` on its arrays has no truth value.
-    """
-
-    nodes: np.ndarray
-    states: np.ndarray
-    stop_reason: StopReason
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", _readonly(self.nodes))
-        object.__setattr__(self, "states", _readonly(self.states))
-        _require(self.states.shape[0] == self.nodes.shape[0],
-                 "states", "must have one row per node")
-        _require(bool(np.all(np.diff(self.nodes) > 0)), "nodes", "must be strictly ascending")
-
-
 def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
               t_span: tuple[float, float], h0: float,
-              control: StepControl = StepControl()) -> Trajectory:
+              control: StepControl = StepControl()):
     """Integrate the potential equation from y0 = (u, u') over ``t_span``.
 
-    Records every accepted step, starting with trial step ``h0``.  Stops early
-    with BLOWUP_DETECTED when u would cross ``control.blowup_threshold`` (the
-    trajectory then ends at or below the threshold), or with STEP_UNDERFLOW
-    if the step dies first; the caller decides whether underflow is fatal.
+    Returns the kernel's (nodes, u, du, stop_reason): every accepted step,
+    starting with trial step ``h0``.  Stops early with BLOWUP_DETECTED when u
+    would cross ``control.blowup_threshold`` (the run then ends at or below
+    the threshold), or with STEP_UNDERFLOW if the step dies first; the caller
+    decides whether underflow is fatal.
     """
     y0 = np.asarray(y0, dtype=float)
     _require(y0.shape == (2,), "y0", "must be the pair (u, u')")
@@ -88,10 +70,9 @@ def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
              "must be a nonempty forward interval starting past the origin, t0 > 0")
     _require(math.isfinite(h0) and h0 > 0.0, "h0", "must be a positive finite step")
 
-    ts, us, vs, stop = kernels.madelung_loop(
+    return kernels.madelung_loop(
         t0, t1, float(y0[0]), float(y0[1]), beta, lam_sq, c_coef,
         control.rel_tol, control.abs_tol, h0, control.blowup_threshold, control.max_steps)
-    return Trajectory(nodes=ts, states=np.column_stack([us, vs]), stop_reason=stop)
 
 
-__all__ = ["StopReason", "StepControl", "Trajectory", "integrate"]
+__all__ = ["StopReason", "StepControl", "integrate"]

@@ -27,15 +27,11 @@ class ValidationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """Integration did not end in blow-up; carries the partial trajectory."""
+    """Integration did not end in blow-up; carries the run's (nodes, u, du, stop_reason)."""
 
     def __init__(self, message, trajectory=None):
         super().__init__(message)
         self.trajectory = trajectory
-
-
-class LogicError(RuntimeError):
-    """An operation was applied to an object in the wrong state."""
 
 
 class OutOfSupportError(ValueError):
@@ -182,7 +178,11 @@ def make_params(mass: float, hbar: float, beta: float,
     return PhysicalParams(beta=beta, mass=mass, hbar=hbar, laplacian_variant=variant)
 
 
-def _check_profile_grid(nodes, u, du, u0):
+def _freeze_profile(profile, support_name: str):
+    """Freeze a profile's nodes/u/du and check its grid and its support."""
+    for name in ("nodes", "u", "du"):
+        object.__setattr__(profile, name, _readonly(getattr(profile, name)))
+    nodes, u, du, u0 = profile.nodes, profile.u, profile.du, profile.u0
     _require(nodes.ndim == 1 and nodes.size >= 2, "nodes",
              "must be a 1D sequence of at least two nodes (one interval to interpolate)")
     _require(u.shape == nodes.shape and du.shape == nodes.shape,
@@ -198,6 +198,9 @@ def _check_profile_grid(nodes, u, du, u0):
     _require(bool(np.all(np.diff(du) >= -tol_du)), "du", "must be nondecreasing (convexity of u)")
     tol_u = 1e-12 * (1.0 + float(np.max(np.abs(u))))
     _require(bool(np.all(np.diff(u) >= -tol_u)), "u", "must be nondecreasing")
+    support = getattr(profile, support_name)
+    _require(math.isfinite(support) and support >= nodes[-1],
+             support_name, "must be finite and not precede the last node")
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,12 +223,10 @@ class AxisProfile(Record):
     half_width: float
     z: float
 
+    c_coef = 0.0  # the factor's equation has no first-derivative term; not a field
+
     def __post_init__(self):
-        for name in ("nodes", "u", "du"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        _check_profile_grid(self.nodes, self.u, self.du, self.u0)
-        _require(math.isfinite(self.half_width) and self.half_width >= self.nodes[-1],
-                 "half_width", "must be finite and not precede the last node")
+        _freeze_profile(self, "half_width")
         _require(self.z > 0, "z", "must be positive")
 
 
@@ -281,12 +282,8 @@ class RadialProfile(Record):
     rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        for name in ("nodes", "u", "du"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-        _check_profile_grid(self.nodes, self.u, self.du, self.u0)
+        _freeze_profile(self, "r_m")
         _require(bool(np.all(self.du >= 0)), "du", "must be nonnegative")
-        _require(math.isfinite(self.r_m) and self.r_m >= self.nodes[-1],
-                 "r_m", "must be finite and not precede the last node")
         # U rises from u0, so its Boltzmann average cannot fall below it
         _require(self.observables.u_bar >= self.u0, "u_bar", "must not be below u0")
         rho = _readonly(np.exp(-self.params.beta * self.u) / self.z)
@@ -300,6 +297,10 @@ class RadialProfile(Record):
     @property
     def z(self) -> float:
         return self.observables.z
+
+    @property
+    def c_coef(self) -> float:
+        return self.params.laplacian_variant.first_derivative_coefficient
 
 
 @dataclass(frozen=True)
@@ -398,7 +399,7 @@ def to_json(obj) -> str:
 
 
 __all__ = [
-    "ValidationError", "SolverError", "LogicError", "OutOfSupportError", "NoSolutionError",
+    "ValidationError", "SolverError", "OutOfSupportError", "NoSolutionError",
     "LaplacianVariant", "Record", "PhysicalParams", "make_params",
     "AxisProfile", "RadialProfile", "Observables", "SincLimit",
     "SweepRow", "FieldSample", "to_json", "replace",

@@ -99,8 +99,8 @@ def _quintic_intervals(r, u, du, acc, query):
     u = np.asarray(u, dtype=float)
     du = np.asarray(du, dtype=float)
     q = np.atleast_1d(np.asarray(query, dtype=float))
-    if np.any(q < r[0]) or np.any(q > r[-1]):
-        raise ValueError("query points outside the tabulated range")
+    if not np.all((q >= r[0]) & (q <= r[-1])):  # NaN fails both comparisons
+        raise ValidationError("query: points outside the tabulated range or NaN")
     idx = np.clip(np.searchsorted(r, q, side="right") - 1, 0, r.size - 2)
     h = r[idx + 1] - r[idx]
     s = (q - r[idx]) / h

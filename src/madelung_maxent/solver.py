@@ -6,12 +6,13 @@ Both geometries integrate the same family
 
 with c = 0 for a separable Cartesian factor and c = 2 (default) or 1 for the
 rotationally symmetric form.  Both start the same way: a Taylor step
-U0 + a r^2 to r = 1e-4 ell (ell = hbar / sqrt(m U0)), then the adaptive
-integrator; the returned nodes begin at the origin.  Every positive U0 gives
-a convex, nondecreasing potential that blows up at a finite radius; the
-integration stops when beta * (U - U0) reaches 40 (relative density e^-40,
-below double rounding) and the support radius is recovered from the dominant
-balance U ~ -(2/beta) ln(r_m - r), i.e.  r_m = r_stop + 2 / (beta U'(r_stop)).
+U0 + a r^2 to r = min(1e-4 ell, 0.025 / lambda) (ell = hbar / sqrt(m U0)),
+then the adaptive integrator; the returned nodes begin at the origin.  Every
+positive U0 gives a convex, nondecreasing potential that blows up at a finite
+radius; the integration stops when beta * (U - U0) reaches 40 (relative
+density e^-40, below double rounding) and the support radius is recovered from
+the dominant balance U ~ -(2/beta) ln(r_m - r), i.e.
+r_m = r_stop + 2 / (beta U'(r_stop)).
 
 Each solve normalizes its density in the same step, and every consumer reads
 that Z from the returned profile.  For a radial solve one pass of
@@ -29,9 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quadrature
-from .integrator import StepControl, StopReason, Trajectory, integrate
-from .model import (AxisProfile, LogicError, PhysicalParams, RadialProfile,
-                    SolverError, _require)
+from .integrator import StepControl, StopReason, integrate
+from .model import AxisProfile, PhysicalParams, RadialProfile, SolverError, _require
 
 BLOWUP_LOG_MARGIN = 40.0  # stop once beta*(U - U0) exceeds this
 
@@ -60,19 +60,14 @@ def series_coefficient(params: PhysicalParams, u0: float, c_coef: float) -> floa
     return params.lambda_sq * u0 / (2.0 * (1.0 + c_coef))
 
 
-def profile_c_coef(profile) -> float:
-    """First-derivative coefficient matching a profile's geometry."""
-    if isinstance(profile, AxisProfile):
-        return 0.0
-    return profile.params.laplacian_variant.first_derivative_coefficient
-
-
 def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
                      c_coef: float):
     """Taylor step to t_switch, then DP45 to the blow-up stop: (nodes from 0, U, U', r_m)."""
     ell = params.hbar / math.sqrt(params.mass * u0)  # natural length scale
-    t_switch = 1e-4 * ell
-    t_end = 200.0 * (ell + 1.0 / math.sqrt(params.lambda_sq))
+    lam = math.sqrt(params.lambda_sq)  # the equation's other length is 1/lam
+    # lam * t_switch <= 0.025 keeps the start's neglected r^4 term ~1e-9 relative
+    t_switch = min(1e-4 * ell, 0.025 / lam)
+    t_end = 200.0 * (ell + 1.0 / lam)
 
     threshold = control.blowup_threshold
     if threshold == math.inf:
@@ -84,26 +79,16 @@ def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
 
     a = series_coefficient(params, u0, c_coef)
     y_start = (u0 + a * t_switch * t_switch, 2.0 * a * t_switch)
-    trajectory = integrate(params.beta, params.lambda_sq, c_coef, y_start,
-                           (t_switch, t_end), t_switch, control)
-    if trajectory.stop_reason is not StopReason.BLOWUP_DETECTED:
+    nodes, u, du, stop = integrate(params.beta, params.lambda_sq, c_coef, y_start,
+                                   (t_switch, t_end), t_switch, control)
+    if stop is not StopReason.BLOWUP_DETECTED:
         raise SolverError(
-            f"potential integration ended with '{trajectory.stop_reason.value}' "
-            f"instead of blow-up (beta={params.beta}, u0={u0})", trajectory=trajectory)
-    r_m = estimate_support(trajectory, params)
-    nodes = np.concatenate([[0.0], trajectory.nodes])
-    u = np.concatenate([[u0], trajectory.states[:, 0]])
-    du = np.concatenate([[0.0], trajectory.states[:, 1]])
-    return nodes, u, du, r_m
-
-
-def estimate_support(trajectory: Trajectory, params: PhysicalParams) -> float:
-    """Support radius from the blow-up dominant balance at the stop node."""
-    if trajectory.stop_reason is not StopReason.BLOWUP_DETECTED:
-        raise LogicError("support estimation requires a blow-up-terminated trajectory")
-    r_stop = float(trajectory.nodes[-1])
-    du_stop = float(trajectory.states[-1, 1])
-    return r_stop + 2.0 / (params.beta * du_stop)
+            f"potential integration ended with '{stop.value}' "
+            f"instead of blow-up (beta={params.beta}, u0={u0})", trajectory=(nodes, u, du, stop))
+    # dominant balance at the wall, U ~ -(2/beta) ln(r_m - r)
+    r_m = float(nodes[-1]) + 2.0 / (params.beta * float(du[-1]))
+    return (np.concatenate([[0.0], nodes]), np.concatenate([[u0], u]),
+            np.concatenate([[0.0], du]), r_m)
 
 
 def solve_radial(request: SolveRequest) -> RadialProfile:
@@ -150,11 +135,10 @@ def _equation_acc(profile):
     """U'' at the nodes from the profile's own equation."""
     p = profile.params
     return quadrature.second_derivative(profile.nodes, profile.u, profile.du, p.beta,
-                                        p.lambda_sq, profile_c_coef(profile))
+                                        p.lambda_sq, profile.c_coef)
 
 
 __all__ = [
     "BLOWUP_LOG_MARGIN", "Geometry", "SolveRequest", "series_coefficient",
-    "estimate_support", "solve_radial",
-    "solve_cartesian_factor", "resample", "profile_c_coef",
+    "solve_radial", "solve_cartesian_factor", "resample",
 ]

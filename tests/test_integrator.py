@@ -16,57 +16,57 @@ RICCATI = dict(beta=2.0, lam_sq=0.0, c_coef=0.0, y0=(math.log(2.0), 2.0), t_span
 
 
 def test_sine_endpoint():
-    traj = integrate(**SINE)
-    assert traj.stop_reason is StopReason.REACHED_END
-    assert abs(traj.nodes[-1] - math.pi) < 1e-12
-    assert abs(traj.states[-1, 0]) < 1e-8
+    nodes, u, _, stop = integrate(**SINE)
+    assert stop is StopReason.REACHED_END
+    assert abs(nodes[-1] - math.pi) < 1e-12
+    assert abs(u[-1]) < 1e-8
 
 
 def test_tolerance_halving_monotone_error():
     errors = []
     for k in range(6):
         rtol = 1e-6 * 0.5**k
-        traj = integrate(**SINE, control=StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
-        errors.append(abs(traj.states[-1, 0]))
+        _, u, _, _ = integrate(**SINE, control=StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
+        errors.append(abs(u[-1]))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:])), errors
 
 
 def test_blowup_riccati():
     # u = -ln(1 - t) crosses -ln(1e-6) at t = 1 - 1e-6
     threshold = -math.log(1e-6)
-    traj = integrate(**RICCATI, control=StepControl(blowup_threshold=threshold))
-    assert traj.stop_reason is StopReason.BLOWUP_DETECTED
-    assert abs(traj.nodes[-1] - (1.0 - 1e-6)) < 1e-4
-    assert np.all(traj.states[:, 0] <= threshold)
+    nodes, u, _, stop = integrate(**RICCATI, control=StepControl(blowup_threshold=threshold))
+    assert stop is StopReason.BLOWUP_DETECTED
+    assert abs(nodes[-1] - (1.0 - 1e-6)) < 1e-4
+    assert np.all(u <= threshold)
 
 
 def test_blowup_never_overshoots(params1):
     threshold = 1.0 + 40.0
     a = 4.0 / 6.0
-    traj = integrate(1.0, 4.0, 2.0, (1.0 + a * 1e-8, 2 * a * 1e-4), (1e-4, 50.0), 1e-4,
-                     StepControl(blowup_threshold=threshold))
-    assert traj.stop_reason is StopReason.BLOWUP_DETECTED
-    assert math.isfinite(traj.nodes[-1])
-    assert np.all(traj.states[:, 0] <= threshold)
+    nodes, u, _, stop = integrate(1.0, 4.0, 2.0, (1.0 + a * 1e-8, 2 * a * 1e-4), (1e-4, 50.0),
+                                  1e-4, StepControl(blowup_threshold=threshold))
+    assert stop is StopReason.BLOWUP_DETECTED
+    assert math.isfinite(nodes[-1])
+    assert np.all(u <= threshold)
 
 
 def test_determinism_bitwise():
     t1 = integrate(**SINE)
     t2 = integrate(**SINE)
-    assert np.array_equal(t1.nodes, t2.nodes)
-    assert np.array_equal(t1.states, t2.states)
+    for a, b in zip(t1[:3], t2[:3]):
+        assert np.array_equal(a, b)
 
 
 def test_step_underflow_reported():
     # infinite-slope wall with no threshold: the step dies, caller decides
-    traj = integrate(**RICCATI, control=StepControl())
-    assert traj.stop_reason in (StopReason.STEP_UNDERFLOW, StopReason.BLOWUP_DETECTED)
-    assert traj.nodes[-1] < 1.0 + 1e-9
+    nodes, _, _, stop = integrate(**RICCATI, control=StepControl())
+    assert stop in (StopReason.STEP_UNDERFLOW, StopReason.BLOWUP_DETECTED)
+    assert nodes[-1] < 1.0 + 1e-9
 
 
 def test_max_steps_stop():
-    traj = integrate(**SINE, control=StepControl(max_steps=10))
-    assert traj.stop_reason is StopReason.MAX_STEPS
+    *_, stop = integrate(**SINE, control=StepControl(max_steps=10))
+    assert stop is StopReason.MAX_STEPS
 
 
 def test_validation():

@@ -89,7 +89,6 @@ ARRAY_RECORDS = {
     "radial": lambda p: mm.solve_radial(mm.SolveRequest(params=p)),
     "axis": _axis,
     "grid": lambda p: mm.assemble_2d(_axis(p), _axis(p), 0.1),
-    "trajectory": lambda p: mm.integrate(p.beta, p.lambda_sq, 2.0, (1.0, 0.0), (1e-4, 1.0), 1e-3),
 }
 
 

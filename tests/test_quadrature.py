@@ -48,6 +48,13 @@ def test_hermite_evaluate_range_checked():
         q.hermite_evaluate(x, z, z, z, np.array([1.5]))
 
 
+@pytest.mark.parametrize("query", [np.nan, [0.5, np.nan]])
+def test_resample_refuses_nan_query(radial1, query):
+    """NaN fails both range comparisons, so it must be refused, not interpolated."""
+    with pytest.raises(mm.ValidationError, match="^query: "):
+        mm.resample(radial1, query)
+
+
 def test_refine_plus_trapezoid_beats_raw_rule():
     x = np.linspace(0.0, np.pi, 25)
     f, df, ddf = np.sin(x), np.cos(x), -np.sin(x)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 import madelung_maxent as mm
-from madelung_maxent.integrator import StepControl, StopReason, Trajectory
+from madelung_maxent.integrator import StepControl, StopReason
 from madelung_maxent.solver import _equation_acc, _resample_slope
 
 
@@ -38,6 +39,42 @@ def test_cartesian_half_width_grows_with_beta(axis1, golden):
         params=mm.make_params(1, 1, 2), geometry=mm.Geometry.CARTESIAN_FACTOR))
     assert ax2.half_width == pytest.approx(golden["cartesian"]["2.0"]["i_m"], rel=1e-8)
     assert ax2.half_width > axis1.half_width
+
+
+def _amplitude_support(beta, c):
+    """Independent support radius: the first root of the amplitude R = exp(-beta (U - U0)/2).
+
+    With s = lambda r and U0 = m = hbar = 1, R'' + (c/s) R' = -(beta/2) R + R ln R, which
+    is regular at the wall; DOP853 carries d = R - 1 so that ln R = log1p(d) keeps
+    its digits while R is near 1, from a two-term Taylor start at s = 1e-3.
+    """
+    eps = beta / 2.0
+
+    def rhs(s, y):
+        d, dp = y
+        ln_r = math.log1p(d) if d > -1.0 else math.log(abs(1.0 + d))
+        return [dp, (1.0 + d) * (ln_r - eps) - c / s * dp]
+
+    def root(s, y):
+        return 1.0 + y[0]
+    root.terminal = True
+    a2 = -eps / (2.0 * (1.0 + c))
+    a4 = (1.0 - eps) * a2 / (12.0 + 4.0 * c)
+    s0 = 1e-3
+    sol = solve_ivp(rhs, (s0, 1e3), [a2 * s0**2 + a4 * s0**4, 2 * a2 * s0 + 4 * a4 * s0**3],
+                    method="DOP853", rtol=1e-12, atol=1e-300, events=root)
+    return sol.t_events[0][0] * math.sqrt(beta) / 2.0  # r = s / lambda, lambda = 2/sqrt(beta)
+
+
+@pytest.mark.parametrize("beta", [1e-6, 1e-8, 1e-12])
+def test_small_g_support_matches_amplitude_reference(beta):
+    """The Taylor start stays where lambda * t is small, so small g solves do not drift."""
+    params = mm.make_params(1, 1, beta)
+    radial = mm.solve_radial(mm.SolveRequest(params=params))
+    axis = mm.solve_cartesian_factor(mm.SolveRequest(params=params,
+                                                     geometry=mm.Geometry.CARTESIAN_FACTOR))
+    assert radial.r_m == pytest.approx(_amplitude_support(beta, 2.0), rel=1e-8)
+    assert axis.half_width == pytest.approx(_amplitude_support(beta, 0.0), rel=1e-6)
 
 
 def test_both_geometries_share_the_taylor_start(axis1, radial1, params1):
@@ -77,25 +114,6 @@ def test_geometry_enforced(params1):
     with pytest.raises(mm.ValidationError, match="geometry"):
         mm.solve_radial(mm.SolveRequest(params=params1,
                                         geometry=mm.Geometry.CARTESIAN_FACTOR))
-
-
-def test_estimate_support_synthetic():
-    # exact dominant-balance trajectory U = -(2/beta) ln(1 - r), stopped at 0.99
-    beta = 1.0
-    r = np.linspace(0.9, 0.99, 10)
-    u = -(2.0 / beta) * np.log(1.0 - r)
-    du = (2.0 / beta) / (1.0 - r)
-    traj = Trajectory(nodes=r, states=np.column_stack([u, du]),
-                      stop_reason=StopReason.BLOWUP_DETECTED)
-    r_m = mm.estimate_support(traj, mm.make_params(1, 1, beta))
-    assert r_m == pytest.approx(1.0, abs=1e-3)
-
-
-def test_estimate_support_requires_blowup():
-    traj = Trajectory(nodes=np.array([0.0, 1.0]), states=np.zeros((2, 2)),
-                      stop_reason=StopReason.REACHED_END)
-    with pytest.raises(mm.LogicError):
-        mm.estimate_support(traj, mm.make_params(1, 1, 1))
 
 
 def test_support_tolerance_independence(params1, radial1):
@@ -149,8 +167,9 @@ def test_solver_error_carries_trajectory(params1):
     with pytest.raises(mm.SolverError) as excinfo:
         mm.solve_radial(mm.SolveRequest(params=params1,
                                         control=StepControl(max_steps=50)))
-    assert excinfo.value.trajectory is not None
-    assert excinfo.value.trajectory.nodes.size > 1
+    nodes, _, _, stop = excinfo.value.trajectory
+    assert stop is StopReason.MAX_STEPS
+    assert nodes.size > 1
 
 
 def test_convexity_property_uniform_grid(radial1):
