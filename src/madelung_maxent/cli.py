@@ -7,7 +7,7 @@ observables and residuals.  Exit codes: 0 success, 1 computational failure,
 2 usage error.
 
 The default output directory is MADELUNG_MAXENT_OUTDIR (falling back to the
-current directory).
+current directory); a path that is a file, or lies under one, is a usage error.
 """
 
 from __future__ import annotations
@@ -66,7 +66,11 @@ def _write_radial_profile(path: Path, profile):
 def _outdir(args) -> Path:
     out = args.out or os.environ.get("MADELUNG_MAXENT_OUTDIR") or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):  # a file at the path or above it
+        raise ValidationError(f"out: {out!r} is a file or lies under one, "
+                              "not an output directory") from None
     return path
 
 

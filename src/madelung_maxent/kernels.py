@@ -6,8 +6,10 @@ self-trapping quantum-potential ODE family
 with c = 0 (Cartesian factor), 1 (planar-radial) or 2 (paper-radial), and a
 monitored blow-up stop on u.  Every run starts past the origin (t0 > 0), so
 each stage evaluates the (c/t) u' term the same way for every c; at c = 0 it
-is an exact zero.  This scalar loop dominates the runtime of every solve,
-sweep, and inversion.
+is an exact zero.  There is no span end: a run ends at the wall
+(``BLOWUP_DETECTED``), when the step dies (``STEP_UNDERFLOW``), or after
+``max_steps`` attempts (``MAX_STEPS``).  This scalar loop dominates the
+runtime of every solve, sweep, and inversion.
 
 The tableau is first-same-as-last (FSAL): stage 7 is the slope at the
 accepted point, so it becomes the next step's stage 1, and a rejected step
@@ -28,26 +30,26 @@ import numpy as np
 SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 5.0
-_EPS = float(np.finfo(np.float64).eps)
 
 NUMBA_ENABLED = False  # no numba loop exists; perfbench/run.py still records this flag
 
 
 class StopReason(enum.Enum):
-    REACHED_END = "reached-end"
     BLOWUP_DETECTED = "blowup-detected"
     STEP_UNDERFLOW = "step-underflow"
     MAX_STEPS = "max-steps"
 
 
-def madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
+def madelung_loop(t0, u0, v0, beta, lam_sq, c_coef,
                   rtol, atol, h0, threshold, max_steps):
-    """Integrate the Madelung potential system from (t0, u0, v0) toward t1.
+    """Integrate the Madelung potential system from (t0, u0, v0) toward its wall.
 
     Records every accepted step.  A proposed step whose u-component would
     exceed ``threshold`` is rejected and the step is bisected; once the step
     underflows while bisecting, the run stops at the last accepted node with
-    ``BLOWUP_DETECTED``, so no recorded u ever exceeds the threshold.
+    ``BLOWUP_DETECTED``, so no recorded u ever exceeds the threshold.  With
+    ``threshold = inf`` nothing is monitored; the run ends where the step dies
+    at the wall.
 
     Returns (ts, us, vs, stop) with ``stop`` a ``StopReason``.
     """
@@ -71,10 +73,7 @@ def madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
     u = u0
     v = v0
     hb = 0.5 * beta
-    end_slack = 4.0 * _EPS * abs(t1)
     h = h0
-    if h > t1 - t0:
-        h = t1 - t0
     stop = StopReason.MAX_STEPS
     just_rejected = False
     au = abs(u)
@@ -85,12 +84,6 @@ def madelung_loop(t0, t1, u0, v0, beta, lam_sq, c_coef,
     attempts = 0
     while attempts < max_steps:
         attempts += 1
-        rest = t1 - t
-        if rest <= end_slack:
-            stop = StopReason.REACHED_END
-            break
-        if h > rest:
-            h = rest
 
         # --- one DP45 attempt (state is the scalar pair (u, v)) ---
         tu = u + h * (a21 * k1u)

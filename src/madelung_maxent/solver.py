@@ -9,9 +9,11 @@ rotationally symmetric form.  Both start the same way: a Taylor step
 U0 + a r^2 to r = min(1e-4 ell, 0.025 / lambda) (ell = hbar / sqrt(m U0)),
 then the adaptive integrator; the returned nodes begin at the origin.  Every
 positive U0 gives a convex, nondecreasing potential that blows up at a finite
-radius; the integration stops when beta * (U - U0) reaches 40 (relative
-density e^-40, below double rounding) and the support radius is recovered from
-the dominant balance U ~ -(2/beta) ln(r_m - r), i.e.
+radius, below its beta -> oo limit (k r_m < pi, j_{0,1} or pi/2 for c = 2, 1
+or 0, k = sqrt(2 m U0)/hbar).  So every solve ends at that wall: the
+integration stops when beta * (U - U0) reaches ``BLOWUP_LOG_MARGIN`` = 40
+(relative density e^-40, below double rounding) and the support radius is
+recovered from the dominant balance U ~ -(2/beta) ln(r_m - r), i.e.
 r_m = r_stop + 2 / (beta U'(r_stop)).
 
 Each solve normalizes its density in the same step, and every consumer reads
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +69,12 @@ def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
     lam = math.sqrt(params.lambda_sq)  # the equation's other length is 1/lam
     # lam * t_switch <= 0.025 keeps the start's neglected r^4 term ~1e-9 relative
     t_switch = min(1e-4 * ell, 0.025 / lam)
-    t_end = 200.0 * (ell + 1.0 / lam)
-
-    threshold = control.blowup_threshold
-    if threshold == math.inf:
-        threshold = u0 + BLOWUP_LOG_MARGIN / params.beta
-    else:
-        _require(threshold > u0, "blowup_threshold",
-                 f"must exceed u0 = {u0!r}, where the potential starts")
-    control = replace(control, blowup_threshold=threshold)
+    threshold = u0 + BLOWUP_LOG_MARGIN / params.beta
 
     a = series_coefficient(params, u0, c_coef)
     y_start = (u0 + a * t_switch * t_switch, 2.0 * a * t_switch)
     nodes, u, du, stop = integrate(params.beta, params.lambda_sq, c_coef, y_start,
-                                   (t_switch, t_end), t_switch, control)
+                                   t_switch, t_switch, threshold, control)
     if stop is not StopReason.BLOWUP_DETECTED:
         raise SolverError(
             f"potential integration ended with '{stop.value}' "

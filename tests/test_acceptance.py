@@ -8,6 +8,7 @@ Run with -v -s to see every check's detail line.
 
 import functools
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -36,3 +37,16 @@ def test_check(beta, quick, check):
           f"({result.seconds:.3f}s): {result.detail}")
     assert result.passed, result.detail
     assert result.seconds < BUDGETS.get(check.name, math.inf)
+
+
+def test_support_stability_fails_on_a_moved_support():
+    """A support 1e-5 (relative) off the profile's own wall fails both halves of the check."""
+    check = next(c for c in verify.CHECKS if c.name == "support-stability")
+    case = verify.Case(1.0, False, verify.load_golden())
+    p = case.profile
+    # the cached solve lives in the instance dict; swap in the moved one
+    case.__dict__["profile"] = replace(p, observables=replace(p.observables,
+                                                              r_m=p.r_m * (1.0 + 1e-5)))
+    result = verify.run_check(check, case)
+    assert not result.passed
+    assert "margin/2 -> 1.00e-05" in result.detail and "tolerance /2 -> 1.00e-05" in result.detail

@@ -118,12 +118,29 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     (["limit", "--betas", "10.0000001,10.0000002"], "betas:"),
     # one beta has nothing to be decreasing against
     (["limit", "--betas", "10"], "betas:"),
+    # the output directory is an existing file, or lies under one
+    (["solve-radial", "--beta", "1", "--out", "{file}"], "out:"),
+    (["sweep", "--beta-list", "1,2", "--out", "{file}/run"], "out:"),
 ])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
-    out = tmp_path / "run"
-    assert run_cli(*argv, "--out", str(out)) == 2
+    out, file = tmp_path / "run", tmp_path / "file"
+    file.write_text("")
+    argv = [arg.format(file=file) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(out)]
+    assert run_cli(*argv) == 2
     assert field in capsys.readouterr().err
     assert sorted(p.name for p in out.glob("*")) == []  # the directory may not exist
+    assert {p.name for p in tmp_path.iterdir()} <= {"run", "file"} and file.read_text() == ""
+
+
+def test_outdir_env_naming_a_file_exit_2(tmp_path, capsys, monkeypatch):
+    file = tmp_path / "file"
+    file.write_text("")
+    monkeypatch.setenv("MADELUNG_MAXENT_OUTDIR", str(file))
+    assert run_cli("limit") == 2
+    assert "out:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 @pytest.mark.parametrize("hbar", ["1e160", "1e-200"])

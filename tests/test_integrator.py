@@ -6,78 +6,80 @@ import pytest
 import madelung_maxent as mm
 from madelung_maxent.integrator import StepControl, StopReason, integrate
 
-# u'' = -u (beta = 0, lam_sq = -1, c = 0) from its exact state at t0 = 0.5: u = sin t
-SINE = dict(beta=0.0, lam_sq=-1.0, c_coef=0.0, y0=(math.sin(0.5), math.cos(0.5)),
-            t_span=(0.5, math.pi), h0=math.pi * 1e-4)
 # u'' = u'^2 (beta = 2, lam_sq = 0, c = 0) from (ln 2, 2) at t0 = 0.5: u = -ln(1 - t),
-# wall at t = 1
-RICCATI = dict(beta=2.0, lam_sq=0.0, c_coef=0.0, y0=(math.log(2.0), 2.0), t_span=(0.5, 2.0),
-               h0=2e-4)
+# wall at t = 1; u crosses -ln(1e-6) at t = 1 - 1e-6
+RICCATI = dict(beta=2.0, lam_sq=0.0, c_coef=0.0, y0=(math.log(2.0), 2.0), t0=0.5, h0=2e-4,
+               threshold=-math.log(1e-6))
 
 
-def test_sine_endpoint():
-    nodes, u, _, stop = integrate(**SINE)
-    assert stop is StopReason.REACHED_END
-    assert abs(nodes[-1] - math.pi) < 1e-12
-    assert abs(u[-1]) < 1e-8
+def _interior_error(nodes, u):
+    """max |u + ln(1 - t)| over the nodes with t <= 0.9, away from the wall."""
+    inner = nodes <= 0.9
+    return float(np.max(np.abs(u[inner] + np.log1p(-nodes[inner]))))
+
+
+def test_riccati_endpoint():
+    nodes, u, _, stop = integrate(**RICCATI)
+    assert stop is StopReason.BLOWUP_DETECTED
+    assert abs(nodes[-1] - (1.0 - 1e-6)) < 1e-10  # the crossing, to bisection accuracy
+    assert 0.0 <= RICCATI["threshold"] - u[-1] < 1e-9
+    assert _interior_error(nodes, u) < 1e-9
 
 
 def test_tolerance_halving_monotone_error():
     errors = []
     for k in range(6):
         rtol = 1e-6 * 0.5**k
-        _, u, _, _ = integrate(**SINE, control=StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
-        errors.append(abs(u[-1]))
+        nodes, u, _, _ = integrate(**RICCATI,
+                                   control=StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
+        errors.append(_interior_error(nodes, u))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:])), errors
 
 
 def test_blowup_riccati():
-    # u = -ln(1 - t) crosses -ln(1e-6) at t = 1 - 1e-6
-    threshold = -math.log(1e-6)
-    nodes, u, _, stop = integrate(**RICCATI, control=StepControl(blowup_threshold=threshold))
+    nodes, u, _, stop = integrate(**RICCATI)
     assert stop is StopReason.BLOWUP_DETECTED
     assert abs(nodes[-1] - (1.0 - 1e-6)) < 1e-4
-    assert np.all(u <= threshold)
+    assert np.all(u <= RICCATI["threshold"])
 
 
 def test_blowup_never_overshoots(params1):
     threshold = 1.0 + 40.0
     a = 4.0 / 6.0
-    nodes, u, _, stop = integrate(1.0, 4.0, 2.0, (1.0 + a * 1e-8, 2 * a * 1e-4), (1e-4, 50.0),
-                                  1e-4, StepControl(blowup_threshold=threshold))
+    nodes, u, _, stop = integrate(1.0, 4.0, 2.0, (1.0 + a * 1e-8, 2 * a * 1e-4), 1e-4, 1e-4,
+                                  threshold)
     assert stop is StopReason.BLOWUP_DETECTED
     assert math.isfinite(nodes[-1])
     assert np.all(u <= threshold)
 
 
 def test_determinism_bitwise():
-    t1 = integrate(**SINE)
-    t2 = integrate(**SINE)
+    t1 = integrate(**RICCATI)
+    t2 = integrate(**RICCATI)
     for a, b in zip(t1[:3], t2[:3]):
         assert np.array_equal(a, b)
 
 
 def test_step_underflow_reported():
     # infinite-slope wall with no threshold: the step dies, caller decides
-    nodes, _, _, stop = integrate(**RICCATI, control=StepControl())
+    nodes, _, _, stop = integrate(**dict(RICCATI, threshold=math.inf))
     assert stop in (StopReason.STEP_UNDERFLOW, StopReason.BLOWUP_DETECTED)
     assert nodes[-1] < 1.0 + 1e-9
 
 
 def test_max_steps_stop():
-    *_, stop = integrate(**SINE, control=StepControl(max_steps=10))
+    *_, stop = integrate(**RICCATI, control=StepControl(max_steps=10))
     assert stop is StopReason.MAX_STEPS
 
 
 def test_validation():
     with pytest.raises(mm.ValidationError, match="y0"):
-        integrate(**dict(SINE, y0=(0.0,)))
-    with pytest.raises(mm.ValidationError, match="t_span"):
-        integrate(**dict(SINE, t_span=(1.0, 1.0)))
-    with pytest.raises(mm.ValidationError, match="t_span"):
-        integrate(**dict(SINE, t_span=(0.0, math.pi)))  # every run starts past the origin
+        integrate(**dict(RICCATI, y0=(0.0,)))
+    for t0 in (0.0, -0.5, math.inf, math.nan):  # every run starts past the origin
+        with pytest.raises(mm.ValidationError, match="t0"):
+            integrate(**dict(RICCATI, t0=t0))
     with pytest.raises(mm.ValidationError, match="h0"):
-        integrate(**dict(SINE, h0=0.0))
+        integrate(**dict(RICCATI, h0=0.0))
     with pytest.raises(mm.ValidationError, match="rel_tol"):
         StepControl(rel_tol=0.0)
 
@@ -87,7 +89,7 @@ def test_validation():
     (dict(rel_tol=math.nan), "rel_tol"),
     (dict(abs_tol=math.inf), "abs_tol"),
     (dict(abs_tol=math.nan), "abs_tol"),
-    (dict(blowup_threshold=math.nan), "blowup_threshold"),
+    (dict(abs_tol=-math.inf), "abs_tol"),
     (dict(max_steps=math.inf), "max_steps"),
     (dict(max_steps=10.5), "max_steps"),
     (dict(max_steps=0), "max_steps"),

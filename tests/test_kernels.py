@@ -7,7 +7,7 @@ import pytest
 from madelung_maxent import kernels
 from madelung_maxent.kernels import StopReason
 
-ARGS = dict(t0=1e-4, t1=50.0, u0=1.0 + (2.0 / 3.0) * 1e-8, v0=(4.0 / 3.0) * 1e-4,
+ARGS = dict(t0=1e-4, u0=1.0 + (2.0 / 3.0) * 1e-8, v0=(4.0 / 3.0) * 1e-4,
             beta=1.0, lam_sq=4.0, c_coef=2.0, rtol=1e-10, atol=1e-12,
             h0=1e-4, threshold=41.0, max_steps=2_000_000)
 
@@ -30,9 +30,9 @@ def _solver_args(c_coef, beta, **override):
     lam_sq = 4.0 / beta
     t0 = 1e-4
     a = lam_sq / (2.0 * (1.0 + c_coef))
-    args = dict(t0=t0, t1=200.0 * (1.0 + 1.0 / math.sqrt(lam_sq)), u0=1.0 + a * t0 * t0,
-                v0=2.0 * a * t0, beta=beta, lam_sq=lam_sq, c_coef=float(c_coef), rtol=1e-10,
-                atol=1e-12, h0=t0, threshold=1.0 + 40.0 / beta, max_steps=2_000_000)
+    args = dict(t0=t0, u0=1.0 + a * t0 * t0, v0=2.0 * a * t0, beta=beta, lam_sq=lam_sq,
+                c_coef=float(c_coef), rtol=1e-10, atol=1e-12, h0=t0,
+                threshold=1.0 + 40.0 / beta, max_steps=2_000_000)
     args.update(override)
     return args
 
@@ -64,8 +64,6 @@ def test_kernel_bits_pinned_per_geometry(c_coef, beta):
 
 
 STOP_PINS = {
-    "reached-end": (dict(t1=0.5), StopReason.REACHED_END,
-                    "b708febff64bd575c2fcab4aa9799c160fdf1e7654761f3a26a40cab30747678"),
     # every attempt fails the error test until t + h == t
     "underflow-tolerance": (dict(rtol=1e-100, atol=1e-100), StopReason.STEP_UNDERFLOW,
                             "a90a253f1fad923562a145c0596d035f45482bb235d8e50c54df53cab11fdd77"),
