@@ -20,7 +20,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrator import StepControl
 from .model import (MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
                     Observables, OutOfSupportError, PhysicalParams, RadialProfile, Record,
                     SincLimit, SolverError, SweepRow, ValidationError, _require)
@@ -204,8 +203,8 @@ class SweepResult(Record):
     u_bar_nonincreasing: bool
 
 
-def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParams,
-               control: StepControl = StepControl()) -> SweepResult:
+def beta_sweep(betas: Sequence[float], u0: float,
+               params_template: PhysicalParams) -> SweepResult:
     """Solve and measure one state per beta; a failed solve becomes a row holding its error."""
     betas = [float(b) for b in betas]
     _require(len(betas) >= 1 and all(b > 0 for b in betas), "betas", "must be positive")
@@ -215,7 +214,7 @@ def beta_sweep(betas: Sequence[float], u0: float, params_template: PhysicalParam
     for b in betas:
         params = replace(params_template, beta=b)
         try:
-            profile = solve_radial(SolveRequest(params=params, u0=u0, control=control))
+            profile = solve_radial(SolveRequest(params=params, u0=u0))
             rows.append(SweepRow(beta=b, u0=u0, observables=observables(profile)))
         except (SolverError, ValidationError, FloatingPointError) as exc:
             rows.append(SweepRow(beta=b, u0=u0, error=str(exc)))
@@ -290,8 +289,7 @@ class LimitReport:
 
 
 def limit_convergence(betas: Sequence[float], u0: float,
-                      params_template: PhysicalParams,
-                      control: StepControl = StepControl()) -> LimitReport:
+                      params_template: PhysicalParams) -> LimitReport:
     """Compare large-beta densities against the sinc state with energy U0.
 
     The interior potential flattens to its center value U(0) = U0 as beta
@@ -312,7 +310,7 @@ def limit_convergence(betas: Sequence[float], u0: float,
     profiles = []
     for b in betas:
         params = replace(params_template, beta=b)
-        profiles.append(solve_radial(SolveRequest(params=params, u0=u0, control=control)))
+        profiles.append(solve_radial(SolveRequest(params=params, u0=u0)))
     r_max = max([sinc.r_inf] + [p.r_m for p in profiles])
     radii = np.linspace(0.0, r_max, _LIMIT_SAMPLES)
     rho_inf = sinc.rho(radii)
@@ -325,8 +323,8 @@ def limit_convergence(betas: Sequence[float], u0: float,
                        profiles=tuple(profiles))
 
 
-def invert_beta_for_energy(target_energy: float, u0: float, params_template: PhysicalParams,
-                           control: StepControl = StepControl()) -> float:
+def invert_beta_for_energy(target_energy: float, u0: float,
+                           params_template: PhysicalParams) -> float:
     """Find beta with average energy u_bar(beta) + m/beta = target_energy.
 
     The map is monotone decreasing, bounded below by the infinite-beta
@@ -344,8 +342,7 @@ def invert_beta_for_energy(target_energy: float, u0: float, params_template: Phy
         """E(1/x) - target; each x is solved once."""
         if x not in energies:
             params = replace(params_template, beta=1.0 / x)
-            energies[x] = observables(solve_radial(
-                SolveRequest(params=params, u0=u0, control=control))).energy
+            energies[x] = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
         return energies[x] - target_energy
 
     # z = e^{-beta u0} O(1) underflows for beta u0 beyond ~700; targets closer

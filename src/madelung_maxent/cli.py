@@ -4,10 +4,12 @@ Subcommands: solve-radial, solve-cartesian, sweep, limit, verify.  Every run
 writes deterministic CSV artifacts (17 significant digits, atomic
 write-then-rename) plus a manifest.json describing parameters, outputs,
 observables and residuals.  Exit codes: 0 success, 1 computational failure,
-2 usage error.
+2 usage error.  Every solve runs at the solver's fixed tolerances, relative
+1e-10 and absolute 1e-12.
 
 The default output directory is MADELUNG_MAXENT_OUTDIR (falling back to the
 current directory); a path that is a file, or lies under one, is a usage error.
+The directory is made by the first write, so a run that fails leaves none.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis, fields, verify
-from .integrator import StepControl
 from .model import (MAX_POINTS, NoSolutionError, SolverError, ValidationError, make_params,
                     to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
@@ -32,6 +33,7 @@ FORMAT_VERSION = "3"
 
 
 def _write_lines(path: Path, lines):
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w") as f:
         f.writelines(lines)
@@ -64,23 +66,19 @@ def _write_radial_profile(path: Path, profile):
 
 
 def _outdir(args) -> Path:
+    """The output directory, checked but not made: ``_write_lines`` makes it."""
     out = args.out or os.environ.get("MADELUNG_MAXENT_OUTDIR") or "."
     path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):  # a file at the path or above it
+    nearest = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not nearest.is_dir():  # a file at the path or above it
         raise ValidationError(f"out: {out!r} is a file or lies under one, "
-                              "not an output directory") from None
+                              "not an output directory")
     return path
 
 
 def _params_from(args, beta):
     return make_params(args.mass, args.hbar, beta,
                        "paper-radial" if args.variant == "paper" else "planar-radial")
-
-
-def _control_from(args) -> StepControl:
-    return StepControl(rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_steps=args.max_steps)
 
 
 def _manifest(args, command: str, outdir: Path, outputs: list[str], started: float,
@@ -112,21 +110,18 @@ def _add_common(parser: argparse.ArgumentParser, beta_flag: bool = True):
     parser.add_argument("--variant", choices=("paper", "planar"), default="paper",
                         help="radial first-derivative coefficient: paper=2/r, planar=1/r")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--rel-tol", type=float, default=1e-10)
-    parser.add_argument("--abs-tol", type=float, default=1e-12)
-    parser.add_argument("--max-steps", type=int, default=2_000_000)
 
 
 def _cmd_solve_radial(args) -> int:
     params = _params_from(args, 1.0 if args.beta is None else args.beta)
     outdir = _outdir(args)
     started = time.monotonic()
-    control, inversion = _control_from(args), {}
+    inversion = {}
     if args.energy is not None:
-        beta = analysis.invert_beta_for_energy(args.energy, args.u0, params, control=control)
+        beta = analysis.invert_beta_for_energy(args.energy, args.u0, params)
         params = _params_from(args, beta)
         inversion = {"target_energy": args.energy, "beta": beta}
-    profile = solve_radial(SolveRequest(params=params, u0=args.u0, control=control))
+    profile = solve_radial(SolveRequest(params=params, u0=args.u0))
     obs = analysis.observables(profile)
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
     outputs = []
@@ -149,9 +144,8 @@ def _cmd_solve_cartesian(args) -> int:
     params = _params_from(args, args.beta)
     outdir = _outdir(args)
     started = time.monotonic()
-    control = _control_from(args)
     factor = solve_cartesian_factor(SolveRequest(
-        params=params, u0=args.u0, control=control, geometry=Geometry.CARTESIAN_FACTOR))
+        params=params, u0=args.u0, geometry=Geometry.CARTESIAN_FACTOR))
     grid = fields.assemble_2d(factor, factor, args.grid_h)
     planes = [("grid2d_u.csv", grid, grid.u), ("grid2d_rho.csv", grid, grid.rho)]
     norms = fields.maxent_residual(grid, params)
@@ -205,7 +199,7 @@ def _cmd_sweep(args) -> int:
     params = _params_from(args, betas[0])
     outdir = _outdir(args)
     started = time.monotonic()
-    sweep = analysis.beta_sweep(betas, args.u0, params, control=_control_from(args))
+    sweep = analysis.beta_sweep(betas, args.u0, params)
     cols = ["beta", "r_m", "r2_bar", "z", "u_bar", "k_bar_quad", "k_bar_closed",
             "energy", "entropy"]
     attr = ["r_m", "r2_bar", "z", "u_bar", "k_bar_quad", "k_bar", "energy", "entropy"]
@@ -235,8 +229,7 @@ def _cmd_limit(args) -> int:
     params = _params_from(args, betas[0])
     outdir = _outdir(args)
     started = time.monotonic()
-    control = _control_from(args)
-    report = analysis.limit_convergence(betas, args.u0, params, control=control)
+    report = analysis.limit_convergence(betas, args.u0, params)
     outputs = []
     for name, profile in zip(names, report.profiles):
         _write_radial_profile(outdir / name, profile)

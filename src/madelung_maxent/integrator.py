@@ -11,8 +11,8 @@ Every run starts past the origin, t0 > 0, where the (c/t) u' term is finite
 for every c; the solver reaches that start with a Taylor step.  A run has no
 span end: a step that would push u past ``threshold`` is rejected and
 bisected, and the run ends at the last accepted node with ``BLOWUP_DETECTED``,
-so recorded values of u never exceed the threshold.  ``StepControl.max_steps``
-bounds a run that never reaches the wall.
+so recorded values of u never exceed the threshold.  ``MAX_STEPS`` step
+attempts bound a run that never reaches the wall.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from . import kernels
 from .kernels import StopReason
 from .model import _require
 
+MAX_STEPS = 2_000_000  # step attempts before a run that never reaches the wall stops
+
 
 @dataclass(frozen=True)
 class StepControl:
-    """Tolerances and the step-attempt budget.
+    """Error tolerances of the DP45 loop.
 
     Defaults reproduce reference curves to plotting accuracy and the recorded
     scalars to at least six digits.
@@ -38,15 +40,11 @@ class StepControl:
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_steps: int = 2_000_000
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             value = getattr(self, name)
             _require(math.isfinite(value) and value > 0, name, "must be a positive finite real")
-        _require(isinstance(self.max_steps, (int, np.integer))
-                 and not isinstance(self.max_steps, bool) and self.max_steps > 0,
-                 "max_steps", "must be a positive integer")
 
 
 def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
@@ -57,8 +55,8 @@ def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
     Returns the kernel's (nodes, u, du, stop_reason): every accepted step,
     starting with trial step ``h0``.  Stops with BLOWUP_DETECTED when u would
     cross ``threshold`` (the run then ends at or below it), with STEP_UNDERFLOW
-    if the step dies first, or with MAX_STEPS after ``control.max_steps``
-    attempts; the caller decides whether anything but blow-up is fatal.
+    if the step dies first, or with MAX_STEPS once ``MAX_STEPS`` attempts are
+    spent; the caller decides whether anything but blow-up is fatal.
     """
     y0 = np.asarray(y0, dtype=float)
     _require(y0.shape == (2,), "y0", "must be the pair (u, u')")
@@ -69,7 +67,7 @@ def integrate(beta: float, lam_sq: float, c_coef: float, y0: Sequence[float],
 
     return kernels.madelung_loop(
         t0, float(y0[0]), float(y0[1]), beta, lam_sq, c_coef,
-        control.rel_tol, control.abs_tol, h0, threshold, control.max_steps)
+        control.rel_tol, control.abs_tol, h0, threshold, MAX_STEPS)
 
 
-__all__ = ["StopReason", "StepControl", "integrate"]
+__all__ = ["MAX_STEPS", "StopReason", "StepControl", "integrate"]

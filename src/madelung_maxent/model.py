@@ -173,9 +173,8 @@ class PhysicalParams(Record):
 def make_params(mass: float, hbar: float, beta: float,
                 variant: LaplacianVariant | str = LaplacianVariant.PAPER_RADIAL) -> PhysicalParams:
     """Validated constructor for PhysicalParams (units default to m = hbar = 1)."""
-    if isinstance(variant, str):
-        variant = LaplacianVariant(variant)
-    return PhysicalParams(beta=beta, mass=mass, hbar=hbar, laplacian_variant=variant)
+    return PhysicalParams(beta=beta, mass=mass, hbar=hbar,
+                          laplacian_variant=_load(LaplacianVariant, variant, "laplacian_variant"))
 
 
 def _freeze_profile(profile, support_name: str):

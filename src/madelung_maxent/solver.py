@@ -45,7 +45,11 @@ class Geometry(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One solve: physical parameters, center value U0, stepping control."""
+    """One solve: physical parameters, center value U0, DP45 tolerances.
+
+    Every solve of the CLI and of ``analysis`` keeps the default ``control``;
+    only ``verify``'s support-stability check re-solves at halved tolerances.
+    """
 
     params: PhysicalParams
     u0: float = 1.0

@@ -193,14 +193,21 @@ def test_sweep_r_m_flattens():
     assert r_m[1] - r_m[0] > r_m[2] - r_m[1] > 0
 
 
-def test_sweep_flags_failures():
-    from madelung_maxent.integrator import StepControl
+def test_sweep_flags_failures(monkeypatch):
+    """A solve that raises SolverError becomes a failed row; the other rows still solve."""
+    solve = analysis.solve_radial
 
-    sweep = mm.beta_sweep([1.0, 2.0], 1.0, mm.make_params(1, 1, 1),
-                          control=StepControl(max_steps=50))
-    assert all(row.status == "failed" for row in sweep.rows)
-    assert all(row.observables is None for row in sweep.rows)
-    assert all(row.error for row in sweep.rows)
+    def fail_at_beta_2(request):
+        if request.params.beta == 2.0:
+            raise mm.SolverError("potential integration ended with 'max-steps'")
+        return solve(request)
+
+    monkeypatch.setattr(analysis, "solve_radial", fail_at_beta_2)
+    sweep = mm.beta_sweep([1.0, 2.0, 4.0], 1.0, mm.make_params(1, 1, 1))
+    assert [row.status for row in sweep.rows] == ["ok", "failed", "ok"]
+    assert sweep.rows[1].observables is None
+    assert sweep.rows[1].error == "potential integration ended with 'max-steps'"
+    assert sweep.k_bar_decreasing  # the trends read the rows that solved
 
 
 def test_sweep_validation():

@@ -121,6 +121,8 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     # the output directory is an existing file, or lies under one
     (["solve-radial", "--beta", "1", "--out", "{file}"], "out:"),
     (["sweep", "--beta-list", "1,2", "--out", "{file}/run"], "out:"),
+    # tolerances and the step budget are the solver's own, not options
+    (["sweep", "--beta-list", "1,2", "--max-steps", "50"], "unrecognized arguments"),
 ])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
     out, file = tmp_path / "run", tmp_path / "file"
@@ -130,8 +132,8 @@ def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
         argv += ["--out", str(out)]
     assert run_cli(*argv) == 2
     assert field in capsys.readouterr().err
-    assert sorted(p.name for p in out.glob("*")) == []  # the directory may not exist
-    assert {p.name for p in tmp_path.iterdir()} <= {"run", "file"} and file.read_text() == ""
+    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["file"] and file.read_text() == ""
 
 
 def test_outdir_env_naming_a_file_exit_2(tmp_path, capsys, monkeypatch):
@@ -169,12 +171,15 @@ def test_solve_radial_unattainable_energy_exit_1(tmp_path, capsys):
     assert "below the attainable range" in capsys.readouterr().err
 
 
-def test_solve_radial_overflowing_error_norm_exit_1(tmp_path, capsys):
-    # at tolerances this small the scaled error of a rejected step squares
-    # past the float range; the step is rejected and the run stops on underflow
-    assert run_cli("solve-radial", "--beta", "1", "--rel-tol", "1e-300", "--abs-tol", "1e-300",
-                   "--out", str(tmp_path)) == 1
+def test_solve_radial_solver_error_exit_1(tmp_path, capsys, monkeypatch):
+    def fail(request):
+        raise mm.SolverError("potential integration ended with 'step-underflow'")
+
+    monkeypatch.setattr(cli, "solve_radial", fail)
+    out = tmp_path / "run"
+    assert run_cli("solve-radial", "--beta", "1", "--out", str(out)) == 1
     assert "ended with 'step-underflow'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [[], ["--beta", "1", "--energy", "2"]])
@@ -268,13 +273,22 @@ def test_sweep_log_range_small_beta(tmp_path):
     assert r2[0] < r2[1] < r2[2]
 
 
-def test_sweep_flagged_row_exit_zero(tmp_path, capsys):
+def test_sweep_flagged_row_exit_zero(tmp_path, capsys, monkeypatch):
+    solve = mm.analysis.solve_radial
+
+    def fail_at_beta_2(request):
+        if request.params.beta == 2.0:
+            raise mm.SolverError("potential integration ended with 'max-steps'")
+        return solve(request)
+
+    monkeypatch.setattr(mm.analysis, "solve_radial", fail_at_beta_2)
     out = tmp_path / "flagged"
-    assert run_cli("sweep", "--beta-list", "1,2", "--max-steps", "50",
-                   "--out", str(out)) == 0
-    assert "failed" in capsys.readouterr().err
+    assert run_cli("sweep", "--beta-list", "1,2,4", "--out", str(out)) == 0
+    assert "beta = 2 failed: potential integration ended" in capsys.readouterr().err
     manifest = load_manifest(out)
-    assert manifest["failed_betas"] == [1.0, 2.0]
+    assert manifest["failed_betas"] == [2.0]
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] == "nan" for row in rows] == [False, True, False]
 
 
 def test_sweep_rejects_bad_u0(tmp_path, capsys):

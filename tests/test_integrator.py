@@ -67,11 +67,6 @@ def test_step_underflow_reported():
     assert nodes[-1] < 1.0 + 1e-9
 
 
-def test_max_steps_stop():
-    *_, stop = integrate(**RICCATI, control=StepControl(max_steps=10))
-    assert stop is StopReason.MAX_STEPS
-
-
 def test_validation():
     with pytest.raises(mm.ValidationError, match="y0"):
         integrate(**dict(RICCATI, y0=(0.0,)))
@@ -90,10 +85,6 @@ def test_validation():
     (dict(abs_tol=math.inf), "abs_tol"),
     (dict(abs_tol=math.nan), "abs_tol"),
     (dict(abs_tol=-math.inf), "abs_tol"),
-    (dict(max_steps=math.inf), "max_steps"),
-    (dict(max_steps=10.5), "max_steps"),
-    (dict(max_steps=0), "max_steps"),
-    (dict(max_steps=True), "max_steps"),
 ])
 def test_step_control_rejects_nonfinite_and_nonint(kwargs, field):
     with pytest.raises(mm.ValidationError, match=field):

@@ -23,6 +23,7 @@ def test_lambda_sq_values():
     ("beta", (1, 1, -1)),
     ("mass", (0, 1, 1)),
     ("hbar", (1, -2, 1)),
+    ("laplacian_variant", (1, 1, 1, "bogus")),
 ])
 def test_make_params_rejects_nonpositive(field, args):
     with pytest.raises(mm.ValidationError, match=field):
