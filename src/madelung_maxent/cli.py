@@ -76,9 +76,10 @@ def _outdir(args) -> Path:
     return path
 
 
-def _params_from(args, beta):
+def _params_from(args, beta, variant="paper"):
+    """The parameters at ``beta``; solve-radial and sweep pass their ``--variant``."""
     return make_params(args.mass, args.hbar, beta,
-                       "paper-radial" if args.variant == "paper" else "planar-radial")
+                       "paper-radial" if variant == "paper" else "planar-radial")
 
 
 def _manifest(args, command: str, outdir: Path, outputs: list[str], started: float,
@@ -100,26 +101,28 @@ def _manifest(args, command: str, outdir: Path, outputs: list[str], started: flo
     return manifest
 
 
-def _add_common(parser: argparse.ArgumentParser, beta_flag: bool = True):
+def _add_common(parser: argparse.ArgumentParser, beta_flag: bool = True,
+                variant: bool = False):
     if beta_flag:
         parser.add_argument("--beta", type=float, required=True,
                             help="entropy multiplier (positive)")
     parser.add_argument("--u0", type=float, default=1.0, help="potential at the origin")
     parser.add_argument("--mass", type=float, default=1.0)
     parser.add_argument("--hbar", type=float, default=1.0)
-    parser.add_argument("--variant", choices=("paper", "planar"), default="paper",
-                        help="radial first-derivative coefficient: paper=2/r, planar=1/r")
+    if variant:
+        parser.add_argument("--variant", choices=("paper", "planar"), default="paper",
+                            help="radial first-derivative coefficient: paper=2/r, planar=1/r")
     parser.add_argument("--out", default=None, help="output directory")
 
 
 def _cmd_solve_radial(args) -> int:
-    params = _params_from(args, 1.0 if args.beta is None else args.beta)
+    params = _params_from(args, 1.0 if args.beta is None else args.beta, args.variant)
     outdir = _outdir(args)
     started = time.monotonic()
     inversion = {}
     if args.energy is not None:
         beta = analysis.invert_beta_for_energy(args.energy, args.u0, params)
-        params = _params_from(args, beta)
+        params = _params_from(args, beta, args.variant)
         inversion = {"target_energy": args.energy, "beta": beta}
     profile = solve_radial(SolveRequest(params=params, u0=args.u0))
     obs = analysis.observables(profile)
@@ -196,7 +199,7 @@ def _cmd_sweep(args) -> int:
             raise ValidationError("beta-log-range: need 0 < lo < hi < inf and an integer n "
                                   f"in [2, MAX_POINTS = {MAX_POINTS}]")
         betas = list(np.logspace(math.log10(lo), math.log10(hi), int(n)))
-    params = _params_from(args, betas[0])
+    params = _params_from(args, betas[0], args.variant)
     outdir = _outdir(args)
     started = time.monotonic()
     sweep = analysis.beta_sweep(betas, args.u0, params)
@@ -251,7 +254,7 @@ def _cmd_limit(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_suite(beta=args.beta, quick=args.quick, golden_path=args.golden)
+    results = verify.run_suite(beta=args.beta, quick=args.quick)
     print(verify.format_table(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-radial", help="solve the rotationally symmetric state")
-    _add_common(p, beta_flag=False)
+    _add_common(p, beta_flag=False, variant=True)
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--beta", type=float, help="entropy multiplier (positive)")
     target.add_argument("--energy", type=float,
@@ -281,13 +284,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve_cartesian)
 
     p = sub.add_parser("sweep", help="solve a family of beta values")
-    _add_common(p, beta_flag=False)
+    _add_common(p, beta_flag=False, variant=True)
     p.add_argument("--beta-list", default=None, help="comma-separated beta values")
     p.add_argument("--beta-log-range", nargs=3, type=float, default=None,
                    metavar=("LO", "HI", "N"), help="log-spaced beta grid")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("limit", help="compare large-beta states with the sinc limit")
+    p = sub.add_parser("limit", help="compare large-beta paper-variant states with sinc")
     _add_common(p, beta_flag=False)
     p.add_argument("--betas", default="10,50,100", help="comma-separated beta values (>= 10)")
     p.set_defaults(func=_cmd_limit)
@@ -295,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the invariant verification suite")
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--quick", action="store_true", help="trimmed fast subset")
-    p.add_argument("--golden", default=None, help="path to an alternate golden file")
     p.set_defaults(func=_cmd_verify)
     return parser
 

@@ -152,19 +152,6 @@ class _Rule:
         return self.trapezoid(f, df) + self.tail(f)
 
 
-def corrected_trapezoid(x, f, df) -> float:
-    """Composite trapezoid with exact endpoint-derivative correction, O(h^4)."""
-    x = np.asarray(x, dtype=float)
-    if x.size < 2:
-        return 0.0
-    return _Rule(x, x[-1]).trapezoid(f, df)
-
-
-def cubic_tail(x, g, x_end: float) -> float:
-    """One-sided cubic closure of the integral of g over [x[-1], x_end]."""
-    return _Rule(x, x_end).tail(g)
-
-
 def _refined_weights(beta: float, lam_sq: float, c_coef: float, nodes, u, du):
     """Refined grid (r, U, U') and Boltzmann weights exp(-beta (U - U0))."""
     acc = second_derivative(nodes, u, du, beta, lam_sq, c_coef)
@@ -248,7 +235,6 @@ def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> 
 
 
 __all__ = [
-    "second_derivative", "hermite_refine", "hermite_evaluate",
-    "corrected_trapezoid", "cubic_tail", "radial_moments",
+    "second_derivative", "hermite_refine", "hermite_evaluate", "radial_moments",
     "axis_normalization",
 ]

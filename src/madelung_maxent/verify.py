@@ -2,12 +2,13 @@
 
 Every acceptance criterion is one entry of ``CHECKS``: a name, whether only
 the full suite runs it, and a function ``case -> (passed, detail)`` that
-recomputes one analytic identity, trend, or golden comparison.  Each
-criterion's tolerance is written once, in its function.  A check that raises
-one of the package's documented errors fails with that error as its detail,
-so one failing solve does not hide the rest of the table.  Quick mode skips the
-slow items (support stability, sweep trends, limit convergence, inversion
-round trip) and coarsens grids so the suite stays interactive.
+recomputes one analytic identity, trend, or golden comparison against the
+package's own ``data/golden.json``.  Each criterion's tolerance is written
+once, in its function.  A check that raises one of the package's documented
+errors fails with that error as its detail, so one failing solve does not
+hide the rest of the table.  Quick mode skips the slow items (support
+stability, sweep trends, limit convergence, inversion round trip) and
+coarsens grids so the suite stays interactive.
 """
 
 from __future__ import annotations
@@ -15,19 +16,16 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-import sys
 import time
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import analysis, fields
 from .integrator import StepControl
-from .model import (NoSolutionError, PhysicalParams, SolverError, ValidationError, _require,
-                    to_json)
+from .model import NoSolutionError, PhysicalParams, SolverError, ValidationError, to_json
 from .solver import (BLOWUP_LOG_MARGIN, Geometry, SolveRequest,
                      solve_cartesian_factor, solve_radial)
 
@@ -40,42 +38,10 @@ class CheckResult:
     seconds: float
 
 
-def _positive(value) -> bool:
-    """A positive JSON number within the float range (a bool is not one)."""
-    return type(value) in (int, float) and 0 < value <= sys.float_info.max
-
-
-def _beta_key(key: str) -> bool:
-    try:
-        return _positive(float(key))
-    except ValueError:
-        return False
-
-
-def load_golden(path=None) -> dict:
-    """The golden reference values: the package's file, or the JSON file at ``path``.
-
-    Every value a check reads is judged here, so a malformed file is a
-    ValidationError naming ``golden`` and never a failure inside a check.
-    """
-    keys = ("radial", "I_sinc", "r_inf_u0_1")  # the entries the checks read
-    source = (importlib.resources.files("madelung_maxent").joinpath("data/golden.json")
-              if path is None else Path(path))
-    try:
-        golden = json.loads(source.read_text())
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
-        raise ValidationError(f"golden: cannot load {source}: {exc}") from None
-    _require(isinstance(golden, dict) and all(k in golden for k in keys), "golden",
-             f"{source} must be a JSON object with the keys {', '.join(keys)}")
-    radial = golden["radial"]
-    _require(isinstance(radial, dict) and all(
-        _beta_key(beta) and isinstance(ref, dict)
-        and _positive(ref.get("r_m")) and _positive(ref.get("u_bar"))
-        for beta, ref in radial.items()), "golden",
-        f"{source}: 'radial' must map each beta to an object with positive r_m and u_bar")
-    _require(_positive(golden["I_sinc"]) and _positive(golden["r_inf_u0_1"]), "golden",
-             f"{source}: I_sinc and r_inf_u0_1 must be positive finite numbers")
-    return golden
+def load_golden() -> dict:
+    """The golden reference values shipped in ``data/golden.json``, a fresh dict per call."""
+    return json.loads(importlib.resources.files("madelung_maxent")
+                      .joinpath("data/golden.json").read_text())
 
 
 @dataclass(frozen=True)
@@ -84,7 +50,10 @@ class Case:
 
     beta: float
     quick: bool
-    golden: dict
+
+    @cached_property
+    def golden(self) -> dict:
+        return load_golden()
 
     @cached_property
     def params(self) -> PhysicalParams:
@@ -319,9 +288,9 @@ def run_check(check: Check, case: Case) -> CheckResult:
     return CheckResult(check.name, bool(passed), detail, time.perf_counter() - start)
 
 
-def run_suite(beta: float = 1.0, quick: bool = False, golden_path=None) -> list[CheckResult]:
+def run_suite(beta: float = 1.0, quick: bool = False) -> list[CheckResult]:
     PhysicalParams(beta=beta)  # an invalid beta is a usage error, not a failed check
-    case = Case(beta, quick, load_golden(golden_path))
+    case = Case(beta, quick)
     return [run_check(check, case) for check in CHECKS if not (quick and check.full_only)]
 
 

@@ -23,7 +23,7 @@ BUDGETS = {"kinetic-identity": 5.0, "pde-residual": 2.0, "sweep-trends": 60.0,
 
 @functools.cache
 def _case(beta, quick):
-    return verify.Case(beta, quick, verify.load_golden())
+    return verify.Case(beta, quick)
 
 
 @pytest.mark.parametrize("beta, quick, check", [
@@ -42,7 +42,7 @@ def test_check(beta, quick, check):
 def test_support_stability_fails_on_a_moved_support():
     """A support 1e-5 (relative) off the profile's own wall fails both halves of the check."""
     check = next(c for c in verify.CHECKS if c.name == "support-stability")
-    case = verify.Case(1.0, False, verify.load_golden())
+    case = verify.Case(1.0, False)
     p = case.profile
     # the cached solve lives in the instance dict; swap in the moved one
     case.__dict__["profile"] = replace(p, observables=replace(p.observables,

@@ -150,7 +150,7 @@ def test_uniform_lookup_is_np_interp_bitwise():
 
 
 def _quick_check(name):
-    case = verify.Case(1.0, True, verify.load_golden())
+    case = verify.Case(1.0, True)
     return verify.run_check(next(c for c in verify.CHECKS if c.name == name), case)
 
 

@@ -12,14 +12,14 @@ def test_corrected_trapezoid_exact_on_cubics():
     f = x**3 - 2 * x**2 + 0.5 * x - 3
     df = 3 * x**2 - 4 * x + 0.5
     exact = (2.0**4 / 4 - 2 * 2.0**3 / 3 + 0.25 * 2.0**2 - 3 * 2.0)
-    assert q.corrected_trapezoid(x, f, df) == pytest.approx(exact, rel=1e-14)
+    assert q._Rule(x, x[-1]).trapezoid(f, df) == pytest.approx(exact, rel=1e-14)
 
 
 def test_corrected_trapezoid_fourth_order():
     errs = []
     for n in (20, 40, 80):
         x = np.linspace(0.0, np.pi, n + 1)
-        val = q.corrected_trapezoid(x, np.sin(x), np.cos(x))
+        val = q._Rule(x, x[-1]).trapezoid(np.sin(x), np.cos(x))
         errs.append(abs(val - 2.0))
     assert errs[0] / errs[1] == pytest.approx(16, rel=0.2)
     assert errs[1] / errs[2] == pytest.approx(16, rel=0.2)
@@ -58,9 +58,9 @@ def test_resample_refuses_nan_query(radial1, query):
 def test_refine_plus_trapezoid_beats_raw_rule():
     x = np.linspace(0.0, np.pi, 25)
     f, df, ddf = np.sin(x), np.cos(x), -np.sin(x)
-    raw = abs(q.corrected_trapezoid(x, f, df) - 2.0)
+    raw = abs(q._Rule(x, x[-1]).trapezoid(f, df) - 2.0)
     rr, ff, dff = q.hermite_refine(x, f, df, ddf)
-    fine = abs(q.corrected_trapezoid(rr, ff, dff) - 2.0)
+    fine = abs(q._Rule(rr, rr[-1]).trapezoid(ff, dff) - 2.0)
     assert fine < raw / 100
 
 
@@ -68,14 +68,14 @@ def test_cubic_tail_closes_polynomial():
     # integrand (1 - x)^2 tabulated short of x = 1; tail closed by the fit
     x = np.linspace(0.0, 0.9, 50)
     g = (1.0 - x) ** 2
-    tail = q.cubic_tail(x, g, 1.0)
+    tail = q._Rule(x, 1.0).tail(g)
     assert tail == pytest.approx(0.1**3 / 3, rel=1e-10)
 
 
 def test_cubic_tail_degenerate_cases():
     x = np.linspace(0.0, 1.0, 50)
-    assert q.cubic_tail(x, x, 1.0) == 0.0  # no gap
-    assert q.cubic_tail(x[:3], x[:3], 2.0) == 0.0  # too few points
+    assert q._Rule(x, 1.0).tail(x) == 0.0  # no gap
+    assert q._Rule(x[:3], 2.0).tail(x[:3]) == 0.0  # too few points
 
 
 def test_radial_moments_against_quadpack(radial1):

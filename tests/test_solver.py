@@ -141,8 +141,30 @@ def test_profile_requires_finite_support(radial1, axis1):
         replace(axis1, half_width=math.inf)
 
 
+# (beta, U0, m, hbar), all at g = beta * U0 = 2
+SCALING_INPUTS = [(2.0, 1.0, 1.0, 1.0), (1.0, 2.0, 1.0, 1.0), (0.5, 4.0, 3.0, 0.7),
+                  (20.0, 0.1, 0.25, 2.0), (2e-3, 1e3, 1.0, 1.0)]
+
+
+def _scaled_observables(variant, beta, u0, mass, hbar):
+    """The observables in the units U0 and 1/k, k = sqrt(2 m U0)/hbar: functions of g alone."""
+    k, g = math.sqrt(2.0 * mass * u0) / hbar, beta * u0
+    if variant == "cartesian":
+        factor = mm.solve_cartesian_factor(mm.SolveRequest(
+            params=mm.make_params(mass, hbar, beta), u0=u0, geometry=mm.Geometry.CARTESIAN_FACTOR))
+        return [factor.half_width * k, math.log(factor.z) + g + math.log(k)]
+    obs = mm.solve_radial(mm.SolveRequest(
+        params=mm.make_params(mass, hbar, beta, variant), u0=u0)).observables
+    return [obs.r_m * k, obs.u_bar / u0, obs.log_z + g + math.log(k * k),
+            obs.entropy + math.log(k * k), obs.r2_bar * k * k, obs.k_bar_quad * beta / mass]
+
+
 def test_scaling_symmetry(radial1):
-    """U -> lam U, r -> r/sqrt(lam), beta -> beta/lam maps solutions to solutions."""
+    """U -> lam U, r -> r/sqrt(lam), beta -> beta/lam maps solutions to solutions.
+
+    The map and m, hbar leave g = beta U0 alone, so every observable, made
+    dimensionless by U0 and k, agrees across inputs sharing g, in each geometry.
+    """
     lam = 2.0
     scaled = mm.solve_radial(mm.SolveRequest(
         params=mm.make_params(1, 1, 1.0 / lam), u0=lam))
@@ -151,6 +173,10 @@ def test_scaling_symmetry(radial1):
     u_scaled, _ = mm.resample(scaled, r_test)
     u_base, _ = mm.resample(radial1, r_test * math.sqrt(lam))
     np.testing.assert_allclose(u_scaled, lam * u_base, rtol=1e-8)
+    for variant in ("paper-radial", "planar-radial", "cartesian"):
+        first, *rest = (_scaled_observables(variant, *inputs) for inputs in SCALING_INPUTS)
+        for inputs, values in zip(SCALING_INPUTS[1:], rest):
+            assert values == pytest.approx(first, rel=1e-9), (variant, inputs)
 
 
 def test_solver_error_carries_trajectory(params1):
