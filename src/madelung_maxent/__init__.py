@@ -15,7 +15,7 @@ from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
                        limit_convergence, observables, sinc_limit,
                        velocity_field)
 from .fields import Grid2D, ResidualNorms, assemble_2d, maxent_residual, rotate_grid
-from .integrator import StepControl, StopReason, integrate
+from .integrator import StopReason, integrate
 from .model import (AxisProfile, FieldSample, LaplacianVariant, NoSolutionError,
                     Observables, OutOfSupportError, PhysicalParams, RadialProfile,
                     SincLimit, SolverError, SweepRow, ValidationError, make_params,
@@ -32,7 +32,7 @@ __all__ = [
     "ValidationError", "SolverError", "OutOfSupportError",
     "NoSolutionError",
     # integrator
-    "StepControl", "StopReason", "integrate",
+    "StopReason", "integrate",
     # solver
     "Geometry", "SolveRequest", "solve_radial", "solve_cartesian_factor",
     "resample", "series_coefficient",

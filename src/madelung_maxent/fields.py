@@ -217,20 +217,23 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
     return ResidualNorms(pde=pde, rebuild=rebuild, spacing=h)
 
 
-def maxent_residual(solution, params: PhysicalParams, h: float = 1e-3) -> ResidualNorms:
+def maxent_residual(solution, params: PhysicalParams, h: float | None = None) -> ResidualNorms:
     """FD residual of the defining equation plus the rho->U rebuild check.
 
-    ``solution`` is a RadialProfile (uniform resample at step h) or a Grid2D
-    (its own spacing).  Both norms exclude a margin (5% of the support
-    radius / half-extent) next to the boundary.  A solution is measured
-    against its own equation, so params must equal a profile's own params,
-    and match a grid's factors in beta, mass and hbar.
+    ``solution`` is a RadialProfile (uniform resample at step h, 1e-3 when
+    not given) or a Grid2D (its own spacing, so a grid refuses any h).  Both
+    norms exclude a margin (5% of the support radius / half-extent) next to
+    the boundary.  A solution is measured against its own equation, so
+    params must equal a profile's own params, and match a grid's factors in
+    beta, mass and hbar.
     """
-    _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     if isinstance(solution, RadialProfile):
+        h = 1e-3 if h is None else h
+        _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
         _require(params == solution.params, "params", "must equal the profile's own params")
         return _radial_residual(solution, params, h)
     if isinstance(solution, Grid2D):
+        _require(h is None, "h", "a grid is measured at its own spacing; pass no step")
         _require(_same_physics(params, solution.ux.params), "params",
                  "must match the grid's factor params in beta, mass and hbar")
         return _grid_residual(solution, params)

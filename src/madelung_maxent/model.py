@@ -7,8 +7,7 @@ exchanges the frozen types defined here.
 
 All types are immutable after construction; arrays are marked read-only.
 Every record derives from ``Record``, whose one rule serializes it to a
-JSON-compatible dict with snake_case keys and round-trips it through
-``from_dict`` unchanged.
+JSON-compatible dict with snake_case keys.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -92,51 +90,17 @@ def _plain(value):
     return value
 
 
-def _load(hint, value, name: str):
-    """Inverse of ``_plain`` for one field, steered by the field's type hint."""
-    if isinstance(hint, type) and issubclass(hint, Record):
-        return hint.from_dict(value)
-    if isinstance(hint, type) and issubclass(hint, enum.Enum):
-        try:
-            return hint(value)
-        except ValueError:
-            raise ValidationError(f"{name}: {value!r} is not a {hint.__name__} value") from None
-    if typing.get_origin(hint) is tuple:
-        return tuple(_load(typing.get_args(hint)[0], v, name) for v in value)
-    if type(None) in typing.get_args(hint):  # X | None
-        return None if value is None else _load(typing.get_args(hint)[0], value, name)
-    return value  # lists become read-only arrays in the constructor
-
-
 @dataclass(frozen=True, eq=False)
 class Record:
-    """Base of every serialized type: one rule for to_dict and from_dict.
+    """Base of every serialized type: one rule, ``to_dict``, for every field.
 
-    ``to_dict`` maps every field, derived ones included.  ``from_dict`` passes
-    the constructor fields back to the constructor, which recomputes the
-    derived ones and judges the values; a missing or unknown key and a bad
-    enum value raise ValidationError naming the key.  Records holding arrays
-    are declared ``eq=False`` and compare and hash by identity, since ``==``
-    on an array field has no truth value; the others compare by value.
+    ``to_dict`` maps every field, derived ones included.  Records holding
+    arrays are declared ``eq=False`` and compare and hash by identity, since
+    ``==`` on an array field has no truth value; the others compare by value.
     """
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        _require(isinstance(d, dict), cls.__name__, "must be serialized as a dict")
-        known = {f.name: f for f in fields(cls)}
-        for key in d:
-            _require(key in known, key, f"is not a field of {cls.__name__}")
-        hints = typing.get_type_hints(cls)
-        kwargs = {}
-        for name, f in known.items():
-            if f.init and name in d:
-                kwargs[name] = _load(hints[name], d[name], name)
-            elif f.init:
-                _require(f.default is not MISSING, name, f"missing from {cls.__name__}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -173,8 +137,12 @@ class PhysicalParams(Record):
 def make_params(mass: float, hbar: float, beta: float,
                 variant: LaplacianVariant | str = LaplacianVariant.PAPER_RADIAL) -> PhysicalParams:
     """Validated constructor for PhysicalParams (units default to m = hbar = 1)."""
-    return PhysicalParams(beta=beta, mass=mass, hbar=hbar,
-                          laplacian_variant=_load(LaplacianVariant, variant, "laplacian_variant"))
+    try:
+        variant = LaplacianVariant(variant)
+    except ValueError:
+        raise ValidationError(
+            f"laplacian_variant: {variant!r} is not a LaplacianVariant value") from None
+    return PhysicalParams(beta=beta, mass=mass, hbar=hbar, laplacian_variant=variant)
 
 
 def _freeze_profile(profile, support_name: str):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadrature
-from .integrator import StepControl, StopReason, integrate
+from .integrator import REL_TOL, StopReason, integrate
 from .model import AxisProfile, PhysicalParams, RadialProfile, SolverError, _require
 
 BLOWUP_LOG_MARGIN = 40.0  # stop once beta*(U - U0) exceeds this
@@ -45,20 +45,23 @@ class Geometry(enum.Enum):
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One solve: physical parameters, center value U0, DP45 tolerances.
+    """One solve: physical parameters, center value U0, DP45 relative tolerance.
 
-    Every solve of the CLI and of ``analysis`` keeps the default ``control``;
-    only ``verify``'s support-stability check re-solves at halved tolerances.
+    Every solve of the CLI and of ``analysis`` keeps the default ``rel_tol``;
+    only ``verify``'s support-stability check re-solves at half of it.  The
+    absolute tolerance is always a hundredth of ``rel_tol``.
     """
 
     params: PhysicalParams
     u0: float = 1.0
-    control: StepControl = StepControl()
+    rel_tol: float = REL_TOL
     geometry: Geometry = Geometry.RADIAL
 
     def __post_init__(self):
         _require(math.isfinite(self.u0) and self.u0 > 0.0, "u0",
                  "must be a positive finite real (self-trapping requires u0 > 0)")
+        _require(math.isfinite(self.rel_tol) and self.rel_tol > 0, "rel_tol",
+                 "must be a positive finite real")
 
 
 def series_coefficient(params: PhysicalParams, u0: float, c_coef: float) -> float:
@@ -66,8 +69,7 @@ def series_coefficient(params: PhysicalParams, u0: float, c_coef: float) -> floa
     return params.lambda_sq * u0 / (2.0 * (1.0 + c_coef))
 
 
-def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
-                     c_coef: float):
+def _solve_potential(params: PhysicalParams, u0: float, rel_tol: float, c_coef: float):
     """Taylor step to t_switch, then DP45 to the blow-up stop: (nodes from 0, U, U', r_m)."""
     ell = params.hbar / math.sqrt(params.mass * u0)  # natural length scale
     lam = math.sqrt(params.lambda_sq)  # the equation's other length is 1/lam
@@ -78,7 +80,7 @@ def _solve_potential(params: PhysicalParams, u0: float, control: StepControl,
     a = series_coefficient(params, u0, c_coef)
     y_start = (u0 + a * t_switch * t_switch, 2.0 * a * t_switch)
     nodes, u, du, stop = integrate(params.beta, params.lambda_sq, c_coef, y_start,
-                                   t_switch, t_switch, threshold, control)
+                                   t_switch, t_switch, threshold, rel_tol)
     if stop is not StopReason.BLOWUP_DETECTED:
         raise SolverError(
             f"potential integration ended with '{stop.value}' "
@@ -94,7 +96,7 @@ def solve_radial(request: SolveRequest) -> RadialProfile:
     _require(request.geometry is Geometry.RADIAL, "geometry", "must be 'radial'")
     params, u0 = request.params, request.u0
     c_coef = params.laplacian_variant.first_derivative_coefficient
-    nodes, u, du, r_m = _solve_potential(params, u0, request.control, c_coef)
+    nodes, u, du, r_m = _solve_potential(params, u0, request.rel_tol, c_coef)
     obs = quadrature.radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
                                     nodes, u, du, r_m)
     return RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, observables=obs)
@@ -105,7 +107,7 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
     _require(request.geometry is Geometry.CARTESIAN_FACTOR,
              "geometry", "must be 'cartesian-factor'")
     p = request.params
-    nodes, u, du, i_m = _solve_potential(p, request.u0, request.control, 0.0)
+    nodes, u, du, i_m = _solve_potential(p, request.u0, request.rel_tol, 0.0)
     z = quadrature.axis_normalization(p.beta, nodes, u, du, p.lambda_sq, i_m)
     return AxisProfile(params=p, nodes=nodes, u=u, du=du, u0=request.u0,
                        half_width=i_m, z=z)

@@ -24,8 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import analysis, fields
-from .integrator import StepControl
-from .model import NoSolutionError, PhysicalParams, SolverError, ValidationError, to_json
+from .model import NoSolutionError, PhysicalParams, SolverError, ValidationError
 from .solver import (BLOWUP_LOG_MARGIN, Geometry, SolveRequest,
                      solve_cartesian_factor, solve_radial)
 
@@ -91,12 +90,6 @@ class Check:
 def _fd_bound(h: float) -> float:
     """Bound on a second-order finite-difference error at spacing h."""
     return 1e-4 * (h / 1e-3) ** 2
-
-
-def _params_serialization(case):
-    rt = PhysicalParams.from_dict(json.loads(to_json(case.params)))
-    return (rt == case.params and rt.lambda_sq == case.params.lambda_sq,
-            "JSON round trip preserves fields and lambda_sq")
 
 
 def _kinetic_identity(case):
@@ -213,8 +206,7 @@ def _support_stability(case):
     p = case.profile
     i = int(np.argmax(case.beta * (p.u - p.u0) >= BLOWUP_LOG_MARGIN / 2))
     early = p.nodes[i] + 2.0 / (case.beta * p.du[i])
-    halved = solve_radial(SolveRequest(params=case.params, control=StepControl(
-        rel_tol=5e-11, abs_tol=5e-13)))
+    halved = solve_radial(SolveRequest(params=case.params, rel_tol=5e-11))
     d1 = abs(early - p.r_m) / p.r_m
     d2 = abs(halved.r_m - p.r_m) / p.r_m
     return (d1 < 1e-6 and d2 < 1e-6,
@@ -257,7 +249,6 @@ def _beta_inversion(case):
 
 
 CHECKS = (
-    Check("params-serialization", False, _params_serialization),
     Check("kinetic-identity", False, _kinetic_identity),
     Check("entropy-identity", False, _entropy_identity),
     Check("convexity", False, _convexity),

@@ -353,11 +353,11 @@ def test_verify_detects_tampered_golden():
 
 
 def test_verify_reports_raising_checks_as_failures(capsys):
-    """At beta = 1e-6 one check raises; the other 13 quick rows still run and print."""
+    """At beta = 1e-6 one check raises; the other 12 quick rows still run and print."""
     assert run_cli("verify", "--beta", "1e-6", "--quick") == 1
     out = capsys.readouterr().out
     rows = [line for line in out.splitlines() if line.lstrip().startswith("[")]
-    assert len(rows) == 14 and "11/14 checks passed, 3 FAILED" in out
+    assert len(rows) == 13 and "10/13 checks passed, 3 FAILED" in out
     assert "[FAIL] divergence-free" in out and "raised ValidationError: h: too coarse" in out
 
 

@@ -147,10 +147,12 @@ def test_spacing_refusals_name_the_key(axis1):
             mm.assemble_2d(axis1, axis1, h)
 
 
-def test_grid_residual_refuses_other_params(grid1):
-    """A grid is measured against its factors' equation, not another one."""
+def test_grid_residual_refuses_other_params(grid1, params1):
+    """A grid is measured against its factors' equation, not another one, at its own spacing."""
     with pytest.raises(mm.ValidationError, match="^params: "):
         mm.maxent_residual(grid1, mm.make_params(1.0, 1.0, 2.0))
+    with pytest.raises(mm.ValidationError, match="^h: "):
+        mm.maxent_residual(grid1, params1, h=1e-3)
 
 
 @pytest.mark.parametrize("beta", sorted({*np.geomspace(0.5, 100.0, 12).round(2), 10.0, 20.0}))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import madelung_maxent as mm
-from madelung_maxent.integrator import StepControl, StopReason, integrate
+from madelung_maxent.integrator import StopReason, integrate
 
 # u'' = u'^2 (beta = 2, lam_sq = 0, c = 0) from (ln 2, 2) at t0 = 0.5: u = -ln(1 - t),
 # wall at t = 1; u crosses -ln(1e-6) at t = 1 - 1e-6
@@ -30,8 +30,7 @@ def test_tolerance_halving_monotone_error():
     errors = []
     for k in range(6):
         rtol = 1e-6 * 0.5**k
-        nodes, u, _, _ = integrate(**RICCATI,
-                                   control=StepControl(rel_tol=rtol, abs_tol=rtol * 1e-2))
+        nodes, u, _, _ = integrate(**RICCATI, rel_tol=rtol)
         errors.append(_interior_error(nodes, u))
     assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:])), errors
 
@@ -75,20 +74,15 @@ def test_validation():
             integrate(**dict(RICCATI, t0=t0))
     with pytest.raises(mm.ValidationError, match="h0"):
         integrate(**dict(RICCATI, h0=0.0))
-    with pytest.raises(mm.ValidationError, match="rel_tol"):
-        StepControl(rel_tol=0.0)
 
 
-@pytest.mark.parametrize("kwargs, field", [
-    (dict(rel_tol=math.inf), "rel_tol"),
-    (dict(rel_tol=math.nan), "rel_tol"),
-    (dict(abs_tol=math.inf), "abs_tol"),
-    (dict(abs_tol=math.nan), "abs_tol"),
-    (dict(abs_tol=-math.inf), "abs_tol"),
-])
-def test_step_control_rejects_nonfinite_and_nonint(kwargs, field):
-    with pytest.raises(mm.ValidationError, match=field):
-        StepControl(**kwargs)
+@pytest.mark.parametrize("rel_tol", [0.0, -1.0, math.inf, math.nan])
+def test_rel_tol_rejected(params1, rel_tol):
+    """Both ways a tolerance comes in refuse a nonpositive or nonfinite one."""
+    with pytest.raises(mm.ValidationError, match="^rel_tol: "):
+        mm.SolveRequest(params=params1, rel_tol=rel_tol)
+    with pytest.raises(mm.ValidationError, match="^rel_tol: "):
+        integrate(**RICCATI, rel_tol=rel_tol)
 
 
 def test_series_start_planar():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import madelung_maxent as mm
-from madelung_maxent.integrator import StepControl, StopReason
+from madelung_maxent.integrator import StopReason
 from madelung_maxent.solver import _equation_acc, _resample_slope
 
 
@@ -107,8 +107,7 @@ def test_geometry_enforced(params1):
 
 
 def test_support_tolerance_independence(params1, radial1):
-    halved = mm.solve_radial(mm.SolveRequest(
-        params=params1, control=StepControl(rel_tol=5e-11, abs_tol=5e-13)))
+    halved = mm.solve_radial(mm.SolveRequest(params=params1, rel_tol=5e-11))
     assert abs(halved.r_m - radial1.r_m) / radial1.r_m < 1e-6
     assert abs(halved.z - radial1.z) / radial1.z < 1e-6
 
@@ -183,8 +182,7 @@ def test_solver_error_carries_trajectory(params1):
     # at tolerances this small the scaled error of a rejected step squares
     # past the float range; the step is rejected and the run stops on underflow
     with pytest.raises(mm.SolverError, match="ended with 'step-underflow'") as excinfo:
-        mm.solve_radial(mm.SolveRequest(params=params1,
-                                        control=StepControl(rel_tol=1e-300, abs_tol=1e-300)))
+        mm.solve_radial(mm.SolveRequest(params=params1, rel_tol=1e-300))
     nodes, _, _, stop = excinfo.value.trajectory
     assert stop is StopReason.STEP_UNDERFLOW
     assert nodes.size == 1  # the start node: no step was accepted
