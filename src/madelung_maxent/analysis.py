@@ -20,14 +20,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
+from .model import (BLOCK_CELLS, MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
                     Observables, OutOfSupportError, PhysicalParams, RadialProfile, Record,
                     SincLimit, SolverError, SweepRow, ValidationError, _require)
 from .solver import SolveRequest, _resample_slope, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
-_DIV_BLOCK_ROWS = 256  # grid rows per vectorized block of the divergence check
-_DIV_TABLE_CHUNK = 1 << 14  # radii per slice of its U' table: temporaries stay in cache
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
 _INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; brentq stops at 1/8 of it
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
@@ -153,6 +151,11 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     float: it is at most r_lim - h, so both ends of its bracket lie below r_m,
     where the table holds finite U' (the Hermite slope on the nodes, the
     blow-up asymptote past them).
+
+    The table is filled in slices of ``BLOCK_CELLS`` radii and the centers
+    are taken in blocks of BLOCK_CELLS // (n + 1) rows (at least one), so
+    the temporaries stay a few MiB at any h.  The sup is a max over the
+    blocks, so every block layout gives the same float.
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     r_lim = _DIV_R_FRAC * profile.r_m
@@ -166,17 +169,18 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
 
     table_r = np.linspace(0.0, clamp, 1 << 18)
     table_du = np.empty_like(table_r)
-    for lo in range(0, table_r.size, _DIV_TABLE_CHUNK):
-        table_du[lo:lo + _DIV_TABLE_CHUNK] = _du_values(profile, table_r[lo:lo + _DIV_TABLE_CHUNK])
+    for lo in range(0, table_r.size, BLOCK_CELLS):
+        table_du[lo:lo + BLOCK_CELLS] = _du_values(profile, table_r[lo:lo + BLOCK_CELLS])
 
     def omega_at(rr):
         rq = np.minimum(rr, clamp)
         return _omega_from_du(profile, rq, _interp_uniform(rq, table_r, table_du))
 
     sup = 0.0
-    for lo in range(0, axis.size, _DIV_BLOCK_ROWS):
-        xb = axis[lo:lo + _DIV_BLOCK_ROWS, None]
-        yb = axis[None, :lo + _DIV_BLOCK_ROWS]
+    rows = max(1, BLOCK_CELLS // axis.size)
+    for lo in range(0, axis.size, rows):
+        xb = axis[lo:lo + rows, None]
+        yb = axis[None, :lo + rows]
         i, j = np.nonzero((np.hypot(xb, yb) <= r_lim - 2 * h) & (yb <= xb))
         if i.size == 0:
             continue
@@ -263,7 +267,7 @@ def density_on_grid(profile: RadialProfile, radii: np.ndarray) -> np.ndarray:
     _require(bool(np.all(radii >= 0.0)), "radii", "must be nonnegative and not NaN")
     out = np.zeros_like(radii)
     inside = radii <= profile.nodes[-1]
-    u, _ = resample(profile, radii[inside])
+    u = resample(profile, radii[inside])
     out[inside] = np.exp(-profile.params.beta * u) / profile.z
     return out
 
@@ -378,7 +382,7 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
              "n_directions", "must be a positive integer")
     r_hi = float(profile.nodes[-1])
     radii = np.linspace(0.0, r_hi, _ENTROPY_GRID)
-    u, _ = resample(profile, radii)
+    u = resample(profile, radii)
     rho = np.exp(-profile.params.beta * u) / profile.z
 
     h = radii[1] - radii[0]

@@ -18,6 +18,11 @@ from the first cell past the source rectangle, and the grid border counts the
 same way.  The PDE residual is normalized by the sum of the magnitudes of the
 equation's terms ("digits of the equation satisfied"); the self-consistency
 rebuild of U from rho is reported as an absolute deviation.
+
+A grid's two planes (16 B per cell) are its only whole-grid arrays.  The
+rotated evaluation and the grid residual work in row blocks of about
+``model.BLOCK_CELLS`` cells, so each adds the temporaries of one block,
+whatever the grid size; every float is the one a whole-grid pass gives.
 """
 
 from __future__ import annotations
@@ -30,12 +35,11 @@ import numpy as np
 # first timed pass, until perfbench/run.py imports it before that pass (ROADMAP item 1)
 import scipy.ndimage  # noqa: F401
 
-from .model import (MAX_POINTS, AxisProfile, PhysicalParams, RadialProfile, Record,
-                    ValidationError, _require)
+from .model import (BLOCK_CELLS, MAX_POINTS, AxisProfile, PhysicalParams, RadialProfile,
+                    Record, ValidationError, _require)
 from .solver import resample
 
 DEFAULT_MARGIN = 0.05
-_ROTATE_BLOCK_ROWS = 64  # grid rows per block of a rotated evaluation: bounded temporaries
 
 
 def _same_physics(a: PhysicalParams, b: PhysicalParams) -> bool:
@@ -91,7 +95,7 @@ def _half_counts(ux: AxisProfile, uy: AxisProfile, h: float, name: str):
 
 def _factor_values(profile: AxisProfile, s):
     """(U_i, rho_i) of one factor at |coordinate| values s."""
-    u, _ = resample(profile, s)
+    u = resample(profile, s)
     return u, np.exp(-profile.params.beta * u) / profile.z
 
 
@@ -103,8 +107,9 @@ def _planes(ux: AxisProfile, uy: AxisProfile, x, y, theta: float):
     ct, st = math.cos(theta), math.sin(theta)
     u, rho = np.full((x.size, y.size), math.inf), np.zeros((x.size, y.size))
     half = x.size // 2 + 1  # rows up to the centre row
-    for lo in range(0, half, _ROTATE_BLOCK_ROWS):
-        rows = slice(lo, min(lo + _ROTATE_BLOCK_ROWS, half))
+    step = max(1, BLOCK_CELLS // y.size)
+    for lo in range(0, half, step):
+        rows = slice(lo, min(lo + step, half))
         # source coordinates of each target node (inverse rotation)
         xs = np.abs(ct * x[rows, None] + st * y)
         ys = np.abs(-st * x[rows, None] + ct * y)
@@ -159,9 +164,9 @@ def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -
     _require(r_hi > 2 * h, "h", "grid step too coarse for the support")
     _require(r_hi / h <= MAX_POINTS, "h", f"too fine: more than MAX_POINTS = {MAX_POINTS} samples")
     rg = np.arange(1, int(r_hi / h) + 1) * h
-    um, _ = resample(profile, rg - h)
-    u, _ = resample(profile, rg)
-    up, _ = resample(profile, rg + h)
+    um = resample(profile, rg - h)
+    u = resample(profile, rg)
+    up = resample(profile, rg + h)
 
     d2 = (up - 2.0 * u + um) / (h * h)
     d1 = (up - um) / (2.0 * h)
@@ -185,36 +190,44 @@ def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -
 def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
     beta, lam_sq = params.beta, params.lambda_sq
     h = grid.spacing
-    u = np.where(np.isfinite(grid.u), grid.u, 0.0)
     # cells to the first cell past the rotated source rectangle or the grid
     # border, from the shape and angle alone, so the last bit of h cannot
     # decide whether a whole ring of cells is kept
     nx, ny = grid.shape[0] // 2, grid.shape[1] // 2
-    i, j = np.arange(-nx, nx + 1.0)[:, None], np.arange(-ny, ny + 1.0)
+    j = np.arange(1 - ny, ny, dtype=float)  # the interior columns
     ct, st = math.cos(grid.theta), math.sin(grid.theta)
-    source = np.minimum(nx + 1 - np.abs(ct * i + st * j), ny + 1 - np.abs(ct * j - st * i))
-    dist = np.minimum(source, np.minimum(nx + 1 - np.abs(i), ny + 1 - np.abs(j)))
-    margin_cells = DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1)
-    mask = dist[1:-1, 1:-1] >= max(margin_cells, 2.0)
+    margin = max(DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1), 2.0)
+    pde, rebuild = [], []
+    step = max(1, BLOCK_CELLS // grid.shape[1])
+    for lo in range(1, grid.shape[0] - 1, step):  # interior rows [lo, hi) and one more each side
+        hi = min(lo + step, grid.shape[0] - 1)
+        i = np.arange(lo - nx, hi - nx, dtype=float)[:, None]
+        source = np.minimum(nx + 1 - np.abs(ct * i + st * j), ny + 1 - np.abs(ct * j - st * i))
+        dist = np.minimum(source, np.minimum(nx + 1 - np.abs(i), ny + 1 - np.abs(j)))
+        mask = dist >= margin
+        if not mask.any():
+            continue
+        u = grid.u[lo - 1:hi + 1]
+        u = np.where(np.isfinite(u), u, 0.0)
+        lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+               - 4.0 * u[1:-1, 1:-1]) / (h * h)
+        gx = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
+        gy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
+        term_q = 0.5 * beta * (gx * gx + gy * gy)
+        term_l = lam_sq * u[1:-1, 1:-1]
+        num = np.abs(lap - term_q - term_l)
+        den = np.abs(lap) + np.abs(term_q) + np.abs(term_l)
+        rel = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+        pde.append(np.max(rel[mask]))
 
-    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
-           - 4.0 * u[1:-1, 1:-1]) / (h * h)
-    gx = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
-    gy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
-    term_q = 0.5 * beta * (gx * gx + gy * gy)
-    term_l = lam_sq * u[1:-1, 1:-1]
-    num = np.abs(lap - term_q - term_l)
-    den = np.abs(lap) + np.abs(term_q) + np.abs(term_l)
-    rel = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-    pde = float(np.max(rel[mask]))
-
-    amp = np.sqrt(grid.rho)
-    lap_amp = (amp[2:, 1:-1] + amp[:-2, 1:-1] + amp[1:-1, 2:] + amp[1:-1, :-2]
-               - 4.0 * amp[1:-1, 1:-1]) / (h * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u_rebuilt = -(params.hbar**2 / (2.0 * params.mass)) * lap_amp / amp[1:-1, 1:-1]
-    rebuild = float(np.max(np.abs((u_rebuilt - u[1:-1, 1:-1])[mask])))
-    return ResidualNorms(pde=pde, rebuild=rebuild, spacing=h)
+        amp = np.sqrt(grid.rho[lo - 1:hi + 1])
+        lap_amp = (amp[2:, 1:-1] + amp[:-2, 1:-1] + amp[1:-1, 2:] + amp[1:-1, :-2]
+                   - 4.0 * amp[1:-1, 1:-1]) / (h * h)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u_rebuilt = -(params.hbar**2 / (2.0 * params.mass)) * lap_amp / amp[1:-1, 1:-1]
+        rebuild.append(np.max(np.abs((u_rebuilt - u[1:-1, 1:-1])[mask])))
+    # np.max, unlike max(), propagates a NaN from any block
+    return ResidualNorms(pde=float(np.max(pde)), rebuild=float(np.max(rebuild)), spacing=h)
 
 
 def maxent_residual(solution, params: PhysicalParams, h: float | None = None) -> ResidualNorms:

@@ -63,6 +63,9 @@ class LaplacianVariant(enum.Enum):
 # most samples, grid points or sweep betas one call may ask for, refused before
 # any allocation (2^25 float64 values are 256 MiB per array)
 MAX_POINTS = 2**25
+# float64 cells per block of the 2D diagnostics (rotation, grid residual,
+# divergence): a block's temporaries are a few MiB, whatever the grid size
+BLOCK_CELLS = 2**15
 
 
 def _require(condition: bool, name: str, message: str):

@@ -83,14 +83,14 @@ def hermite_refine(r, u, du, acc):
 
 
 def hermite_evaluate(r, u, du, acc, query):
-    """Evaluate the piecewise quintic Hermite (value, slope) at query points.
+    """Evaluate the piecewise quintic Hermite's value at query points.
 
     Queries must lie within [r[0], r[-1]]; exact node hits return node data.
     acc must be the true second derivative at the nodes, which the ODE gives
-    for every profile: a profile holds a solution of its own equation.
+    for every profile: a profile holds a solution of its own equation.  The
+    slope at the same points is ``_hermite_slope(*_quintic_intervals(...))``.
     """
-    args = _quintic_intervals(r, u, du, acc, query)
-    return _hermite_value(*args), _hermite_slope(*args)
+    return _hermite_value(*_quintic_intervals(r, u, du, acc, query))
 
 
 def _quintic_intervals(r, u, du, acc, query):

@@ -114,19 +114,20 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
 
 
 def resample(profile, query):
-    """Hermite-resampled (U, U') at arbitrary radii within the tabulated range.
+    """Hermite-resampled U at arbitrary radii within the tabulated range.
 
     A profile holds a solution of its own equation, so the stored (U, U') at
     each node fix U'' there through the ODE, and the piecewise quintic Hermite
     on (U, U', U'') is the profile's interpolant, one order above a cubic on
-    (U, U') alone, which matters near the steep wall.
+    (U, U') alone, which matters near the steep wall.  Only U is evaluated;
+    ``_resample_slope`` gives the same interpolant's U'.
     """
     return quadrature.hermite_evaluate(profile.nodes, profile.u, profile.du,
                                        _equation_acc(profile), query)
 
 
 def _resample_slope(profile, query):
-    """U' of ``resample`` alone: the same bits, without evaluating U."""
+    """U' of the interpolant ``resample`` evaluates, at the same query points."""
     return quadrature._hermite_slope(*quadrature._quintic_intervals(
         profile.nodes, profile.u, profile.du, _equation_acc(profile), query))
 

@@ -108,10 +108,11 @@ def _full_grid_divergence_sup(profile, h):
 
 
 @pytest.mark.parametrize("variant, beta, h, n", [
-    ("paper-radial", 0.5, 8e-3, 142),     # the octant's n + 1 rows are one 256-row block
+    # a block holds BLOCK_CELLS // (n + 1) = 2^15 // (n + 1) of the octant's n + 1 rows
+    ("paper-radial", 0.5, 8e-3, 142),     # the octant's n + 1 rows are one block
     ("planar-radial", 1.0, 8e-3, 134),
-    ("paper-radial", 4.0, 4e-3, 397),     # a full block and a partial one
-    ("planar-radial", 100.0, 4e-3, 338),
+    ("paper-radial", 4.0, 4e-3, 397),     # four full blocks and a partial one
+    ("planar-radial", 100.0, 4e-3, 338),  # three full blocks and a partial one
     ("paper-radial", 0.01, 2e-3, 168),    # r_m = 0.42: the table's lookup at small r_m
     ("planar-radial", 0.01, 2e-3, 149),
 ])
@@ -168,8 +169,7 @@ def test_entropy_check_reports_a_nan_entropy(radial1, monkeypatch):
     resample = analysis.resample
 
     def poisoned(profile, query):
-        u, du = resample(profile, query)
-        return np.where(query < 0.3, math.nan, u), du
+        return np.where(query < 0.3, math.nan, resample(profile, query))
     monkeypatch.setattr(analysis, "resample", poisoned)
     assert math.isnan(mm.entropy_stationarity_check(radial1, n_directions=5))
     assert not _quick_check("maxent-stationarity").passed

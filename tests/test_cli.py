@@ -92,6 +92,30 @@ def test_limit_csv_bytes_pinned(tmp_path):
     }
 
 
+def test_cartesian_csv_bytes_pinned(tmp_path):
+    """The six CSVs of one rotated Cartesian run and the residual floats of its manifest."""
+    assert run_cli("solve-cartesian", "--beta", "1", "--grid-h", "0.01", "--rotate", "0.5",
+                   "--out", str(tmp_path)) == 0
+    manifest = load_manifest(tmp_path)
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in manifest["outputs"]}
+    axis = "d16e4a078d422d1977933295c5194b7415169d67e7b29171dbb72027de5a84a7"
+    assert digests == {
+        "axis_profile_x.csv": axis,
+        "axis_profile_y.csv": axis,
+        "grid2d_u.csv": "27904d4f7975fa63202d94a87357757c8153410da360ffe92783251722eb7d63",
+        "grid2d_rho.csv": "8d65dd6970c6d6ae57c4a5629a112dcb91ded64b199b7cfe09460b5c126ddee2",
+        "grid2d_u_rotated.csv":
+            "5394776b9676d6aac6315345287ebec9f421ad65d92219c871e61c8852c09f37",
+        "grid2d_rho_rotated.csv":
+            "488c24f7112285c4ec30b1d946bb390bf08081ac946f5973dcbba1ead61b086a",
+    }
+    assert manifest["residuals"] == {
+        "pde": 0.00453057534280133, "rebuild": 0.018794908902943774, "spacing": 0.01}
+    assert manifest["rotation"]["residuals"] == {
+        "pde": 0.003208888576155209, "rebuild": 0.007860394411157934, "spacing": 0.01}
+
+
 def test_usage_error_exit_2(tmp_path, capsys):
     assert run_cli("solve-radial", "--beta", "-1", "--out", str(tmp_path)) == 2
     assert "beta" in capsys.readouterr().err

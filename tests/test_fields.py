@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,8 +110,8 @@ def test_rotation_matches_factor_resample(axis1, other, h, theta):
     rot = mm.rotate_grid(grid, theta)
     xs, ys, inside = _inverse_rotation(grid, theta)
     assert 0 < inside.sum() < inside.size
-    ax, _ = mm.resample(axis1, np.abs(xs[inside]))
-    ay, _ = mm.resample(other, np.abs(ys[inside]))
+    ax = mm.resample(axis1, np.abs(xs[inside]))
+    ay = mm.resample(other, np.abs(ys[inside]))
     beta = axis1.params.beta
     rho = np.exp(-beta * ax) / axis1.z * (np.exp(-beta * ay) / other.z)
     np.testing.assert_array_equal(np.isfinite(rot.u), inside)
@@ -122,8 +123,8 @@ def test_rotation_matches_factor_resample(axis1, other, h, theta):
 def test_assembled_planes_are_factor_values_at_the_coordinates(axis1, other):
     """x and y name the exact points the planes were evaluated at."""
     grid = mm.assemble_2d(axis1, other, 5e-3)
-    ax = np.array([mm.resample(axis1, abs(v))[0][0] for v in grid.x])
-    ay = np.array([mm.resample(other, abs(v))[0][0] for v in grid.y])
+    ax = np.array([mm.resample(axis1, abs(v))[0] for v in grid.x])
+    ay = np.array([mm.resample(other, abs(v))[0] for v in grid.y])
     assert grid.u.tobytes() == (ax[:, None] + ay[None, :]).tobytes()
 
 
@@ -221,3 +222,95 @@ def test_grid_residual_margin_ignores_last_bits_of_spacing(axis1, params1, monke
             m.setattr(fields, "DEFAULT_MARGIN", 4.5 / 100)
             assert mm.maxent_residual(grid, params1) == norms
         spacing = float(np.nextafter(spacing, math.inf))
+
+
+def _whole_grid_residual(grid, params):
+    """The unblocked grid residual: every stencil term over the whole grid at once."""
+    beta, lam_sq = params.beta, params.lambda_sq
+    h = grid.spacing
+    u = np.where(np.isfinite(grid.u), grid.u, 0.0)
+    nx, ny = grid.shape[0] // 2, grid.shape[1] // 2
+    i, j = np.arange(-nx, nx + 1.0)[:, None], np.arange(-ny, ny + 1.0)
+    ct, st = math.cos(grid.theta), math.sin(grid.theta)
+    source = np.minimum(nx + 1 - np.abs(ct * i + st * j), ny + 1 - np.abs(ct * j - st * i))
+    dist = np.minimum(source, np.minimum(nx + 1 - np.abs(i), ny + 1 - np.abs(j)))
+    margin_cells = fields.DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1)
+    mask = dist[1:-1, 1:-1] >= max(margin_cells, 2.0)
+
+    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+           - 4.0 * u[1:-1, 1:-1]) / (h * h)
+    gx = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
+    gy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
+    term_q = 0.5 * beta * (gx * gx + gy * gy)
+    term_l = lam_sq * u[1:-1, 1:-1]
+    num = np.abs(lap - term_q - term_l)
+    den = np.abs(lap) + np.abs(term_q) + np.abs(term_l)
+    rel = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
+    pde = float(np.max(rel[mask]))
+
+    amp = np.sqrt(grid.rho)
+    lap_amp = (amp[2:, 1:-1] + amp[:-2, 1:-1] + amp[1:-1, 2:] + amp[1:-1, :-2]
+               - 4.0 * amp[1:-1, 1:-1]) / (h * h)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u_rebuilt = -(params.hbar**2 / (2.0 * params.mass)) * lap_amp / amp[1:-1, 1:-1]
+    rebuild = float(np.max(np.abs((u_rebuilt - u[1:-1, 1:-1])[mask])))
+    return mm.ResidualNorms(pde=pde, rebuild=rebuild, spacing=h)
+
+
+@pytest.mark.parametrize("beta", [0.5, 2.0, 50.0])
+@pytest.mark.parametrize("cells", [
+    50.0,   # one block
+    100.5,  # the quick rotation-invariance grid: two blocks, the last partial
+    200.0,  # five blocks, the last partial
+])
+def test_blocked_grid_residual_is_the_whole_grid_float(beta, cells):
+    """Row blocks give the floats of one whole-grid pass, rotated or not."""
+    params = mm.make_params(1.0, 1.0, beta)
+    factor = mm.solve_cartesian_factor(
+        mm.SolveRequest(params=params, geometry=mm.Geometry.CARTESIAN_FACTOR))
+    grid = mm.assemble_2d(factor, factor, float(factor.nodes[-1]) / cells)
+    rows, interior = fields.BLOCK_CELLS // grid.shape[1], grid.shape[0] - 2
+    assert (interior <= rows) == (cells == 50.0)
+    assert interior <= rows or interior % rows > 0
+    for theta in (0.0, math.pi / 6, 1.2):
+        rotated = mm.rotate_grid(grid, theta)
+        assert mm.maxent_residual(rotated, params) == _whole_grid_residual(rotated, params)
+
+
+def test_blocked_grid_residual_reads_a_nan(axis1, params1):
+    """A NaN density at a cell the margin keeps makes the rebuild NaN, blocked or not."""
+    grid = mm.rotate_grid(mm.assemble_2d(axis1, axis1, axis1.nodes[-1] / 200.0), math.pi / 6)
+    rho = grid.rho.copy()
+    rho[grid.shape[0] // 2 + 3, grid.shape[1] // 2] = math.nan  # a later block's kept cell
+    object.__setattr__(grid, "rho", rho)
+    blocked, whole = mm.maxent_residual(grid, params1), _whole_grid_residual(grid, params1)
+    assert math.isnan(blocked.rebuild) and math.isnan(whole.rebuild)
+    assert repr(blocked) == repr(whole)
+
+
+_TEMPORARIES = 8 * 2**20  # bytes a 2D diagnostic may hold beyond its inputs and outputs
+
+
+def _peak_beyond(call, returned=lambda result: 0):
+    """tracemalloc's peak during call(), less the bytes of what it returns."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - base - returned(result)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("cells", [192, 384])
+def test_grid_temporaries_do_not_grow_with_the_grid(axis1, params1, radial1, cells):
+    """Residual, rotation and divergence hold one block's temporaries on 385^2 and 769^2 grids."""
+    grid = mm.assemble_2d(axis1, axis1, float(axis1.nodes[-1]) / cells)
+    rotated = mm.rotate_grid(grid, math.pi / 6)
+    assert _peak_beyond(lambda: mm.maxent_residual(rotated, params1)) < _TEMPORARIES
+    assert _peak_beyond(lambda: mm.rotate_grid(grid, 1.2),
+                        lambda rot: rot.u.nbytes + rot.rho.nbytes) < _TEMPORARIES
+    table = 2 * 8 * 2**18  # the divergence's U' table and its radii
+    h = 2e-3 * 192 / cells
+    assert _peak_beyond(lambda: mm.divergence_sup(radial1, h=h)) - table < _TEMPORARIES

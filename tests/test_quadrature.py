@@ -4,6 +4,7 @@ from scipy.integrate import quad
 
 import madelung_maxent as mm
 from madelung_maxent import quadrature as q
+from madelung_maxent.solver import _resample_slope
 
 
 def test_corrected_trapezoid_exact_on_cubics():
@@ -28,7 +29,8 @@ def test_corrected_trapezoid_fourth_order():
 def test_hermite_evaluate_reproduces_nodes():
     x = np.linspace(0.0, 1.0, 11)
     f, df, ddf = np.sin(x), np.cos(x), -np.sin(x)
-    u, v = q.hermite_evaluate(x, f, df, ddf, x)
+    u = q.hermite_evaluate(x, f, df, ddf, x)
+    v = q._hermite_slope(*q._quintic_intervals(x, f, df, ddf, x))
     np.testing.assert_allclose(u, f, rtol=0, atol=1e-15)
     np.testing.assert_allclose(v, df, rtol=1e-13, atol=1e-15)
 
@@ -36,7 +38,8 @@ def test_hermite_evaluate_reproduces_nodes():
 def test_hermite_evaluate_accuracy():
     x = np.linspace(0.0, np.pi, 30)
     query = np.linspace(0.0, np.pi, 997)
-    u, v = q.hermite_evaluate(x, np.sin(x), np.cos(x), -np.sin(x), query)
+    args = (x, np.sin(x), np.cos(x), -np.sin(x), query)
+    u, v = q.hermite_evaluate(*args), q._hermite_slope(*q._quintic_intervals(*args))
     assert np.max(np.abs(u - np.sin(query))) < 1e-10
     assert np.max(np.abs(v - np.cos(query))) < 1e-8
 
@@ -85,7 +88,8 @@ def test_radial_moments_against_quadpack(radial1):
 
     def integrand(kind):
         def f(r):
-            uu, vv = mm.resample(radial1, np.array([r]))
+            uu = mm.resample(radial1, np.array([r]))
+            vv = _resample_slope(radial1, np.array([r]))
             w = np.exp(-p.beta * uu[0])
             if kind == "z":
                 return w * r

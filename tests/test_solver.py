@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import madelung_maxent as mm
+from madelung_maxent import quadrature
 from madelung_maxent.integrator import StopReason
 from madelung_maxent.solver import _equation_acc, _resample_slope
 
@@ -169,8 +170,8 @@ def test_scaling_symmetry(radial1):
         params=mm.make_params(1, 1, 1.0 / lam), u0=lam))
     assert scaled.r_m == pytest.approx(radial1.r_m / math.sqrt(lam), rel=1e-8)
     r_test = np.linspace(0.0, 0.9 * scaled.r_m, 50)
-    u_scaled, _ = mm.resample(scaled, r_test)
-    u_base, _ = mm.resample(radial1, r_test * math.sqrt(lam))
+    u_scaled = mm.resample(scaled, r_test)
+    u_base = mm.resample(radial1, r_test * math.sqrt(lam))
     np.testing.assert_allclose(u_scaled, lam * u_base, rtol=1e-8)
     for variant in ("paper-radial", "planar-radial", "cartesian"):
         first, *rest = (_scaled_observables(variant, *inputs) for inputs in SCALING_INPUTS)
@@ -192,7 +193,7 @@ def test_convexity_property_uniform_grid(radial1):
     """Second differences of U on a uniform grid stay >= -1e-10."""
     h = 0.01
     r = np.arange(0, int(0.95 * radial1.r_m / h)) * h
-    u, _ = mm.resample(radial1, r)
+    u = mm.resample(radial1, r)
     dd = (u[2:] - 2 * u[1:-1] + u[:-2]) / h**2
     assert dd.min() > -1e-10
 
@@ -201,7 +202,7 @@ def test_amplitude_concavity_property(axis1):
     """sqrt(rho) factor has nonpositive second differences in the interior."""
     h = 0.01
     x = np.arange(0, int(0.97 * axis1.nodes[-1] / h)) * h
-    u, _ = mm.resample(axis1, x)
+    u = mm.resample(axis1, x)
     amp = np.exp(-0.5 * axis1.params.beta * u)
     dd = (amp[2:] - 2 * amp[1:-1] + amp[:-2]) / h**2
     assert dd.max() < 1e-10
@@ -216,12 +217,15 @@ def test_boundary_density_slope_decays(radial1):
 
 
 @pytest.mark.parametrize("which", ["radial1", "axis1", "uniform_disk"])
-def test_resample_slope_matches_resample_bitwise(which, request):
-    """The slope-only path gives resample's U' bits."""
+def test_resample_halves_match_quintic_hermite_bitwise(which, request):
+    """resample gives the quintic Hermite's value bits, _resample_slope its slope bits."""
     profile = request.getfixturevalue(which)
     query = np.linspace(0.0, float(profile.nodes[-1]), 5001)
-    _, du = mm.resample(profile, query)
-    assert np.array_equal(_resample_slope(profile, query).view(np.int64), du.view(np.int64))
+    args = quadrature._quintic_intervals(profile.nodes, profile.u, profile.du,
+                                         _equation_acc(profile), query)
+    for got, want in [(mm.resample(profile, query), quadrature._hermite_value(*args)),
+                      (_resample_slope(profile, query), quadrature._hermite_slope(*args))]:
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _slopes_follow_equation(profile) -> bool:
