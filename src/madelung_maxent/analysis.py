@@ -97,35 +97,6 @@ def velocity_field(profile: RadialProfile, positions) -> list[FieldSample]:
     return samples
 
 
-def _interp_uniform(q: np.ndarray, table_r: np.ndarray, table_y: np.ndarray) -> np.ndarray:
-    """np.interp(q, table_r, table_y) for table_r = np.linspace(0, r_end, n), 0 <= q <= r_end.
-
-    The bracket table_r[j] <= q < table_r[j + 1] is computed, not searched
-    for: linspace's nodes lie within a few ulps of j r_end / (n - 1), so
-    q (n - 1) / r_end truncates to j except for q within rounding of a node,
-    where one step corrects it.  The value is np.interp's own formula,
-    slope (q - table_r[j]) + table_y[j] with
-    slope = (table_y[j + 1] - table_y[j]) / (table_r[j + 1] - table_r[j]),
-    and q == r_end gives table_y[-1].  So the float is np.interp's wherever
-    both values of the bracket are finite (and not -0.0): there np.interp's
-    NaN fallback never applies.
-    """
-    last = table_r.size - 2
-    j = (q * ((last + 1) / table_r[-1])).astype(np.intp)
-    np.minimum(j, last, out=j)
-    r0 = table_r[j]
-    r1 = table_r[j + 1]
-    off = np.flatnonzero((r0 > q) | (r1 <= q))  # near a node, or q == r_end
-    if off.size:
-        j[off] = np.minimum(j[off] - (r0[off] > q[off]) + (r1[off] <= q[off]), last)
-        r0[off] = table_r[j[off]]
-        r1[off] = table_r[j[off] + 1]
-    y0 = table_y[j]
-    out = (table_y[j + 1] - y0) / (r1 - r0) * (q - r0) + y0
-    out[off[q[off] == table_r[-1]]] = table_y[-1]
-    return out
-
-
 def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     """Max |div v| by centered differences on an h-grid inside r <= 0.8 r_m.
 
@@ -135,27 +106,26 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     and the (2n + 1)^2 grid of centers may not exceed MAX_POINTS.  A NaN
     omega makes the sup NaN.
 
+    The stencil of the center (h i, h j) reads omega at the grid nodes
+    h (i +- 1) and h (j +- 1), so omega is evaluated once per node, from the
+    interpolant's exact slope (``_du_values``), with no table.  A kept center
+    lies within r_lim - 2h, so the nodes it reads lie within r_lim - h up to
+    rounding; omega is evaluated at the nodes within r_lim (< r_m, where U'
+    is finite) that a center of the octant can read, and nowhere else.
+
     Only the centers of the octant 0 <= y <= x are evaluated, and the sup is
-    the same float as over the whole disk.  The grid is h * k for integer k,
-    so h * (-k) == -(h * k) exactly; IEEE rounding is odd under negation and
-    hypot is even in each argument and symmetric in their order.  Hence
-    x -> -x, y -> -y and x <-> y permute the four stencil radii of a center
-    exactly (x + h <-> x - h, or the x pair with the y pair), and each flips
-    the sign of the discrete divergence exactly.
+    the same float as over the whole grid.  The nodes are h k for integer k,
+    so h (-k) == -(h k) exactly, and hypot is even in each argument and
+    symmetric in their order.  Hence x -> -x, y -> -y and x <-> y permute the
+    four nodes a center reads (its x pair, or the x pair with the y pair), and
+    each flips the sign of the discrete divergence exactly.  The same
+    symmetry gives the row and column k = -1 that the octant's edge reads:
+    they are row and column 1.
 
-    omega depends on the radius only, so U' is tabulated once on 2^18 uniform
-    radii up to clamp and interpolated linearly (table error ~ dr^2 U''' / 8,
-    orders below the h^2 signal).  The table takes the slope half of
-    ``resample``'s Hermite alone, the same bits as its U'.  Each stencil
-    radius finds its bracket in O(1) (``_interp_uniform``) and gets np.interp's
-    float: it is at most r_lim - h, so both ends of its bracket lie below r_m,
-    where the table holds finite U' (the Hermite slope on the nodes, the
-    blow-up asymptote past them).
-
-    The table is filled in slices of ``BLOCK_CELLS`` radii and the centers
-    are taken in blocks of BLOCK_CELLS // (n + 1) rows (at least one), so
-    the temporaries stay a few MiB at any h.  The sup is a max over the
-    blocks, so every block layout gives the same float.
+    The centers are taken in blocks of BLOCK_CELLS // (n + 2) rows (at least
+    one), each with omega on its rows and one ring, so the temporaries stay a
+    few MiB at any h.  The sup is a max over the blocks, so every block
+    layout gives the same float.
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     r_lim = _DIV_R_FRAC * profile.r_m
@@ -164,35 +134,30 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     _require(side * side <= MAX_POINTS, "h",
              f"too fine: the grid would exceed MAX_POINTS = {MAX_POINTS} points")
     n = int(r_lim / h)
-    axis = h * np.arange(n + 1)
-    clamp = r_lim + 4 * h  # stencil radii of kept centers stay below this
-
-    table_r = np.linspace(0.0, clamp, 1 << 18)
-    table_du = np.empty_like(table_r)
-    for lo in range(0, table_r.size, BLOCK_CELLS):
-        table_du[lo:lo + BLOCK_CELLS] = _du_values(profile, table_r[lo:lo + BLOCK_CELLS])
-
-    def omega_at(rr):
-        rq = np.minimum(rr, clamp)
-        return _omega_from_du(profile, rq, _interp_uniform(rq, table_r, table_du))
+    axis = h * np.arange(n + 2)
 
     sup = 0.0
     rows = max(1, BLOCK_CELLS // axis.size)
-    for lo in range(0, axis.size, rows):
-        xb = axis[lo:lo + rows, None]
-        yb = axis[None, :lo + rows]
-        i, j = np.nonzero((np.hypot(xb, yb) <= r_lim - 2 * h) & (yb <= xb))
-        if i.size == 0:
+    for lo in range(0, n + 1, rows):
+        hi = min(lo + rows, n + 1)
+        # node rows lo - 1..hi (row -1 is row 1) and columns 0..hi; centers are rows lo..hi - 1
+        k = np.abs(np.arange(lo - 1, hi + 1))[:, None]
+        c = np.arange(hi + 1)[None, :]
+        r = np.hypot(axis[k], axis[c])
+        keep = (r[1:-1, :-1] <= r_lim - 2 * h) & (c[:, :-1] <= k[1:-1])
+        if not keep.any():
             continue
-        x = axis[lo + i]  # the kept centers only
-        y = axis[j]
-        wxp = omega_at(np.hypot(x + h, y))
-        wxm = omega_at(np.hypot(x - h, y))
-        wyp = omega_at(np.hypot(x, y + h))
-        wym = omega_at(np.hypot(x, y - h))
+        read = (r <= r_lim) & (c <= k + 1)  # a center (i, j <= i) reads columns <= i + 1
+        w = np.zeros((hi - lo + 2, hi + 2))  # omega; column 0 is node column -1
+        rr = r[read]
+        w[:, 1:][read] = _omega_from_du(profile, rr, _du_values(profile, rr))
+        w[:, 0] = w[:, 2]
+        x = axis[lo:hi, None]
+        y = axis[None, :hi]
         # v = (-omega y, omega x), centered differences of each component
-        div = (wxm - wxp) * y / (2 * h) + (wyp - wym) * x / (2 * h)
-        sup = float(np.maximum(sup, np.max(np.abs(div))))  # NaN propagates, unlike max()
+        div = ((w[:-2, 1:-1] - w[2:, 1:-1]) * y / (2 * h)
+               + (w[1:-1, 2:] - w[1:-1, :-2]) * x / (2 * h))
+        sup = float(np.maximum(sup, np.max(np.abs(div[keep]))))  # NaN propagates, unlike max()
     return sup
 
 
@@ -238,15 +203,9 @@ def beta_sweep(betas: Sequence[float], u0: float,
     )
 
 
-def _sinc_norm_integral() -> float:
-    """int_0^pi sin^2(u)/u du by 128-point Gauss-Legendre (machine accurate)."""
-    nodes, weights = np.polynomial.legendre.leggauss(128)
-    u = 0.5 * math.pi * (nodes + 1.0)
-    w = 0.5 * math.pi * weights
-    return float(np.sum(w * np.sin(u) ** 2 / u))
-
-
-SINC_NORM_INTEGRAL = _sinc_norm_integral()
+# int_0^pi sin^2(u)/u du by 128-point Gauss-Legendre (machine accurate); the test suite
+# recomputes it and requires this float
+SINC_NORM_INTEGRAL = 1.2188266965286045
 
 
 def sinc_limit(params: PhysicalParams, energy: float) -> SincLimit:

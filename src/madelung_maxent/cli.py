@@ -50,12 +50,13 @@ def _write_plane(path: Path, grid: fields.Grid2D, plane: np.ndarray):
     """x,y,value rows, x-major: _write_csv's bytes, with each axis value formatted once.
 
     A whole x-row is one template, "x,y0,%.17g\nx,y1,%.17g\n...", filled by one
-    % call (a formatted float never contains a '%').
+    % call (a formatted float never contains a '%').  The plane is converted to
+    Python floats one row at a time, so the writer holds one row of them.
     """
     xs = ["%.17g," % v for v in grid.x.tolist()]
     ys = ["%.17g,%%.17g\n" % v for v in grid.y.tolist()]
-    rows = ((xi + xi.join(ys)) % tuple(row)
-            for xi, row in zip(xs, np.asarray(plane, dtype=float).tolist()))
+    rows = ((xi + xi.join(ys)) % tuple(row.tolist())
+            for xi, row in zip(xs, np.asarray(plane, dtype=float)))
     _write_lines(path, itertools.chain(["x,y,value\n"], rows))
 
 

@@ -69,51 +69,47 @@ def test_circulation_nonzero(radial1):
     assert circulation > 0.1
 
 
-def test_divergence_second_order(radial1):
-    d1 = mm.divergence_sup(radial1, h=2e-3)
-    d2 = mm.divergence_sup(radial1, h=1e-3)
-    assert d2 < 1e-4
-    assert 2.5 < d1 / d2 < 5.5
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+@pytest.mark.parametrize("beta, ceiling", [
+    (0.01, 4e-3),  # r_m = 0.42 (0.38 planar): the sup grows as the support shrinks
+    (1.0, 1e-4),
+    (100.0, 1e-6),
+])
+def test_divergence_second_order(variant, beta, ceiling):
+    """Halving h divides the sup by 4 to within 12%, at small, unit and large beta."""
+    prof = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1.0, 1.0, beta, variant)))
+    d1 = mm.divergence_sup(prof, h=2e-3)
+    d2 = mm.divergence_sup(prof, h=1e-3)
+    assert d2 < ceiling
+    assert 3.5 < d1 / d2 < 4.5
 
 
 def _full_grid_divergence_sup(profile, h):
-    """The pre-octant divergence_sup: every center of the (2n+1)^2 grid."""
+    """Every center of the (2n + 3)^2 lattice h k, omega evaluated once per node."""
     from madelung_maxent.analysis import _du_values, _omega_from_du
 
     r_lim = 0.8 * profile.r_m
     n = int(r_lim / h)
-    axis = h * np.arange(-n, n + 1)
-    clamp = r_lim + 4 * h
-    table_r = np.linspace(0.0, clamp, 1 << 18)
-    table_du = _du_values(profile, table_r)
-
-    def omega_at(rr):
-        rq = np.minimum(rr, clamp)
-        return _omega_from_du(profile, rq, np.interp(rq, table_r, table_du))
-
-    sup = 0.0
-    for lo in range(0, axis.size, 256):
-        x = axis[lo:lo + 256, None]
-        y = axis[None, :]
-        keep = np.hypot(x, y) <= r_lim - 2 * h
-        if not keep.any():
-            continue
-        wxp = omega_at(np.hypot(x + h, y))
-        wxm = omega_at(np.hypot(x - h, y))
-        wyp = omega_at(np.hypot(x, y + h))
-        wym = omega_at(np.hypot(x, y - h))
-        div = (wxm - wxp) * y / (2 * h) + (wyp - wym) * x / (2 * h)
-        sup = max(sup, float(np.max(np.abs(div[keep]))))
-    return sup
+    axis = h * np.arange(-n - 1, n + 2)
+    omega = np.empty((axis.size, axis.size))
+    for lo in range(0, axis.size, 64):  # every node; past r_lim no kept center reads it
+        r = np.minimum(np.hypot(axis[lo:lo + 64, None], axis[None, :]), r_lim)
+        omega[lo:lo + 64] = _omega_from_du(profile, r, _du_values(profile, r))
+    x = axis[1:-1, None]
+    y = axis[None, 1:-1]
+    keep = np.hypot(x, y) <= r_lim - 2 * h
+    div = ((omega[:-2, 1:-1] - omega[2:, 1:-1]) * y / (2 * h)
+           + (omega[1:-1, 2:] - omega[1:-1, :-2]) * x / (2 * h))
+    return float(np.max(np.abs(div[keep])))
 
 
 @pytest.mark.parametrize("variant, beta, h, n", [
-    # a block holds BLOCK_CELLS // (n + 1) = 2^15 // (n + 1) of the octant's n + 1 rows
+    # a block holds BLOCK_CELLS // (n + 2) = 2^15 // (n + 2) of the octant's n + 1 rows
     ("paper-radial", 0.5, 8e-3, 142),     # the octant's n + 1 rows are one block
     ("planar-radial", 1.0, 8e-3, 134),
     ("paper-radial", 4.0, 4e-3, 397),     # four full blocks and a partial one
     ("planar-radial", 100.0, 4e-3, 338),  # three full blocks and a partial one
-    ("paper-radial", 0.01, 2e-3, 168),    # r_m = 0.42: the table's lookup at small r_m
+    ("paper-radial", 0.01, 2e-3, 168),    # r_m = 0.42
     ("planar-radial", 0.01, 2e-3, 149),
 ])
 def test_divergence_octant_equals_full_grid(variant, beta, h, n):
@@ -121,6 +117,21 @@ def test_divergence_octant_equals_full_grid(variant, beta, h, n):
     prof = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1.0, 1.0, beta, variant)))
     assert int(0.8 * prof.r_m / h) == n
     assert mm.divergence_sup(prof, h=h) == _full_grid_divergence_sup(prof, h)
+
+
+def test_divergence_evaluates_omega_once_per_node(radial1, monkeypatch):
+    """U' is asked at no more radii than the octant's (n + 2)^2 node square holds."""
+    asked = []
+    du_values = analysis._du_values
+
+    def counting(profile, r):
+        asked.append(r.size)
+        return du_values(profile, r)
+    monkeypatch.setattr(analysis, "_du_values", counting)
+    n = int(0.8 * radial1.r_m / 4e-3)
+    assert n == 329
+    mm.divergence_sup(radial1, h=4e-3)
+    assert 0 < sum(asked) <= (n + 2) ** 2
 
 
 @pytest.mark.parametrize("h, field", [
@@ -136,18 +147,6 @@ def test_divergence_sup_refuses_a_grid_past_max_points(radial1):
     """h = 1e-300 would ask for ~1e600 centers: refused before anything is allocated."""
     with pytest.raises(mm.ValidationError, match="^h: too fine"):
         mm.divergence_sup(radial1, h=1e-300)
-
-
-def test_uniform_lookup_is_np_interp_bitwise():
-    """The O(1) bracket of the divergence table returns np.interp's floats."""
-    rng = np.random.default_rng(7)
-    table_r = np.linspace(0.0, 1.3, 1 << 18)
-    table_y = np.cumsum(rng.uniform(0.0, 1e-5, table_r.size))
-    queries = np.concatenate([
-        rng.uniform(0.0, table_r[-1], 200_000), table_r,
-        np.nextafter(table_r[1:], -np.inf), np.nextafter(table_r[:-1], np.inf), [table_r[-1]]])
-    got = analysis._interp_uniform(queries, table_r, table_y)
-    assert np.array_equal(got.view(np.int64), np.interp(queries, table_r, table_y).view(np.int64))
 
 
 def _quick_check(name):
@@ -228,6 +227,14 @@ def test_sinc_limit_energy1(params1):
     s = mm.sinc_limit(params1, energy=1.0)
     assert s.k == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert s.r_inf == pytest.approx(math.pi / math.sqrt(2.0), rel=1e-15)
+
+
+def test_sinc_norm_integral_is_the_gauss_legendre_float():
+    """The literal is int_0^pi sin^2(u)/u du by 128-point Gauss-Legendre, to the bit."""
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    u = 0.5 * math.pi * (nodes + 1.0)
+    w = 0.5 * math.pi * weights
+    assert float(np.sum(w * np.sin(u) ** 2 / u)) == mm.analysis.SINC_NORM_INTEGRAL
 
 
 def test_sinc_normalization_against_quad_oracle(params1):
