@@ -43,10 +43,8 @@ def _du_values(profile: RadialProfile, r: np.ndarray) -> np.ndarray:
     out = np.zeros_like(r)
     tabulated = (r > 0.0) & (r <= profile.nodes[-1])
     asymptotic = r > profile.nodes[-1]
-    if tabulated.any():
-        out[tabulated] = _resample_slope(profile, r[tabulated])
-    if asymptotic.any():
-        out[asymptotic] = 2.0 / (profile.params.beta * (profile.r_m - r[asymptotic]))
+    out[tabulated] = _resample_slope(profile, r[tabulated])
+    out[asymptotic] = 2.0 / (profile.params.beta * (profile.r_m - r[asymptotic]))
     return out
 
 
@@ -108,10 +106,12 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
 
     The stencil of the center (h i, h j) reads omega at the grid nodes
     h (i +- 1) and h (j +- 1), so omega is evaluated once per node, from the
-    interpolant's exact slope (``_du_values``), with no table.  A kept center
+    interpolant's exact slope (``_resample_slope``: the profile's interval
+    table, one row per node interval, not a table of radii).  A kept center
     lies within r_lim - 2h, so the nodes it reads lie within r_lim - h up to
-    rounding; omega is evaluated at the nodes within r_lim (< r_m, where U'
-    is finite) that a center of the octant can read, and nowhere else.
+    rounding; omega is evaluated at the nodes within r_lim (inside the nodes'
+    range; at r = 0 the slope is 0 and omega the limit) that a center of the
+    octant can read, and nowhere else.
 
     Only the centers of the octant 0 <= y <= x are evaluated, and the sup is
     the same float as over the whole grid.  The nodes are h k for integer k,
@@ -150,7 +150,7 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
         read = (r <= r_lim) & (c <= k + 1)  # a center (i, j <= i) reads columns <= i + 1
         w = np.zeros((hi - lo + 2, hi + 2))  # omega; column 0 is node column -1
         rr = r[read]
-        w[:, 1:][read] = _omega_from_du(profile, rr, _du_values(profile, rr))
+        w[:, 1:][read] = _omega_from_du(profile, rr, _resample_slope(profile, rr))
         w[:, 0] = w[:, 2]
         x = axis[lo:hi, None]
         y = axis[None, :hi]

@@ -19,7 +19,9 @@ same way.  The PDE residual is normalized by the sum of the magnitudes of the
 equation's terms ("digits of the equation satisfied"); the self-consistency
 rebuild of U from rho is reported as an absolute deviation.
 
-A grid's two planes (16 B per cell) are its only whole-grid arrays.  The
+A rotated plane is evaluated on half the grid, or on a quadrant when one
+factor serves both axes; the rest is its exact mirror and quarter turn.  A
+grid's two planes (16 B per cell) are its only whole-grid arrays.  The
 rotated evaluation and the grid residual work in row blocks of about
 ``model.BLOCK_CELLS`` cells, so each adds the temporaries of one block,
 whatever the grid size; every float is the one a whole-grid pass gives.
@@ -100,23 +102,32 @@ def _factor_values(profile: AxisProfile, s):
 
 
 def _planes(ux: AxisProfile, uy: AxisProfile, x, y, theta: float):
-    """(U, rho) at the nodes x, y; at theta = 0 the outer sum and product of the axis values."""
+    """(U, rho) at the nodes x, y; at theta = 0 the outer sum and product of the axis values.
+
+    Rotated, the rows up to the centre are evaluated, and of them only the columns
+    up to the centre when ux is uy: then x equals y, so (x, y) -> (-y, x) swaps the
+    source coordinates exactly, and the quarter turn fills the other columns.
+    """
     if theta == 0.0:
         (fx, px), (fy, py) = _factor_values(ux, np.abs(x)), _factor_values(uy, np.abs(y))
         return np.add.outer(fx, fy), np.multiply.outer(px, py)
     ct, st = math.cos(theta), math.sin(theta)
     u, rho = np.full((x.size, y.size), math.inf), np.zeros((x.size, y.size))
     half = x.size // 2 + 1  # rows up to the centre row
-    step = max(1, BLOCK_CELLS // y.size)
+    cols = slice(0, half if ux is uy else y.size)  # one factor: columns up to the centre too
+    step = max(1, BLOCK_CELLS // y[cols].size)
     for lo in range(0, half, step):
         rows = slice(lo, min(lo + step, half))
         # source coordinates of each target node (inverse rotation)
-        xs = np.abs(ct * x[rows, None] + st * y)
-        ys = np.abs(-st * x[rows, None] + ct * y)
+        xs = np.abs(ct * x[rows, None] + st * y[cols])
+        ys = np.abs(-st * x[rows, None] + ct * y[cols])
         inside = (xs <= x[-1]) & (ys <= y[-1])
         (fx, px), (fy, py) = _factor_values(ux, xs[inside]), _factor_values(uy, ys[inside])
-        u[rows][inside] = fx + fy
-        rho[rows][inside] = px * py
+        u[rows, cols][inside] = fx + fy
+        rho[rows, cols][inside] = px * py
+    if ux is uy:  # the columns past the centre are the quarter turn of the rows before it
+        u[:half, half:] = u[half - 2::-1, :half].T
+        rho[:half, half:] = rho[half - 2::-1, :half].T
     # the nodes are h k, so (x, y) -> (-x, -y) negates both source coordinates
     # exactly: the rows past the centre mirror the ones before it, bit for bit
     u[half:] = u[half - 2::-1, ::-1]

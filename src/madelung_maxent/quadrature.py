@@ -2,8 +2,10 @@
 
 The solvers store (r, U, U') at every accepted step, and U'' is available
 exactly from the ODE, so each node interval supports a quintic Hermite
-interpolant.  Integrals are computed with a derivative-corrected composite
-trapezoid rule
+interpolant.  Its table (``hermite_table``) holds the s-free products once per
+node interval; each query's value and slope read its row (``hermite_gather``),
+with the bits of products formed per query.  Integrals are computed with a
+derivative-corrected composite trapezoid rule
 
     int_a^b f  ~=  h/2 (f_a + f_b) + h^2/12 (f'_a - f'_b)          (O(h^4))
 
@@ -39,72 +41,71 @@ def second_derivative(r, u, du, beta, lam_sq, c_coef):
             / np.where(origin, 1.0 + c_coef, 1.0))
 
 
-def _hermite_value(h, u0, v0, a0, u1, v1, a1, s):
-    """Two-point quintic Hermite value at fractions s of an interval."""
+def hermite_table(r, u, du, acc):
+    """Read-only (8, n - 1) rows (r0, h, U0, h U'0, h h U''0, U1, h U'1, h h U''1).
+
+    Each product keeps the operand order of the per-query formula (h * v0 is
+    (h*v0), h * h * a0 is ((h*h)*a0)), so a gathered row gives the same bits.
+    """
+    h = r[1:] - r[:-1]
+    table = np.array([r[:-1], h, u[:-1], h * du[:-1], h * h * acc[:-1],
+                      u[1:], h * du[1:], h * h * acc[1:]])
+    table.setflags(write=False)
+    return table
+
+
+def _hermite_value(t, s):
+    """Two-point quintic Hermite value at fractions s of the interval rows t."""
+    _, _, u0, hv0, hha0, u1, hv1, hha1 = t
     s2 = s * s
     s3 = s2 * s
     s4 = s3 * s
     s5 = s4 * s
     return (u0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
-            + h * v0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
-            + h * h * a0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
+            + hv0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
+            + hha0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
             + u1 * (10 * s3 - 15 * s4 + 6 * s5)
-            + h * v1 * (-4 * s3 + 7 * s4 - 3 * s5)
-            + h * h * a1 * (0.5 * s3 - s4 + 0.5 * s5))
+            + hv1 * (-4 * s3 + 7 * s4 - 3 * s5)
+            + hha1 * (0.5 * s3 - s4 + 0.5 * s5))
 
 
-def _hermite_slope(h, u0, v0, a0, u1, v1, a1, s):
-    """Two-point quintic Hermite slope at fractions s of an interval."""
+def _hermite_slope(t, s):
+    """Two-point quintic Hermite slope at fractions s of the interval rows t."""
+    _, h, u0, hv0, hha0, u1, hv1, hha1 = t
     s2 = s * s
     s3 = s2 * s
     s4 = s3 * s
     return (u0 * (-30 * s2 + 60 * s3 - 30 * s4)
-            + h * v0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
-            + h * h * a0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
+            + hv0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
+            + hha0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
             + u1 * (30 * s2 - 60 * s3 + 30 * s4)
-            + h * v1 * (-12 * s2 + 28 * s3 - 15 * s4)
-            + h * h * a1 * (1.5 * s2 - 4 * s3 + 2.5 * s4)) / h
+            + hv1 * (-12 * s2 + 28 * s3 - 15 * s4)
+            + hha1 * (1.5 * s2 - 4 * s3 + 2.5 * s4)) / h
 
 
 def hermite_refine(r, u, du, acc):
     """Subdivide every node interval _REFINE-fold; returns refined (r, u, du)."""
-    r = np.asarray(r, dtype=float)
-    if r.size < 2:
-        return r.copy(), np.asarray(u, float).copy(), np.asarray(du, float).copy()
-    h = np.diff(r)[:, None]
+    t = hermite_table(r, u, du, acc)[:, :, None]
     s = (np.arange(_REFINE) / _REFINE)[None, :]
-    args = (h, u[:-1, None], du[:-1, None], acc[:-1, None],
-            u[1:, None], du[1:, None], acc[1:, None], s)
-    uu, vv = _hermite_value(*args), _hermite_slope(*args)
-    rr = (r[:-1, None] + h * s)
+    uu, vv = _hermite_value(t, s), _hermite_slope(t, s)
+    rr = (t[0] + t[1] * s)
     return (np.append(rr.ravel(), r[-1]),
             np.append(uu.ravel(), u[-1]),
             np.append(vv.ravel(), du[-1]))
 
 
-def hermite_evaluate(r, u, du, acc, query):
-    """Evaluate the piecewise quintic Hermite's value at query points.
+def hermite_gather(r, table, query):
+    """The rows of each query's node interval in ``table``, and its fraction s there.
 
     Queries must lie within [r[0], r[-1]]; exact node hits return node data.
-    acc must be the true second derivative at the nodes, which the ODE gives
-    for every profile: a profile holds a solution of its own equation.  The
-    slope at the same points is ``_hermite_slope(*_quintic_intervals(...))``.
+    The table's U'' must be the true second derivative at the nodes, which the
+    ODE gives for every profile: a profile holds a solution of its own equation.
     """
-    return _hermite_value(*_quintic_intervals(r, u, du, acc, query))
-
-
-def _quintic_intervals(r, u, du, acc, query):
-    """Per query, the arguments (h, u0, v0, a0, u1, v1, a1, s) of its node interval."""
-    r = np.asarray(r, dtype=float)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
     q = np.atleast_1d(np.asarray(query, dtype=float))
     if not np.all((q >= r[0]) & (q <= r[-1])):  # NaN fails both comparisons
         raise ValidationError("query: points outside the tabulated range or NaN")
-    idx = np.clip(np.searchsorted(r, q, side="right") - 1, 0, r.size - 2)
-    h = r[idx + 1] - r[idx]
-    s = (q - r[idx]) / h
-    return h, u[idx], du[idx], acc[idx], u[idx + 1], du[idx + 1], acc[idx + 1], s
+    t = np.take(table, np.clip(np.searchsorted(r, q, side="right") - 1, 0, r.size - 2), axis=1)
+    return t, (q - t[0]) / t[1]
 
 
 class _Rule:
@@ -235,6 +236,6 @@ def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> 
 
 
 __all__ = [
-    "second_derivative", "hermite_refine", "hermite_evaluate", "radial_moments",
+    "second_derivative", "hermite_table", "hermite_gather", "hermite_refine", "radial_moments",
     "axis_normalization",
 ]

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .integrator import REL_TOL, StopReason, integrate
 from .model import AxisProfile, PhysicalParams, RadialProfile, SolverError, _require
 
 BLOWUP_LOG_MARGIN = 40.0  # stop once beta*(U - U0) exceeds this
+_TABLES = weakref.WeakKeyDictionary()  # Hermite interval table per profile object; not a field
 
 
 class Geometry(enum.Enum):
@@ -119,17 +121,26 @@ def resample(profile, query):
     A profile holds a solution of its own equation, so the stored (U, U') at
     each node fix U'' there through the ODE, and the piecewise quintic Hermite
     on (U, U', U'') is the profile's interpolant, one order above a cubic on
-    (U, U') alone, which matters near the steep wall.  Only U is evaluated;
-    ``_resample_slope`` gives the same interpolant's U'.
+    (U, U') alone, which matters near the steep wall.  Its interval table
+    (``quadrature.hermite_table``, one row per node interval) is built on a
+    profile's first resample and kept while the profile lives.  Only U is
+    evaluated; ``_resample_slope`` gives the same interpolant's U'.
     """
-    return quadrature.hermite_evaluate(profile.nodes, profile.u, profile.du,
-                                       _equation_acc(profile), query)
+    return quadrature._hermite_value(*_gather(profile, query))
 
 
 def _resample_slope(profile, query):
     """U' of the interpolant ``resample`` evaluates, at the same query points."""
-    return quadrature._hermite_slope(*quadrature._quintic_intervals(
-        profile.nodes, profile.u, profile.du, _equation_acc(profile), query))
+    return quadrature._hermite_slope(*_gather(profile, query))
+
+
+def _gather(profile, query):
+    """The queries' interval rows and fractions, from the table built on the first call."""
+    table = _TABLES.get(profile)
+    if table is None:
+        table = _TABLES[profile] = quadrature.hermite_table(
+            profile.nodes, profile.u, profile.du, _equation_acc(profile))
+    return quadrature.hermite_gather(profile.nodes, table, query)
 
 
 def _equation_acc(profile):

@@ -122,12 +122,12 @@ def test_divergence_octant_equals_full_grid(variant, beta, h, n):
 def test_divergence_evaluates_omega_once_per_node(radial1, monkeypatch):
     """U' is asked at no more radii than the octant's (n + 2)^2 node square holds."""
     asked = []
-    du_values = analysis._du_values
+    slope = analysis._resample_slope
 
     def counting(profile, r):
         asked.append(r.size)
-        return du_values(profile, r)
-    monkeypatch.setattr(analysis, "_du_values", counting)
+        return slope(profile, r)
+    monkeypatch.setattr(analysis, "_resample_slope", counting)
     n = int(0.8 * radial1.r_m / 4e-3)
     assert n == 329
     mm.divergence_sup(radial1, h=4e-3)
@@ -156,9 +156,9 @@ def _quick_check(name):
 
 def test_divergence_sup_reports_a_nan_block(radial1, monkeypatch):
     """A block holding a NaN omega is not dropped from the sup; divergence-free fails."""
-    du_values = analysis._du_values
-    monkeypatch.setattr(analysis, "_du_values",
-                        lambda profile, r: np.where(r < 0.3, math.nan, du_values(profile, r)))
+    slope = analysis._resample_slope
+    monkeypatch.setattr(analysis, "_resample_slope",
+                        lambda profile, r: np.where(r < 0.3, math.nan, slope(profile, r)))
     assert math.isnan(mm.divergence_sup(radial1, h=4e-3))
     assert not _quick_check("divergence-free").passed
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,26 @@ def test_rotation_matches_factor_resample(axis1, other, h, theta):
     np.testing.assert_array_equal(rot.rho[~inside], 0.0)
     np.testing.assert_allclose(rot.u[inside], ax + ay, rtol=1e-13, atol=0)
     np.testing.assert_allclose(rot.rho[inside], rho, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("h", [5e-3, 2e-3, 0.0137])
+def test_quarter_turn_fill_is_the_evaluated_plane(beta, h):
+    """One factor on both axes fills a quadrant by the quarter turn, bit for bit.
+
+    A distinct but equal factor object takes the general path, which evaluates
+    every column; the planes of both paths hold the same bytes, also past a
+    quarter turn (2.9) and at a negative angle.
+    """
+    factor = mm.solve_cartesian_factor(mm.SolveRequest(
+        params=mm.make_params(1.0, 1.0, beta), geometry=mm.Geometry.CARTESIAN_FACTOR))
+    twin = replace(factor)
+    assert twin is not factor
+    quadrant, general = mm.assemble_2d(factor, factor, h), mm.assemble_2d(factor, twin, h)
+    for theta in (0.3, 0.5236, 1.2, 2.9, -0.4):
+        a, b = mm.rotate_grid(quadrant, theta), mm.rotate_grid(general, theta)
+        assert a.u.tobytes() == b.u.tobytes()
+        assert a.rho.tobytes() == b.rho.tobytes()
 
 
 def test_assembled_planes_are_factor_values_at_the_coordinates(axis1, other):

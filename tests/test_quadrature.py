@@ -26,11 +26,16 @@ def test_corrected_trapezoid_fourth_order():
     assert errs[1] / errs[2] == pytest.approx(16, rel=0.2)
 
 
+def _hermite(x, f, df, ddf, query):
+    """Value and slope of the piecewise quintic Hermite on (f, df, ddf) at the queries."""
+    args = q.hermite_gather(x, q.hermite_table(x, f, df, ddf), query)
+    return q._hermite_value(*args), q._hermite_slope(*args)
+
+
 def test_hermite_evaluate_reproduces_nodes():
     x = np.linspace(0.0, 1.0, 11)
     f, df, ddf = np.sin(x), np.cos(x), -np.sin(x)
-    u = q.hermite_evaluate(x, f, df, ddf, x)
-    v = q._hermite_slope(*q._quintic_intervals(x, f, df, ddf, x))
+    u, v = _hermite(x, f, df, ddf, x)
     np.testing.assert_allclose(u, f, rtol=0, atol=1e-15)
     np.testing.assert_allclose(v, df, rtol=1e-13, atol=1e-15)
 
@@ -38,8 +43,7 @@ def test_hermite_evaluate_reproduces_nodes():
 def test_hermite_evaluate_accuracy():
     x = np.linspace(0.0, np.pi, 30)
     query = np.linspace(0.0, np.pi, 997)
-    args = (x, np.sin(x), np.cos(x), -np.sin(x), query)
-    u, v = q.hermite_evaluate(*args), q._hermite_slope(*q._quintic_intervals(*args))
+    u, v = _hermite(x, np.sin(x), np.cos(x), -np.sin(x), query)
     assert np.max(np.abs(u - np.sin(query))) < 1e-10
     assert np.max(np.abs(v - np.cos(query))) < 1e-8
 
@@ -48,7 +52,7 @@ def test_hermite_evaluate_range_checked():
     x = np.linspace(0.0, 1.0, 5)
     z = np.zeros_like(x)
     with pytest.raises(ValueError):
-        q.hermite_evaluate(x, z, z, z, np.array([1.5]))
+        _hermite(x, z, z, z, np.array([1.5]))
 
 
 @pytest.mark.parametrize("query", [np.nan, [0.5, np.nan]])

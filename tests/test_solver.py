@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import madelung_maxent as mm
-from madelung_maxent import quadrature
 from madelung_maxent.integrator import StopReason
-from madelung_maxent.solver import _equation_acc, _resample_slope
+from madelung_maxent.solver import _TABLES, _equation_acc, _resample_slope
 
 
 def test_radial_golden_r_m(radial1, golden):
@@ -216,16 +215,82 @@ def test_boundary_density_slope_decays(radial1):
     assert rho[-1] < 1e-16 * rho[0]
 
 
-@pytest.mark.parametrize("which", ["radial1", "axis1", "uniform_disk"])
+def _quintic_oracle(profile, query):
+    """Value and slope of the quintic Hermite, with every product formed per query.
+
+    An independent copy of the per-query formula the interval table replaced:
+    each query finds its interval and forms h * v0 and h * h * a0 itself.
+    """
+    r, u, du, acc = profile.nodes, profile.u, profile.du, _equation_acc(profile)
+    idx = np.clip(np.searchsorted(r, query, side="right") - 1, 0, r.size - 2)
+    h = r[idx + 1] - r[idx]
+    s = (query - r[idx]) / h
+    u0, v0, a0, u1, v1, a1 = u[idx], du[idx], acc[idx], u[idx + 1], du[idx + 1], acc[idx + 1]
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    s5 = s4 * s
+    value = (u0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
+             + h * v0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
+             + h * h * a0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
+             + u1 * (10 * s3 - 15 * s4 + 6 * s5)
+             + h * v1 * (-4 * s3 + 7 * s4 - 3 * s5)
+             + h * h * a1 * (0.5 * s3 - s4 + 0.5 * s5))
+    slope = (u0 * (-30 * s2 + 60 * s3 - 30 * s4)
+             + h * v0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
+             + h * h * a0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
+             + u1 * (30 * s2 - 60 * s3 + 30 * s4)
+             + h * v1 * (-12 * s2 + 28 * s3 - 15 * s4)
+             + h * h * a1 * (1.5 * s2 - 4 * s3 + 2.5 * s4)) / h
+    return value, slope
+
+
+@pytest.fixture(scope="module")
+def planar1():
+    """The planar-radial (c = 1) solve at beta = 1."""
+    return mm.solve_radial(mm.SolveRequest(params=mm.make_params(1.0, 1.0, 1.0, "planar-radial")))
+
+
+def _resample_queries(profile):
+    """The origin, the last node, every node, a uniform and a random set of radii."""
+    r_end = float(profile.nodes[-1])
+    rng = np.random.default_rng(5)
+    return np.concatenate([[0.0, r_end], profile.nodes, np.linspace(0.0, r_end, 5001),
+                           rng.uniform(0.0, r_end, 2000)])
+
+
+@pytest.mark.parametrize("which", ["radial1", "axis1", "uniform_disk", "planar1"])
 def test_resample_halves_match_quintic_hermite_bitwise(which, request):
-    """resample gives the quintic Hermite's value bits, _resample_slope its slope bits."""
+    """resample gives the quintic Hermite's value bits, _resample_slope its slope bits.
+
+    The profiles cover c = 0 (axis1), 1 (planar1) and 2 (radial1, uniform_disk).
+    """
     profile = request.getfixturevalue(which)
-    query = np.linspace(0.0, float(profile.nodes[-1]), 5001)
-    args = quadrature._quintic_intervals(profile.nodes, profile.u, profile.du,
-                                         _equation_acc(profile), query)
-    for got, want in [(mm.resample(profile, query), quadrature._hermite_value(*args)),
-                      (_resample_slope(profile, query), quadrature._hermite_slope(*args))]:
+    query = _resample_queries(profile)
+    for got, want in zip([mm.resample(profile, query), _resample_slope(profile, query)],
+                         _quintic_oracle(profile, query)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["radial1", "axis1"])
+def test_interval_table_is_no_state(which, request):
+    """The table is kept per profile object, read-only, and never serialized."""
+    profile = replace(request.getfixturevalue(which))  # a fresh object, no table yet
+    assert profile not in _TABLES
+    before = (profile.to_dict(), mm.to_json(profile))
+    query = _resample_queries(profile)
+    value = mm.resample(profile, query)
+    assert (profile.to_dict(), mm.to_json(profile)) == before
+    table = _TABLES[profile]
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
+    # a replaced profile solves another equation: it builds its own table
+    other = replace(profile, params=mm.make_params(1.0, 1.0, 2.0, profile.params.laplacian_variant))
+    got = mm.resample(other, query)
+    assert _TABLES[other] is not table
+    assert np.array_equal(got.view(np.int64), _quintic_oracle(other, query)[0].view(np.int64))
+    assert not np.array_equal(got, value)
 
 
 def _slopes_follow_equation(profile) -> bool:
