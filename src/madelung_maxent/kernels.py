@@ -81,10 +81,7 @@ def madelung_loop(t0, u0, v0, beta, lam_sq, c_coef,
     k1u = v
     k1v = hb * v * v + lam_sq * u - c_coef / t * v
 
-    attempts = 0
-    while attempts < max_steps:
-        attempts += 1
-
+    for _ in range(max_steps):
         # --- one DP45 attempt (state is the scalar pair (u, v)) ---
         tu = u + h * (a21 * k1u)
         tv = v + h * (a21 * k1v)

@@ -11,8 +11,10 @@ derivative-corrected composite trapezoid rule
 
 after subdividing every interval 4x with the Hermite interpolant, which
 pushes the kinetic-energy identity error to ~1e-9 even on sparse node sets.
-The unreached sliver between the last node and the support radius (relative
-density there is below e^-40) is closed with a one-sided cubic fit.
+The unreached sliver between the last node and the support radius is left
+out: the solve stops where the relative density falls below e^-40, so the
+sliver adds less than half an ulp to every sum
+(``tests/test_quadrature.py::test_unreached_sliver_is_below_rounding``).
 
 Both normalizations, ``radial_moments`` (which returns a radial solve's
 ``Observables``) and ``axis_normalization``, refuse a Z that is not a normal
@@ -54,44 +56,74 @@ def hermite_table(r, u, du, acc):
     return table
 
 
-def _hermite_value(t, s):
-    """Two-point quintic Hermite value at fractions s of the interval rows t."""
-    _, _, u0, hv0, hha0, u1, hv1, hha1 = t
+def _value_basis(s):
+    """Quintic Hermite value weights of (U0, h U'0, h h U''0, U1, h U'1, h h U''1) at s."""
     s2 = s * s
     s3 = s2 * s
     s4 = s3 * s
     s5 = s4 * s
-    return (u0 * (1 - 10 * s3 + 15 * s4 - 6 * s5)
-            + hv0 * (s - 6 * s3 + 8 * s4 - 3 * s5)
-            + hha0 * (0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5)
-            + u1 * (10 * s3 - 15 * s4 + 6 * s5)
-            + hv1 * (-4 * s3 + 7 * s4 - 3 * s5)
-            + hha1 * (0.5 * s3 - s4 + 0.5 * s5))
+    yield 1 - 10 * s3 + 15 * s4 - 6 * s5
+    yield s - 6 * s3 + 8 * s4 - 3 * s5
+    yield 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
+    yield 10 * s3 - 15 * s4 + 6 * s5
+    yield -4 * s3 + 7 * s4 - 3 * s5
+    yield 0.5 * s3 - s4 + 0.5 * s5
+
+
+def _slope_basis(s):
+    """The matching slope weights (times h) at s."""
+    s2 = s * s
+    s3 = s2 * s
+    s4 = s3 * s
+    yield -30 * s2 + 60 * s3 - 30 * s4
+    yield 1 - 18 * s2 + 32 * s3 - 15 * s4
+    yield s - 4.5 * s2 + 6 * s3 - 2.5 * s4
+    yield 30 * s2 - 60 * s3 + 30 * s4
+    yield -12 * s2 + 28 * s3 - 15 * s4
+    yield 1.5 * s2 - 4 * s3 + 2.5 * s4
+
+
+def _combine(t, basis):
+    """Sum of the table rows (U0, ..., h h U''1) times their weights, in row order.
+
+    Python evaluates the terms left to right, so each draws its own weight and a
+    query block holds one weight at a time.
+    """
+    _, _, u0, hv0, hha0, u1, hv1, hha1 = t
+    w = iter(basis)
+    return (u0 * next(w) + hv0 * next(w) + hha0 * next(w)
+            + u1 * next(w) + hv1 * next(w) + hha1 * next(w))
+
+
+def _hermite_value(t, s):
+    """Two-point quintic Hermite value at fractions s of the interval rows t."""
+    return _combine(t, _value_basis(s))
 
 
 def _hermite_slope(t, s):
     """Two-point quintic Hermite slope at fractions s of the interval rows t."""
-    _, h, u0, hv0, hha0, u1, hv1, hha1 = t
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    return (u0 * (-30 * s2 + 60 * s3 - 30 * s4)
-            + hv0 * (1 - 18 * s2 + 32 * s3 - 15 * s4)
-            + hha0 * (s - 4.5 * s2 + 6 * s3 - 2.5 * s4)
-            + u1 * (30 * s2 - 60 * s3 + 30 * s4)
-            + hv1 * (-12 * s2 + 28 * s3 - 15 * s4)
-            + hha1 * (1.5 * s2 - 4 * s3 + 2.5 * s4)) / h
+    return _combine(t, _slope_basis(s)) / t[1]
+
+
+# the refinement fractions s = 0, 1/4, 1/2, 3/4 and their weights, one row per s
+_S = np.arange(_REFINE) / _REFINE
+_VALUE_W = np.array(list(_value_basis(_S)))[:, :, None]
+_SLOPE_W = np.array(list(_slope_basis(_S)))[:, :, None]
 
 
 def hermite_refine(r, u, du, acc):
-    """Subdivide every node interval _REFINE-fold; returns refined (r, u, du)."""
-    t = hermite_table(r, u, du, acc)[:, :, None]
-    s = (np.arange(_REFINE) / _REFINE)[None, :]
-    uu, vv = _hermite_value(t, s), _hermite_slope(t, s)
-    rr = (t[0] + t[1] * s)
-    return (np.append(rr.ravel(), r[-1]),
-            np.append(uu.ravel(), u[-1]),
-            np.append(vv.ravel(), du[-1]))
+    """Subdivide every node interval _REFINE-fold; returns refined (r, u, du).
+
+    The weights at the fixed fractions are computed once, so each row op runs
+    over the intervals; the values are those of ``_hermite_value``/``_hermite_slope``.
+    """
+    t = hermite_table(r, u, du, acc)[:, None, :]
+    rr = t[0] + t[1] * _S[:, None]
+    uu = _combine(t, _VALUE_W)
+    vv = _combine(t, _SLOPE_W) / t[1]
+    return (np.append(rr.T.ravel(), r[-1]),
+            np.append(uu.T.ravel(), u[-1]),
+            np.append(vv.T.ravel(), du[-1]))
 
 
 def hermite_gather(r, table, query):
@@ -108,49 +140,12 @@ def hermite_gather(r, table, query):
     return t, (q - t[0]) / t[1]
 
 
-class _Rule:
-    """Derivative-corrected trapezoid on the grid x plus the cubic tail to x_end.
-
-    Everything that depends only on the grid is set up once: the interval
-    weights h/2 and h^2/12, and the tail's sample window and Vandermonde
-    matrix.  The tail fits the interpolating cubic through four samples
-    spanning a window of a few tail widths (so the bisection-shortened final
-    intervals do not force a wild extrapolation) and integrates it over the
-    unreached sliver [x[-1], x_end].  Each integrand still gets its own
-    solve, which keeps its rounding independent of the others'.
-    """
-
-    _UPPER = np.array([1.0, 1.0 / 2.0, 1.0 / 3.0, 1.0 / 4.0])
-
-    def __init__(self, x, x_end: float):
-        x = np.asarray(x, dtype=float)
-        h = np.diff(x)
-        self.half_h = 0.5 * h
-        self.h2_12 = h * h / 12.0
-        self.window = None
-        gap = x_end - x[-1]
-        if gap <= 0.0 or x.size < 4:
-            return
-        lo = min(np.searchsorted(x, x[-1] - 3.0 * gap), x.size - 4)
-        # lo <= size - 4 spaces the four indices at least one apart, and their
-        # fractions are thirds (never a rounding tie): rounded, still distinct
-        self.window = np.round(np.linspace(lo, x.size - 1, 4)).astype(int)
-        self.gap = gap
-        # scaled coordinate keeps the Vandermonde system well conditioned
-        self.vander = np.vander((x[self.window] - x[-1]) / gap, 4, increasing=True)
-
-    def trapezoid(self, f, df) -> float:
-        return float(np.sum(self.half_h * (f[:-1] + f[1:]) + self.h2_12 * (df[:-1] - df[1:])))
-
-    def tail(self, g) -> float:
-        if self.window is None:
-            return 0.0
-        coef = np.linalg.solve(self.vander, np.asarray(g, dtype=float)[self.window])
-        return float(self.gap * np.dot(coef, self._UPPER))
-
-    def __call__(self, f, df) -> float:
-        """Integral over [x[0], x_end] of f with derivative df."""
-        return self.trapezoid(f, df) + self.tail(f)
+def _trapezoid(x, *integrands):
+    """Derivative-corrected trapezoid sums over the grid x, one per (f, f') pair."""
+    h = np.diff(x)
+    half_h, h2_12 = 0.5 * h, h * h / 12.0
+    return [float(np.sum(half_h * (f[:-1] + f[1:]) + h2_12 * (df[:-1] - df[1:])))
+            for f, df in integrands]
 
 
 def _refined_weights(beta: float, lam_sq: float, c_coef: float, nodes, u, du):
@@ -180,38 +175,36 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
     Normalization, average potential, kinetic quadrature, second moment and
     entropy share one rule and one node set, so identities that are linear in
     the common Boltzmann weight (entropy = beta*u_bar + ln z) hold to rounding
-    by construction.  k_bar is the closed form mass/beta.
+    by construction.  k_bar is the closed form mass/beta.  Z is formed and
+    refused first, so a solve whose Z underflows stops before the other sums.
     """
     rr, uu, vv, w = _refined_weights(beta, lam_sq, c_coef, nodes, u, du)
-    aa = second_derivative(rr, uu, vv, beta, lam_sq, c_coef)
     u0 = float(u[0])
+    bv = beta * vv
 
-    fz = w * rr
-    dfz = w * (1.0 - beta * vv * rr)
-    fu = uu * w * rr
-    dfu = w * (vv * rr + uu - beta * uu * vv * rr)
-    fk = rr * rr * vv * w
-    dfk = w * (2.0 * rr * vv + rr * rr * aa - beta * rr * rr * vv * vv)
-    f2 = rr**3 * w
-    df2 = w * (3.0 * rr * rr - beta * vv * rr**3)
-
-    rule = _Rule(rr, r_m)
-    zq = rule(fz, dfz)
-    uq = rule(fu, dfu)
-    kq = rule(fk, dfk)
-    r2q = rule(f2, df2)
-
+    zq, = _trapezoid(rr, (w * rr, w * (1.0 - bv * rr)))
     _require_positive(zq)
     log_z = float(np.log(2.0 * np.pi * zq) - beta * u0)
     z = _require_normal(float(np.exp(log_z)), log_z)
 
-    # entropy from the actual density values; shares nodes and rule with zq
+    aa = second_derivative(rr, uu, vv, beta, lam_sq, c_coef)
+    r2, r3 = rr * rr, rr**3
+    # entropy from the actual density values; shares nodes and rule with zq.
+    # rho is 0 only where exp(-beta u0) underflowed while Z did not (hbar
+    # ~ 1e10 at beta ~ 750): the entropy is then NaN and Observables refuses it
     rho = w * (np.exp(-beta * u0) / z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_rho = np.where(rho > 0.0, np.log(np.where(rho > 0.0, rho, 1.0)), 0.0)
-    fh = -rho * log_rho * rr
-    dfh = beta * vv * rho * rr * (log_rho + 1.0) - rho * log_rho
-    hq = rule(fh, dfh)
+        log_rho = np.log(rho)
+        rho_log_rho = rho * log_rho
+        fh = -rho_log_rho * rr
+        dfh = bv * rho * rr * (log_rho + 1.0) - rho_log_rho
+
+    uq, kq, r2q, hq = _trapezoid(
+        rr,
+        (uu * w * rr, w * (vv * rr + uu - beta * uu * vv * rr)),
+        (r2 * vv * w, w * (2.0 * rr * vv + r2 * aa - beta * rr * rr * vv * vv)),
+        (r3 * w, w * (3.0 * rr * rr - bv * r3)),
+        (fh, dfh))
 
     return Observables(beta=beta, z=z, log_z=log_z,
                        u_bar=float(uq / zq),
@@ -222,14 +215,15 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
                        r_m=r_m)
 
 
-def axis_normalization(beta: float, nodes, u, du, lam_sq: float, i_m: float) -> float:
+def axis_normalization(beta: float, nodes, u, du, lam_sq: float) -> float:
     """Full-line normalization integral of exp(-beta U_i) for one even factor.
 
-    Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension), under
-    the same normal-float rule as the radial Z.
+    Returns Z_i = 2 * int_0^{i_m} exp(-beta U_i) di (even extension), summed
+    to the last node like the radial pass, under the same normal-float rule
+    as the radial Z.
     """
     rr, _, vv, w = _refined_weights(beta, lam_sq, 0.0, nodes, u, du)
-    q = _Rule(rr, i_m)(w, -beta * vv * w)
+    q, = _trapezoid(rr, (w, -beta * vv * w))
     _require_positive(q)
     u0 = float(u[0])
     return _require_normal(float(2.0 * q * np.exp(-beta * u0)), math.log(2.0 * q) - beta * u0)

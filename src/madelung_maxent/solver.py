@@ -20,7 +20,9 @@ Each solve normalizes its density in the same step, and every consumer reads
 that Z from the returned profile.  For a radial solve one pass of
 ``quadrature.radial_moments`` gives Z together with every scalar observable,
 and the profile carries that ``Observables`` record; a Cartesian factor
-carries the full-line Z of ``quadrature.axis_normalization``.
+carries the full-line Z of ``quadrature.axis_normalization``.  Both integrate
+up to the last node and leave out the sliver to the support radius: past the
+stop the relative density is below e^-40.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
              "geometry", "must be 'cartesian-factor'")
     p = request.params
     nodes, u, du, i_m = _solve_potential(p, request.u0, request.rel_tol, 0.0)
-    z = quadrature.axis_normalization(p.beta, nodes, u, du, p.lambda_sq, i_m)
+    z = quadrature.axis_normalization(p.beta, nodes, u, du, p.lambda_sq)
     return AxisProfile(params=p, nodes=nodes, u=u, du=du, u0=request.u0,
                        half_width=i_m, z=z)
 

@@ -179,8 +179,11 @@ def _golden_scalars(case):
         return True, f"no golden entry for beta={case.beta:g}; skipped"
     dr = abs(case.profile.r_m - ref["r_m"]) / ref["r_m"]
     du = abs(case.obs.u_bar - ref["u_bar"]) / ref["u_bar"]
-    return (dr < 1e-6 and du < 1e-6,
-            f"r_m rel dev {dr:.2e}, u_bar rel dev {du:.2e} vs golden")
+    dz = abs(case.obs.log_z - ref["log_z"])
+    d2 = abs(case.obs.r2_bar - ref["r2_bar"]) / ref["r2_bar"]
+    return (dr < 1e-6 and du < 1e-6 and dz < 1e-9 and d2 < 1e-9,
+            f"r_m rel dev {dr:.2e}, u_bar rel dev {du:.2e}, log_z abs dev {dz:.2e}, "
+            f"r2_bar rel dev {d2:.2e} vs golden")
 
 
 def _rotation_invariance(case):

@@ -376,6 +376,21 @@ def test_verify_detects_tampered_golden():
     assert not result.passed and "r_m rel dev 9.99e-04" in result.detail
 
 
+@pytest.mark.parametrize("key, move, reading", [
+    ("log_z", lambda v: v + 1e-6, "log_z abs dev 1.00e-06"),
+    ("r2_bar", lambda v: v * (1.0 + 1e-6), "r2_bar rel dev 1.00e-06"),
+])
+def test_verify_detects_moved_golden_log_z_and_r2_bar(key, move, reading):
+    """golden-scalars reads log z and <r^2> too: a golden moved by 1e-6 fails it."""
+    check = next(c for c in verify.CHECKS if c.name == "golden-scalars")
+    case = verify.Case(1.0, True)
+    golden = verify.load_golden()
+    golden["radial"]["1.0"][key] = move(golden["radial"]["1.0"][key])
+    case.__dict__["golden"] = golden  # the cached golden lives in the instance dict
+    result = verify.run_check(check, case)
+    assert not result.passed and reading in result.detail
+
+
 def test_verify_reports_raising_checks_as_failures(capsys):
     """At beta = 1e-6 one check raises; the other 12 quick rows still run and print."""
     assert run_cli("verify", "--beta", "1e-6", "--quick") == 1
