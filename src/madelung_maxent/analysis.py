@@ -27,7 +27,8 @@ from .solver import SolveRequest, _resample_slope, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
-_INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; brentq stops at 1/8 of it
+_INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; the bracket closes to 1/8 of it
+_INVERT_MAX_SOLVES = 100  # a bracket still open after this many solves raises SolverError
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
 _ENTROPY_SEED = 0
 _ENTROPY_GRID = 2049  # odd, for composite Simpson
@@ -291,40 +292,84 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     """Find beta with average energy u_bar(beta) + m/beta = target_energy.
 
     The map is monotone decreasing, bounded below by the infinite-beta
-    average potential, and the kinetic term enforces beta > m/E.  In
-    x = 1/beta the energy m x + u_bar(1/x) is nearly linear, so Brent's
-    method on x in [1/beta_cap, E/m] pins beta to a relative 1.25e-7 in a
-    handful of solves.  Targets below E(beta_cap) raise NoSolutionError.
+    average potential U0, and the kinetic term enforces beta > m/E.  In
+    xi = ln x (x = 1/beta), phi = ln(E - U0) - ln(target - U0) is nearly a
+    line of slope 1, so a secant on x in [1/beta_cap, E/m] from
+    x0 = (target - U0)/(2m), its first step Newton with slope 1, pins beta to
+    a relative 1.25e-7 in 3-5 solves (Brent's method in x took 6-7).  Once
+    E - target changes sign the bracket is kept: a proposal outside it becomes
+    its geometric midpoint, and one within half the stop width of the iterate
+    steps that half width past it, closing the bracket.  A broken solve's
+    E <= U0 reads as phi = -inf.
+
+    A target is refused (NoSolutionError with E(beta_cap)) exactly when the
+    solve at beta_cap reads E > target; E < target at the kinetic bound, or a
+    bracket still open after 100 solves, raises SolverError.
     """
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
     energies = {}
 
-    def excess_at(x: float) -> float:
-        """E(1/x) - target; each x is solved once."""
+    def energy_at(x: float) -> float:
+        """E(1/x); each x is solved once."""
         if x not in energies:
             params = replace(params_template, beta=1.0 / x)
             energies[x] = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
-        return energies[x] - target_energy
+        return energies[x]
+
+    log_gap = math.log(target_energy - u0) if target_energy > u0 else -math.inf
+
+    def phi_at(x: float) -> float:
+        e = energy_at(x)
+        return math.log(e - u0) - log_gap if e > u0 else -math.inf
 
     # z = e^{-beta u0} O(1) underflows for beta u0 beyond ~700; targets closer
     # to the infinite-beta energy than E(beta_cap) are reported infeasible
     beta_cap = 500.0 / u0
-    x_cap, x_min_beta = 1.0 / beta_cap, target_energy / (params_template.mass * (1.0 + 1e-9))
-    if excess_at(x_cap) > 0.0:
-        raise NoSolutionError(
-            f"target energy {target_energy} is below the attainable range: energies "
-            f"reachable for beta <= {beta_cap:.3g} are at least E(beta_cap) = "
-            f"{energies[x_cap]:.9g}", feasible_min=energies[x_cap])
-    if excess_at(x_min_beta) < 0.0:
-        raise SolverError(
-            f"E(beta) - {target_energy} keeps one sign on the bracket beta in "
-            f"[{1.0 / x_min_beta:.9g}, {beta_cap:.9g}]")
-    # only the inversion needs scipy.optimize; importing it here keeps it off the import path
-    from scipy.optimize import brentq
-    return 1.0 / brentq(excess_at, x_cap, x_min_beta, xtol=1e-300,
-                        rtol=0.125 * _INVERT_REL_TOL)
+    mass = params_template.mass
+    x_cap, x_max = 1.0 / beta_cap, target_energy / (mass * (1.0 + 1e-9))
+    lo = hi = last = None  # E(1/lo) < target < E(1/hi); the previous (xi, phi)
+    x = max(x_cap, min(0.5 * (target_energy - u0) / mass, x_max))
+    for _ in range(_INVERT_MAX_SOLVES):
+        if x == x_cap and energy_at(x) > target_energy:
+            raise NoSolutionError(
+                f"target energy {target_energy} is below the attainable range: energies "
+                f"reachable for beta <= {beta_cap:.3g} are at least E(beta_cap) = "
+                f"{energies[x_cap]:.9g}", feasible_min=energies[x_cap])
+        phi = phi_at(x)
+        if phi == 0.0:
+            return 1.0 / x
+        if phi > 0.0:
+            hi = x
+        elif x == x_max:
+            raise SolverError(
+                f"E(beta) - {target_energy} keeps one sign on the bracket beta in "
+                f"[{1.0 / x_max:.9g}, {beta_cap:.9g}]")
+        else:
+            lo = x
+        if lo is not None and hi is not None and hi - lo <= 0.125 * _INVERT_REL_TOL * lo:
+            return 1.0 / min(lo, hi, key=lambda end: abs(phi_at(end)))
+        xi = math.log(x)
+        slope = 1.0 if last is None else (phi - last[1]) / (xi - last[0])
+        last = xi, phi
+        # exp stays finite; NaN (a non-increasing or undefined secant) takes the midpoint below
+        x_new = math.exp(min(xi - phi / slope, 700.0)) if slope > 0.0 else math.nan
+        half = 0.0625 * _INVERT_REL_TOL * x
+        if abs(x_new - x) < half:
+            x_new = x - math.copysign(half, phi)
+        low, high = lo or x_cap, hi or x_max
+        if lo is None and x_new <= x_cap:
+            x_new = x_cap
+        elif hi is None and x_new >= x_max:
+            x_new = x_max
+        elif not low < x_new < high:
+            x_new = math.sqrt(low * high)
+        x = x_new
+    raise SolverError(
+        f"E(beta) - {target_energy} did not close on the bracket beta in "
+        f"[{1.0 / (hi or x_max):.9g}, {1.0 / (lo or x_cap):.9g}] after "
+        f"{_INVERT_MAX_SOLVES} solves")
 
 
 def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) -> float:

@@ -296,24 +296,46 @@ def test_invert_beta_no_solution(params1):
     assert excinfo.value.feasible_min > 0.5
 
 
-def _energy(beta, variant="paper-radial"):
+def _energy(beta, variant="paper-radial", u0=1.0, mass=1.0):
     return mm.observables(mm.solve_radial(mm.SolveRequest(
-        params=mm.make_params(1.0, 1.0, beta, variant)))).energy
+        params=mm.make_params(1.0, mass, beta, variant), u0=u0))).energy
+
+
+# beta* in units of 1/U0, so that it stays below beta_cap = 500/U0
+_FEW_SOLVES_CASES = [pytest.param(b, 1.0, 1.0, id=repr(b)) for b in (0.01, 1.0, 100.0, 499.0)] + [
+    pytest.param(b / u0, u0, mass, id=f"{b!r}-u0={u0!r}-m={mass!r}")
+    for u0, mass in ((0.3, 1.0), (3.0, 1.0), (1.0, 0.5), (1.0, 2.0))
+    for b in (0.01, 1.0, 100.0, 499.0)]
 
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
-@pytest.mark.parametrize("b_star", [0.01, 1.0, 100.0, 499.0])
-def test_invert_beta_round_trip_few_solves(variant, b_star, monkeypatch):
-    """Brent's method in 1/beta recovers beta* in at most 12 solves (bisection took ~25)."""
-    target = _energy(b_star, variant)
+@pytest.mark.parametrize("b_star, u0, mass", _FEW_SOLVES_CASES)
+def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatch):
+    """The log-log secant recovers beta* in at most 5 solves (Brent's method took 6-7)."""
+    target = _energy(b_star, variant, u0, mass)
     solves = []
     solve = analysis.solve_radial
     monkeypatch.setattr(analysis, "solve_radial",
                         lambda request: solves.append(request) or solve(request))
-    beta = mm.invert_beta_for_energy(target, 1.0, mm.make_params(1.0, 1.0, 1.0, variant))
-    assert len(solves) <= 12
+    beta = mm.invert_beta_for_energy(target, u0, mm.make_params(1.0, mass, 1.0, variant))
+    assert len(solves) <= 5
     assert abs(beta - b_star) / b_star < 1e-6
-    assert abs(_energy(beta, variant) - target) / target < 1e-6
+    assert abs(_energy(beta, variant, u0, mass) - target) / target < 1e-6
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_invert_beta_agrees_with_scipy_brentq(variant):
+    """scipy's brentq on the same E(1/x) over [1/beta_cap, E/m] finds the same beta to 2.5e-7."""
+    from scipy.optimize import brentq
+
+    params = mm.make_params(1.0, 1.0, 1.0, variant)
+    x_cap = 1.0 / 500.0
+    lowest = _energy(500.0, variant) * (1.0 + 1e-6)
+    for target in map(float, 1.0 + np.geomspace(lowest - 1.0, 999.0, 12)):
+        beta = mm.invert_beta_for_energy(target, 1.0, params)
+        x_ref = brentq(lambda x: _energy(1.0 / x, variant) - target, x_cap,
+                       target / (1.0 + 1e-9), xtol=1e-300, rtol=1.25e-7)
+        assert abs(beta * x_ref - 1.0) < 2.5e-7, target
 
 
 def test_invert_beta_refuses_exactly_below_beta_cap(params1):
@@ -321,16 +343,41 @@ def test_invert_beta_refuses_exactly_below_beta_cap(params1):
     assert mm.invert_beta_for_energy(_energy(400.0), 1.0, params1) == \
         pytest.approx(400.0, rel=1e-6)
     e_cap = _energy(500.0)
+    # just above E(beta_cap) = 1.0035835...: beta lies just below the cap
+    just_above = e_cap * (1.0 + 1e-6)
+    beta = mm.invert_beta_for_energy(just_above, 1.0, params1)
+    assert 400.0 < beta <= 500.0
+    assert _energy(beta) == pytest.approx(just_above, rel=1e-6)
     with pytest.raises(mm.NoSolutionError) as excinfo:
         mm.invert_beta_for_energy(e_cap * (1.0 - 1e-6), 1.0, params1)
     assert excinfo.value.feasible_min == pytest.approx(e_cap, rel=1e-12)
 
 
 def test_invert_beta_bracket_guard(params1, monkeypatch):
-    """Bracket ends of one sign raise SolverError naming the bracket, not scipy's ValueError."""
+    """An energy that never reaches the target raises SolverError naming the bracket."""
     monkeypatch.setattr(analysis, "solve_radial", lambda request: None)
     monkeypatch.setattr(analysis, "observables", lambda profile: SimpleNamespace(energy=0.5))
     with pytest.raises(mm.SolverError, match="bracket"):
+        mm.invert_beta_for_energy(2.0, 1.0, params1)
+
+
+@pytest.mark.parametrize("target", [0.5, 1.0, 1.003])
+def test_invert_beta_refusal_solves_once_at_beta_cap(params1, target, monkeypatch):
+    """A target below E(beta_cap), U0 included, is refused after its one solve, at beta_cap."""
+    betas = []
+    solve = analysis.solve_radial
+    monkeypatch.setattr(analysis, "solve_radial",
+                        lambda request: betas.append(request.params.beta) or solve(request))
+    with pytest.raises(mm.NoSolutionError) as excinfo:
+        mm.invert_beta_for_energy(target, 1.0, params1)
+    assert betas == [500.0]
+    assert excinfo.value.feasible_min == _energy(500.0)
+
+
+def test_invert_beta_solve_cap_names_the_bracket(params1, monkeypatch):
+    """A bracket still open when the solves run out raises SolverError naming it."""
+    monkeypatch.setattr(analysis, "_INVERT_MAX_SOLVES", 3)
+    with pytest.raises(mm.SolverError, match=r"did not close on the bracket beta in \["):
         mm.invert_beta_for_energy(2.0, 1.0, params1)
 
 

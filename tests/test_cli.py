@@ -262,8 +262,8 @@ def test_solve_cartesian_rotation_smoke(tmp_path):
     assert manifest["rotation"]["residual_ratio"] <= 2.0
 
 
-def test_cli_import_defers_scipy_optimize_to_inversion():
-    """Importing the CLI loads no scipy it does not use; the inversion imports brentq itself."""
+def test_cli_and_inversion_load_no_scipy_optimize():
+    """Importing the CLI loads no scipy it does not use; an inversion loads no scipy.optimize."""
     code = (
         "import sys, madelung_maxent.cli\n"
         "from madelung_maxent import invert_beta_for_energy, make_params, observables, "
@@ -271,14 +271,16 @@ def test_cli_import_defers_scipy_optimize_to_inversion():
         "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg', "
         "'scipy.sparse') if m in sys.modules))\n"
         "beta = invert_beta_for_energy(1.3, 1.0, make_params(1, 1, 1))\n"
+        "print('scipy.optimize' in sys.modules)\n"
         "energy = observables(solve_radial(SolveRequest(params=make_params(1, 1, beta)))).energy\n"
         "print(abs(energy - 1.3) / 1.3)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mm.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    loaded, rel = done.stdout.splitlines()
+    loaded, optimize_after, rel = done.stdout.splitlines()
     assert loaded == "[]"
+    assert optimize_after == "False"
     assert float(rel) <= 1e-6
 
 
