@@ -20,7 +20,12 @@ equation's terms ("digits of the equation satisfied"); the self-consistency
 rebuild of U from rho is reported as an absolute deviation.
 
 A rotated plane is evaluated on half the grid, or on a quadrant when one
-factor serves both axes; the rest is its exact mirror and quarter turn.  A
+factor serves both axes; the rest is its exact mirror and quarter turn, as
+in every unrotated plane.  The grid residual reads the same symmetry cell:
+each five-point sum is grouped (N + S) + (E + W), and a mirror or quarter
+turn only swaps the two terms of a pair or the two pairs, which a float sum
+of two does not see; so every cell's residual equals its images' bit for bit
+and the sup over the cell is the grid's.  A
 grid's two planes (16 B per cell) are its only whole-grid arrays.  The
 rotated evaluation and the grid residual work in row blocks of about
 ``model.BLOCK_CELLS`` cells, so each adds the temporaries of one block,
@@ -199,28 +204,28 @@ def _radial_residual(profile: RadialProfile, params: PhysicalParams, h: float) -
 
 
 def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
-    beta, lam_sq = params.beta, params.lambda_sq
-    h = grid.spacing
+    beta, lam_sq, h = params.beta, params.lambda_sq, grid.spacing
     # cells to the first cell past the rotated source rectangle or the grid
     # border, from the shape and angle alone, so the last bit of h cannot
     # decide whether a whole ring of cells is kept
     nx, ny = grid.shape[0] // 2, grid.shape[1] // 2
-    j = np.arange(1 - ny, ny, dtype=float)  # the interior columns
+    cols = ny + 1 if grid.ux is grid.uy else grid.shape[1] - 1  # the cell's columns, [1, cols)
+    j = np.arange(1 - ny, cols - ny, dtype=float)
     ct, st = math.cos(grid.theta), math.sin(grid.theta)
     margin = max(DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1), 2.0)
     pde, rebuild = [], []
-    step = max(1, BLOCK_CELLS // grid.shape[1])
-    for lo in range(1, grid.shape[0] - 1, step):  # interior rows [lo, hi) and one more each side
-        hi = min(lo + step, grid.shape[0] - 1)
+    step = max(1, BLOCK_CELLS // (cols + 1))
+    for lo in range(1, nx + 1, step):  # interior rows [lo, hi) and one more each side
+        hi = min(lo + step, nx + 1)
         i = np.arange(lo - nx, hi - nx, dtype=float)[:, None]
         source = np.minimum(nx + 1 - np.abs(ct * i + st * j), ny + 1 - np.abs(ct * j - st * i))
         dist = np.minimum(source, np.minimum(nx + 1 - np.abs(i), ny + 1 - np.abs(j)))
         mask = dist >= margin
         if not mask.any():
             continue
-        u = grid.u[lo - 1:hi + 1]
+        u = grid.u[lo - 1:hi + 1, :cols + 1]
         u = np.where(np.isfinite(u), u, 0.0)
-        lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+        lap = ((u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
                - 4.0 * u[1:-1, 1:-1]) / (h * h)
         gx = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
         gy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
@@ -231,8 +236,8 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
         rel = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
         pde.append(np.max(rel[mask]))
 
-        amp = np.sqrt(grid.rho[lo - 1:hi + 1])
-        lap_amp = (amp[2:, 1:-1] + amp[:-2, 1:-1] + amp[1:-1, 2:] + amp[1:-1, :-2]
+        amp = np.sqrt(grid.rho[lo - 1:hi + 1, :cols + 1])
+        lap_amp = ((amp[2:, 1:-1] + amp[:-2, 1:-1]) + (amp[1:-1, 2:] + amp[1:-1, :-2])
                    - 4.0 * amp[1:-1, 1:-1]) / (h * h)
         with np.errstate(divide="ignore", invalid="ignore"):
             u_rebuilt = -(params.hbar**2 / (2.0 * params.mass)) * lap_amp / amp[1:-1, 1:-1]

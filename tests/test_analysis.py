@@ -390,6 +390,49 @@ def test_invert_beta_validation(params1, target, u0, field):
         mm.invert_beta_for_energy(target, u0, params1)
 
 
+def _entropy_gains_per_direction(profile, n_directions):
+    """Each direction's entropy gain, one at a time with its own integrals and solve (-inf: skipped)."""
+    radii = np.linspace(0.0, float(profile.nodes[-1]), analysis._ENTROPY_GRID)
+    u = mm.resample(profile, radii)
+    rho = np.exp(-profile.params.beta * u) / profile.z
+    weights = np.ones(radii.size)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    measure = 2.0 * math.pi * (weights * ((radii[1] - radii[0]) / 3.0)) * radii
+
+    def entropy_of(dens):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(dens == 0.0, 0.0, dens * np.log(np.where(dens == 0.0, 1.0, dens)))
+        return -float(np.sum(measure * term))
+
+    h0, gains = entropy_of(rho), []
+    basis = np.cos(np.arange(8)[:, None] * math.pi / radii[-1] * radii[None, :])
+    gram = np.array([[np.sum(measure * (rho * a * b)) for b in (1.0, u)] for a in (1.0, u)])
+    rng = np.random.default_rng(analysis._ENTROPY_SEED)
+    for _ in range(n_directions):
+        g = rng.standard_normal(8) @ basis
+        rhs = np.array([np.sum(measure * (rho * g)), np.sum(measure * (rho * u * g))])
+        alpha, gamma = np.linalg.solve(gram, rhs)
+        g = g - alpha - gamma * u
+        peak = float(np.max(np.abs(g)))
+        perturbed = rho * (1.0 + analysis._ENTROPY_EPSILON * (g / peak))
+        gains.append(entropy_of(perturbed) - h0 if peak >= 1e-12 else -math.inf)
+    return np.array(gains)
+
+
+@pytest.mark.parametrize("beta", [1e-3, 1.0, 100.0])
+def test_entropy_check_blocks_are_the_per_direction_float(beta):
+    """Blocks of directions give the float of one direction at a time, partial blocks too.
+
+    Besides n = 1, 15, 16 and 100, every n whose direction sets a new maximum
+    is checked, so a block that drops or alters a deciding direction fails.
+    """
+    profile = mm.solve_radial(mm.SolveRequest(params=mm.make_params(1.0, 1.0, beta)))
+    worst = np.maximum.accumulate(_entropy_gains_per_direction(profile, 100))
+    records = 1 + np.flatnonzero(np.diff(worst, prepend=-math.inf) > 0.0)
+    for n_directions in sorted({1, 15, 16, 100, *records.tolist()}):
+        assert mm.entropy_stationarity_check(profile, n_directions) == worst[n_directions - 1]
+
+
 @pytest.mark.parametrize("n_directions", [0, -3, 2.5])
 def test_entropy_check_needs_a_direction(radial1, n_directions):
     """With no direction tried the maximum gain reads -inf, which would pass the check."""

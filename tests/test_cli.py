@@ -113,7 +113,7 @@ def test_cartesian_csv_bytes_pinned(tmp_path):
     assert manifest["residuals"] == {
         "pde": 0.00453057534280133, "rebuild": 0.018794908902943774, "spacing": 0.01}
     assert manifest["rotation"]["residuals"] == {
-        "pde": 0.003208888576155209, "rebuild": 0.007860394411157934, "spacing": 0.01}
+        "pde": 0.003208888576155209, "rebuild": 0.007860394408870874, "spacing": 0.01}
 
 
 def test_usage_error_exit_2(tmp_path, capsys):

@@ -258,7 +258,7 @@ def _whole_grid_residual(grid, params):
     margin_cells = fields.DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1)
     mask = dist[1:-1, 1:-1] >= max(margin_cells, 2.0)
 
-    lap = (u[2:, 1:-1] + u[:-2, 1:-1] + u[1:-1, 2:] + u[1:-1, :-2]
+    lap = ((u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
            - 4.0 * u[1:-1, 1:-1]) / (h * h)
     gx = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h)
     gy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h)
@@ -270,7 +270,7 @@ def _whole_grid_residual(grid, params):
     pde = float(np.max(rel[mask]))
 
     amp = np.sqrt(grid.rho)
-    lap_amp = (amp[2:, 1:-1] + amp[:-2, 1:-1] + amp[1:-1, 2:] + amp[1:-1, :-2]
+    lap_amp = ((amp[2:, 1:-1] + amp[:-2, 1:-1]) + (amp[1:-1, 2:] + amp[1:-1, :-2])
                - 4.0 * amp[1:-1, 1:-1]) / (h * h)
     with np.errstate(divide="ignore", invalid="ignore"):
         u_rebuilt = -(params.hbar**2 / (2.0 * params.mass)) * lap_amp / amp[1:-1, 1:-1]
@@ -281,28 +281,43 @@ def _whole_grid_residual(grid, params):
 @pytest.mark.parametrize("beta", [0.5, 2.0, 50.0])
 @pytest.mark.parametrize("cells", [
     50.0,   # one block
-    100.5,  # the quick rotation-invariance grid: two blocks, the last partial
-    200.0,  # five blocks, the last partial
+    100.5,  # the quick rotation-invariance grid: one block
+    200.0,  # two or three blocks, the last partial
 ])
 def test_blocked_grid_residual_is_the_whole_grid_float(beta, cells):
-    """Row blocks give the floats of one whole-grid pass, rotated or not."""
+    """The symmetry cell's row blocks give the floats of one whole-grid pass, rotated or not.
+
+    One factor on both axes reads a quadrant; an equal-valued copy and two
+    factors (U0 = 1 and 1.3) read the rows up to the centre.
+    """
     params = mm.make_params(1.0, 1.0, beta)
     factor = mm.solve_cartesian_factor(
         mm.SolveRequest(params=params, geometry=mm.Geometry.CARTESIAN_FACTOR))
-    grid = mm.assemble_2d(factor, factor, float(factor.nodes[-1]) / cells)
-    rows, interior = fields.BLOCK_CELLS // grid.shape[1], grid.shape[0] - 2
-    assert (interior <= rows) == (cells == 50.0)
-    assert interior <= rows or interior % rows > 0
-    for theta in (0.0, math.pi / 6, 1.2):
-        rotated = mm.rotate_grid(grid, theta)
-        assert mm.maxent_residual(rotated, params) == _whole_grid_residual(rotated, params)
+    narrower = mm.solve_cartesian_factor(
+        mm.SolveRequest(params=params, u0=1.3, geometry=mm.Geometry.CARTESIAN_FACTOR))
+    for second in (factor, replace(factor), narrower):
+        grid = mm.assemble_2d(factor, second, float(factor.nodes[-1]) / cells)
+        half = grid.shape[0] // 2  # interior rows up to the centre row
+        width = half + 2 if second is factor else grid.shape[1]  # columns the cell reads
+        rows = fields.BLOCK_CELLS // width
+        assert (half <= rows) == (cells < 200.0)
+        assert half <= rows or half % rows > 0
+        for theta in (0.0, math.pi / 6, 1.2, 2.9, -0.4):
+            rotated = mm.rotate_grid(grid, theta)
+            assert mm.maxent_residual(rotated, params) == _whole_grid_residual(rotated, params)
 
 
 def test_blocked_grid_residual_reads_a_nan(axis1, params1):
-    """A NaN density at a cell the margin keeps makes the rebuild NaN, blocked or not."""
+    """A NaN density at a cell the margin keeps makes the rebuild NaN, blocked or not.
+
+    The residual reads one symmetry cell of the planes, so the NaN is written at
+    a cell and at its images: the point mirror and, for one factor, the quarter turns.
+    """
     grid = mm.rotate_grid(mm.assemble_2d(axis1, axis1, axis1.nodes[-1] / 200.0), math.pi / 6)
     rho = grid.rho.copy()
-    rho[grid.shape[0] // 2 + 3, grid.shape[1] // 2] = math.nan  # a later block's kept cell
+    i0, j0 = grid.shape[0] // 2, grid.shape[1] // 2
+    for di, dj in [(3, 0), (-3, 0), (0, 3), (0, -3)]:  # a kept cell and its images
+        rho[i0 + di, j0 + dj] = math.nan  # (-3, 0) is the image in the cell's last block
     object.__setattr__(grid, "rho", rho)
     blocked, whole = mm.maxent_residual(grid, params1), _whole_grid_residual(grid, params1)
     assert math.isnan(blocked.rebuild) and math.isnan(whole.rebuild)
