@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .integrator import REL_TOL
 from .model import (BLOCK_CELLS, MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
                     Observables, OutOfSupportError, PhysicalParams, RadialProfile, Record,
                     SincLimit, SolverError, SweepRow, ValidationError, _require)
@@ -29,6 +30,8 @@ _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
 _INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; the bracket closes to 1/8 of it
 _INVERT_MAX_SOLVES = 100  # a bracket still open after this many solves raises SolverError
+_INVERT_STEER_TOL = 1e-8  # rel_tol of the solves that only steer the secant
+_INVERT_STEER_STEP = 1e-3  # a relative step below this ends the steering
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
 _ENTROPY_SEED = 0
 _ENTROPY_GRID = 2049  # odd, for composite Simpson
@@ -296,32 +299,38 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     xi = ln x (x = 1/beta), phi = ln(E - U0) - ln(target - U0) is nearly a
     line of slope 1, so a secant on x in [1/beta_cap, E/m] from
     x0 = (target - U0)/(2m), its first step Newton with slope 1, pins beta to
-    a relative 1.25e-7 in 3-5 solves (Brent's method in x took 6-7).  Once
-    E - target changes sign the bracket is kept: a proposal outside it becomes
-    its geometric midpoint, and one within half the stop width of the iterate
-    steps that half width past it, closing the bracket.  A broken solve's
-    E <= U0 reads as phi = -inf.
+    a relative 1.25e-7 (Brent's method in x took 6-7 solves).  Until the
+    secant's step falls below 1e-3 relative it only steers, on solves at
+    rel_tol 1e-8 (E - U0 within ~1e-8 relative, in 40-55% of a full solve's
+    time); from there the same loop goes on at the package tolerance with a
+    fresh bracket, so both bracket ends and the returned beta are
+    full-tolerance solves.  Over perfbench's invert targets a found beta took
+    1-3 steering and 2-3 full solves.  Once E - target changes sign the
+    bracket is kept: a proposal outside it becomes its geometric midpoint, and
+    one within half the stop width of the iterate steps that half width past
+    it, closing the bracket.  A broken solve's E <= U0 reads as phi = -inf.
 
     A target is refused (NoSolutionError with E(beta_cap)) exactly when the
-    solve at beta_cap reads E > target; E < target at the kinetic bound, or a
-    bracket still open after 100 solves, raises SolverError.
+    full-tolerance solve at beta_cap reads E > target; E < target at the
+    kinetic bound, or a bracket still open after 100 solves, raises SolverError.
     """
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
     energies = {}
 
-    def energy_at(x: float) -> float:
-        """E(1/x); each x is solved once."""
-        if x not in energies:
+    def energy_at(x: float, rel_tol: float) -> float:
+        """E(1/x) at tolerance rel_tol; each (x, rel_tol) is solved once."""
+        if (x, rel_tol) not in energies:
             params = replace(params_template, beta=1.0 / x)
-            energies[x] = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
-        return energies[x]
+            request = SolveRequest(params=params, u0=u0, rel_tol=rel_tol)
+            energies[x, rel_tol] = observables(solve_radial(request)).energy
+        return energies[x, rel_tol]
 
     log_gap = math.log(target_energy - u0) if target_energy > u0 else -math.inf
 
-    def phi_at(x: float) -> float:
-        e = energy_at(x)
+    def phi_at(x: float, rel_tol: float) -> float:
+        e = energy_at(x, rel_tol)
         return math.log(e - u0) - log_gap if e > u0 else -math.inf
 
     # z = e^{-beta u0} O(1) underflows for beta u0 beyond ~700; targets closer
@@ -330,15 +339,17 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     mass = params_template.mass
     x_cap, x_max = 1.0 / beta_cap, target_energy / (mass * (1.0 + 1e-9))
     lo = hi = last = None  # E(1/lo) < target < E(1/hi); the previous (xi, phi)
+    tol = _INVERT_STEER_TOL  # REL_TOL once the secant's step is below _INVERT_STEER_STEP
     x = max(x_cap, min(0.5 * (target_energy - u0) / mass, x_max))
     for _ in range(_INVERT_MAX_SOLVES):
-        if x == x_cap and energy_at(x) > target_energy:
+        if x == x_cap and energy_at(x, REL_TOL) > target_energy:
             raise NoSolutionError(
                 f"target energy {target_energy} is below the attainable range: energies "
                 f"reachable for beta <= {beta_cap:.3g} are at least E(beta_cap) = "
-                f"{energies[x_cap]:.9g}", feasible_min=energies[x_cap])
-        phi = phi_at(x)
-        if phi == 0.0:
+                f"{energies[x_cap, REL_TOL]:.9g}", feasible_min=energies[x_cap, REL_TOL])
+        phi = phi_at(x, REL_TOL if x == x_cap else tol)  # beta_cap's solve is the check's
+        certified = tol == REL_TOL
+        if phi == 0.0 and certified:
             return 1.0 / x
         if phi > 0.0:
             hi = x
@@ -348,8 +359,9 @@ def invert_beta_for_energy(target_energy: float, u0: float,
                 f"[{1.0 / x_max:.9g}, {beta_cap:.9g}]")
         else:
             lo = x
-        if lo is not None and hi is not None and hi - lo <= 0.125 * _INVERT_REL_TOL * lo:
-            return 1.0 / min(lo, hi, key=lambda end: abs(phi_at(end)))
+        if certified and lo is not None and hi is not None \
+                and hi - lo <= 0.125 * _INVERT_REL_TOL * lo:
+            return 1.0 / min(lo, hi, key=lambda end: abs(phi_at(end, REL_TOL)))
         xi = math.log(x)
         slope = 1.0 if last is None else (phi - last[1]) / (xi - last[0])
         last = xi, phi
@@ -365,6 +377,8 @@ def invert_beta_for_energy(target_energy: float, u0: float,
             x_new = x_max
         elif not low < x_new < high:
             x_new = math.sqrt(low * high)
+        if not certified and abs(x_new - x) < _INVERT_STEER_STEP * x:
+            tol, lo, hi = REL_TOL, None, None  # a steering end closes no bracket
         x = x_new
     raise SolverError(
         f"E(beta) - {target_energy} did not close on the bracket beta in "

@@ -21,11 +21,14 @@ rebuild of U from rho is reported as an absolute deviation.
 
 A rotated plane is evaluated on half the grid, or on a quadrant when one
 factor serves both axes; the rest is its exact mirror and quarter turn, as
-in every unrotated plane.  The grid residual reads the same symmetry cell:
-each five-point sum is grouped (N + S) + (E + W), and a mirror or quarter
-turn only swaps the two terms of a pair or the two pairs, which a float sum
-of two does not see; so every cell's residual equals its images' bit for bit
-and the sup over the cell is the grid's.  A
+in every unrotated plane.  The grid residual reads one symmetry cell: half
+or a quadrant rotated, a quadrant or an octant unrotated (the outer sum and
+product of even axis values mirror in x and in y, and transpose when one
+factor serves both axes).  Each five-point sum is grouped (N + S) + (E + W),
+and a mirror, transpose or quarter turn only swaps the two terms of a pair
+or the two pairs, which a float sum of two does not see; so every cell's
+residual equals its images' bit for bit and the sup over the cell is the
+grid's.  A
 grid's two planes (16 B per cell) are its only whole-grid arrays.  The
 rotated evaluation and the grid residual work in row blocks of about
 ``model.BLOCK_CELLS`` cells, so each adds the temporaries of one block,
@@ -209,21 +212,26 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
     # border, from the shape and angle alone, so the last bit of h cannot
     # decide whether a whole ring of cells is kept
     nx, ny = grid.shape[0] // 2, grid.shape[1] // 2
-    cols = ny + 1 if grid.ux is grid.uy else grid.shape[1] - 1  # the cell's columns, [1, cols)
-    j = np.arange(1 - ny, cols - ny, dtype=float)
+    # the cell's columns, [1, cols): up to the centre when a quarter turn (one factor)
+    # or the y mirror (unrotated) gives the rest; unrotated with one factor the planes
+    # are also symmetric, so a block of rows [lo, hi) reads the columns [lo, cols)
+    cols = ny + 1 if grid.ux is grid.uy or grid.theta == 0.0 else grid.shape[1] - 1
+    octant = grid.theta == 0.0 and grid.ux is grid.uy
     ct, st = math.cos(grid.theta), math.sin(grid.theta)
     margin = max(DEFAULT_MARGIN * 0.5 * (min(grid.shape) - 1), 2.0)
     pde, rebuild = [], []
     step = max(1, BLOCK_CELLS // (cols + 1))
     for lo in range(1, nx + 1, step):  # interior rows [lo, hi) and one more each side
         hi = min(lo + step, nx + 1)
+        first = lo if octant else 1  # interior columns [first, cols)
         i = np.arange(lo - nx, hi - nx, dtype=float)[:, None]
+        j = np.arange(first - ny, cols - ny, dtype=float)
         source = np.minimum(nx + 1 - np.abs(ct * i + st * j), ny + 1 - np.abs(ct * j - st * i))
         dist = np.minimum(source, np.minimum(nx + 1 - np.abs(i), ny + 1 - np.abs(j)))
         mask = dist >= margin
         if not mask.any():
             continue
-        u = grid.u[lo - 1:hi + 1, :cols + 1]
+        u = grid.u[lo - 1:hi + 1, first - 1:cols + 1]
         u = np.where(np.isfinite(u), u, 0.0)
         lap = ((u[2:, 1:-1] + u[:-2, 1:-1]) + (u[1:-1, 2:] + u[1:-1, :-2])
                - 4.0 * u[1:-1, 1:-1]) / (h * h)
@@ -236,7 +244,7 @@ def _grid_residual(grid: Grid2D, params: PhysicalParams) -> ResidualNorms:
         rel = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
         pde.append(np.max(rel[mask]))
 
-        amp = np.sqrt(grid.rho[lo - 1:hi + 1, :cols + 1])
+        amp = np.sqrt(grid.rho[lo - 1:hi + 1, first - 1:cols + 1])
         lap_amp = ((amp[2:, 1:-1] + amp[:-2, 1:-1]) + (amp[1:-1, 2:] + amp[1:-1, :-2])
                    - 4.0 * amp[1:-1, 1:-1]) / (h * h)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -51,9 +51,11 @@ class Geometry(enum.Enum):
 class SolveRequest:
     """One solve: physical parameters, center value U0, DP45 relative tolerance.
 
-    Every solve of the CLI and of ``analysis`` keeps the default ``rel_tol``;
-    only ``verify``'s support-stability check re-solves at half of it.  The
-    absolute tolerance is always a hundredth of ``rel_tol``.
+    Every solve of the CLI and of ``analysis`` keeps the default ``rel_tol``
+    but two: ``verify``'s support-stability check re-solves at half of it, and
+    ``analysis.invert_beta_for_energy`` steers its secant on solves at 1e-8
+    before it closes its bracket at the default.  The absolute tolerance is
+    always a hundredth of ``rel_tol``.
     """
 
     params: PhysicalParams

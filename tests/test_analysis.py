@@ -7,6 +7,7 @@ from scipy.integrate import quad
 
 import madelung_maxent as mm
 from madelung_maxent import analysis, quadrature, verify
+from madelung_maxent.integrator import REL_TOL
 
 
 def test_observables_golden(obs1, golden):
@@ -311,7 +312,11 @@ _FEW_SOLVES_CASES = [pytest.param(b, 1.0, 1.0, id=repr(b)) for b in (0.01, 1.0, 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
 @pytest.mark.parametrize("b_star, u0, mass", _FEW_SOLVES_CASES)
 def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatch):
-    """The log-log secant recovers beta* in at most 5 solves (Brent's method took 6-7)."""
+    """The log-log secant recovers beta* in at most 5 solves (Brent's method took 6-7).
+
+    Past any beta_cap check at most 2 of them run at the package tolerance, and
+    the returned beta is one of those.
+    """
     target = _energy(b_star, variant, u0, mass)
     solves = []
     solve = analysis.solve_radial
@@ -319,6 +324,11 @@ def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatc
                         lambda request: solves.append(request) or solve(request))
     beta = mm.invert_beta_for_energy(target, u0, mm.make_params(1.0, mass, 1.0, variant))
     assert len(solves) <= 5
+    checks = [k for k, request in enumerate(solves)
+              if math.isclose(request.params.beta, 500.0 / u0, rel_tol=1e-12)]
+    full = [request.params.beta for request in solves[max(checks, default=-1) + 1:]
+            if request.rel_tol == REL_TOL]
+    assert len(full) <= 2 and beta in full
     assert abs(beta - b_star) / b_star < 1e-6
     assert abs(_energy(beta, variant, u0, mass) - target) / target < 1e-6
 
@@ -336,6 +346,37 @@ def test_invert_beta_agrees_with_scipy_brentq(variant):
         x_ref = brentq(lambda x: _energy(1.0 / x, variant) - target, x_cap,
                        target / (1.0 + 1e-9), xtol=1e-300, rtol=1.25e-7)
         assert abs(beta * x_ref - 1.0) < 2.5e-7, target
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_invert_beta_certifies_on_full_tolerance_solves(variant, monkeypatch):
+    """Steering solves that read E (1 + 3e-7), more than the bracket, leave beta within 2.5e-7.
+
+    The reference is scipy's brentq on the full-tolerance E(1/x), as above.
+    """
+    from scipy.optimize import brentq
+
+    params = mm.make_params(1.0, 1.0, 1.0, variant)
+    lowest = _energy(500.0, variant) * (1.0 + 1e-6)
+    targets = list(map(float, 1.0 + np.geomspace(lowest - 1.0, 999.0, 6)))
+    references = [brentq(lambda x: _energy(1.0 / x, variant) - target, 1.0 / 500.0,
+                         target / (1.0 + 1e-9), xtol=1e-300, rtol=1.25e-7) for target in targets]
+    steered = []
+    solve = analysis.solve_radial
+
+    def skewed(request):
+        profile = solve(request)
+        if request.rel_tol == REL_TOL:
+            return profile
+        steered.append(request)
+        return SimpleNamespace(observables=SimpleNamespace(
+            energy=profile.observables.energy * (1.0 + 3e-7)))
+
+    monkeypatch.setattr(analysis, "solve_radial", skewed)
+    for target, x_ref in zip(targets, references):
+        beta = mm.invert_beta_for_energy(target, 1.0, params)
+        assert abs(beta * x_ref - 1.0) < 2.5e-7, target
+    assert steered
 
 
 def test_invert_beta_refuses_exactly_below_beta_cap(params1):
@@ -363,14 +404,18 @@ def test_invert_beta_bracket_guard(params1, monkeypatch):
 
 @pytest.mark.parametrize("target", [0.5, 1.0, 1.003])
 def test_invert_beta_refusal_solves_once_at_beta_cap(params1, target, monkeypatch):
-    """A target below E(beta_cap), U0 included, is refused after its one solve, at beta_cap."""
+    """A target below E(beta_cap), U0 included, is refused after its one solve, at beta_cap.
+
+    That solve runs at the package tolerance, so the refusal is exact.
+    """
     betas = []
     solve = analysis.solve_radial
     monkeypatch.setattr(analysis, "solve_radial",
-                        lambda request: betas.append(request.params.beta) or solve(request))
+                        lambda request: betas.append((request.params.beta, request.rel_tol))
+                        or solve(request))
     with pytest.raises(mm.NoSolutionError) as excinfo:
         mm.invert_beta_for_energy(target, 1.0, params1)
-    assert betas == [500.0]
+    assert betas == [(500.0, REL_TOL)]
     assert excinfo.value.feasible_min == _energy(500.0)
 
 

@@ -287,8 +287,10 @@ def _whole_grid_residual(grid, params):
 def test_blocked_grid_residual_is_the_whole_grid_float(beta, cells):
     """The symmetry cell's row blocks give the floats of one whole-grid pass, rotated or not.
 
-    One factor on both axes reads a quadrant; an equal-valued copy and two
-    factors (U0 = 1 and 1.3) read the rows up to the centre.
+    Rotated, one factor on both axes reads a quadrant; an equal-valued copy and
+    two factors (U0 = 1 and 1.3) read the rows up to the centre.  Unrotated,
+    one factor reads an octant (each row block from its first row's column on)
+    and the other two pairs a quadrant.
     """
     params = mm.make_params(1.0, 1.0, beta)
     factor = mm.solve_cartesian_factor(
@@ -298,11 +300,12 @@ def test_blocked_grid_residual_is_the_whole_grid_float(beta, cells):
     for second in (factor, replace(factor), narrower):
         grid = mm.assemble_2d(factor, second, float(factor.nodes[-1]) / cells)
         half = grid.shape[0] // 2  # interior rows up to the centre row
-        width = half + 2 if second is factor else grid.shape[1]  # columns the cell reads
-        rows = fields.BLOCK_CELLS // width
-        assert (half <= rows) == (cells < 200.0)
-        assert half <= rows or half % rows > 0
         for theta in (0.0, math.pi / 6, 1.2, 2.9, -0.4):
+            # columns a block reads, up to the centre unless rotated with two factors
+            quadrant = theta == 0.0 or second is factor
+            rows = fields.BLOCK_CELLS // (grid.shape[1] // 2 + 2 if quadrant else grid.shape[1])
+            assert (half <= rows) == (cells < 200.0)
+            assert half <= rows or half % rows > 0
             rotated = mm.rotate_grid(grid, theta)
             assert mm.maxent_residual(rotated, params) == _whole_grid_residual(rotated, params)
 
@@ -322,6 +325,29 @@ def test_blocked_grid_residual_reads_a_nan(axis1, params1):
     blocked, whole = mm.maxent_residual(grid, params1), _whole_grid_residual(grid, params1)
     assert math.isnan(blocked.rebuild) and math.isnan(whole.rebuild)
     assert repr(blocked) == repr(whole)
+
+
+@pytest.mark.parametrize("theta", [0.0, math.pi / 6])
+def test_blocked_grid_residual_sees_a_spike_at_any_cell(axis1, params1, theta):
+    """U = 50 at a cell and its images moves only their rebuild terms; the cell finds it.
+
+    A cell's rebuild term reads U at the cell alone, so the spike shows in the
+    rebuild sup only if the symmetry cell reads one of the images; an axis, a
+    diagonal and a general cell, each with its mirrors and transposes.
+    """
+    grid = mm.rotate_grid(mm.assemble_2d(axis1, axis1, axis1.nodes[-1] / 200.0), theta)
+    i0, j0 = grid.shape[0] // 2, grid.shape[1] // 2
+    plane = grid.u
+    for a, b in [(3, 0), (3, 3), (5, 2)]:
+        u = plane.copy()
+        for p, q in [(a, b), (b, a)]:
+            for sp in (1, -1):
+                for sq in (1, -1):
+                    u[i0 + sp * p, j0 + sq * q] = 50.0
+        object.__setattr__(grid, "u", u)
+        blocked, whole = mm.maxent_residual(grid, params1), _whole_grid_residual(grid, params1)
+        assert blocked == whole
+        assert blocked.rebuild > 40.0
 
 
 _TEMPORARIES = 8 * 2**20  # bytes a 2D diagnostic may hold beyond its inputs and outputs
