@@ -14,13 +14,14 @@ monotone map beta -> average energy live here as well.
 
 from __future__ import annotations
 
+import importlib.resources
+import json
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .integrator import REL_TOL
 from .model import (BLOCK_CELLS, MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
                     Observables, OutOfSupportError, PhysicalParams, RadialProfile, Record,
                     SincLimit, SolverError, SweepRow, ValidationError, _require)
@@ -30,8 +31,6 @@ _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
 _INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; the bracket closes to 1/8 of it
 _INVERT_MAX_SOLVES = 100  # a bracket still open after this many solves raises SolverError
-_INVERT_STEER_TOL = 1e-8  # rel_tol of the solves that only steer the secant
-_INVERT_STEER_STEP = 1e-3  # a relative step below this ends the steering
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
 _ENTROPY_SEED = 0
 _ENTROPY_GRID = 2049  # odd, for composite Simpson
@@ -290,6 +289,61 @@ def limit_convergence(betas: Sequence[float], u0: float,
                        profiles=tuple(profiles))
 
 
+_CURVES = {}  # LaplacianVariant -> _EnergyCurve, read on the first inversion
+
+
+@dataclass(frozen=True)
+class _EnergyCurve:
+    """a(g) = beta (u_bar - U0) against g = beta U0, a cubic spline in ln g.
+
+    The state's equation in the units U0 and 1/lambda depends on g and the
+    variant alone, so every state has E - U0 = (a(g) + m) / beta.  The knots
+    a lie at ln g = ln_g0 + k step; m2 holds the spline's second derivatives
+    in ln g there.  Outside the knots a holds its end value.
+    """
+
+    ln_g0: float
+    step: float
+    a: tuple
+    m2: tuple
+
+    @classmethod
+    def through(cls, ln_g0: float, step: float, a) -> _EnergyCurve:
+        n = len(a)
+        system = 4.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)
+        # not-a-knot: one cubic across each end's first two intervals
+        system[0, :3] = system[-1, -3:] = (1.0, -2.0, 1.0)
+        curvature = np.diff(np.asarray(a, dtype=float), 2) * 6.0 / step**2
+        m2 = np.linalg.solve(system, np.concatenate([[0.0], curvature, [0.0]]))
+        return cls(ln_g0, step, tuple(map(float, a)), tuple(m2.tolist()))
+
+    def __call__(self, ln_g: float) -> tuple[float, float]:
+        """(a, da/d ln g) at ln g; the end value with zero slope outside the knots."""
+        t = (ln_g - self.ln_g0) / self.step
+        last = len(self.a) - 1
+        if not 0.0 <= t <= last:
+            return self.a[0 if t < 0.0 else last], 0.0
+        k = min(int(t), last - 1)
+        u, w = t - k, k + 1 - t
+        a0, a1, m0, m1 = self.a[k], self.a[k + 1], self.m2[k], self.m2[k + 1]
+        value = w * a0 + u * a1 + self.step**2 / 6.0 * ((w * w - 1.0) * w * m0
+                                                        + (u * u - 1.0) * u * m1)
+        slope = (a1 - a0) / self.step + self.step / 6.0 * ((3.0 * u * u - 1.0) * m1
+                                                          - (3.0 * w * w - 1.0) * m0)
+        return value, slope
+
+
+def _energy_curve(variant: LaplacianVariant) -> _EnergyCurve:
+    """The variant's curve from ``data/energy_curve.json`` (``scripts/energy_curve.py``)."""
+    if variant not in _CURVES:
+        data = json.loads(importlib.resources.files("madelung_maxent")
+                          .joinpath("data/energy_curve.json").read_text())
+        ln_g0 = math.log(data["g_min"])
+        step = (math.log(data["g_max"]) - ln_g0) / (data["points"] - 1)
+        _CURVES[variant] = _EnergyCurve.through(ln_g0, step, data[variant.value])
+    return _CURVES[variant]
+
+
 def invert_beta_for_energy(target_energy: float, u0: float,
                            params_template: PhysicalParams) -> float:
     """Find beta with average energy u_bar(beta) + m/beta = target_energy.
@@ -297,59 +351,71 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     The map is monotone decreasing, bounded below by the infinite-beta
     average potential U0, and the kinetic term enforces beta > m/E.  In
     xi = ln x (x = 1/beta), phi = ln(E - U0) - ln(target - U0) is nearly a
-    line of slope 1, so a secant on x in [1/beta_cap, E/m] from
-    x0 = (target - U0)/(2m), its first step Newton with slope 1, pins beta to
-    a relative 1.25e-7 (Brent's method in x took 6-7 solves).  Until the
-    secant's step falls below 1e-3 relative it only steers, on solves at
-    rel_tol 1e-8 (E - U0 within ~1e-8 relative, in 40-55% of a full solve's
-    time); from there the same loop goes on at the package tolerance with a
-    fresh bracket, so both bracket ends and the returned beta are
-    full-tolerance solves.  Over perfbench's invert targets a found beta took
-    1-3 steering and 2-3 full solves.  Once E - target changes sign the
-    bracket is kept: a proposal outside it becomes its geometric midpoint, and
-    one within half the stop width of the iterate steps that half width past
-    it, closing the bracket.  A broken solve's E <= U0 reads as phi = -inf.
+    line, and the scale-free energy curve (``_EnergyCurve``, no solves) gives
+    both its model, ln(E - U0) = ln x + ln(a(U0/x) + m), and its slope
+    1 - (da/d ln g)/(a + m).  The search starts at the model's root, clamped
+    to [1/beta_cap, E/m] (a target at or below U0 starts at 1/beta_cap), and
+    takes Newton steps on solves at the package tolerance with the model's
+    slope, pinning beta to a relative 1.25e-7.  Over perfbench's invert
+    targets a found beta takes 2 solves; a target below the curve's
+    g = beta U0 >= 1e-8 (E above ~1e8 U0) starts where the curve's end value
+    puts it, and takes a few more.  Once E - target changes sign the bracket
+    is kept: a proposal outside it becomes its geometric midpoint, and one
+    within half the stop width of the iterate steps that half width past it,
+    closing the bracket.  A broken solve's E <= U0 reads as phi = -inf.
 
     A target is refused (NoSolutionError with E(beta_cap)) exactly when the
-    full-tolerance solve at beta_cap reads E > target; E < target at the
-    kinetic bound, or a bracket still open after 100 solves, raises SolverError.
+    solve at beta_cap reads E > target; E < target at the kinetic bound, or
+    a bracket still open after 100 solves, raises SolverError.
     """
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
     energies = {}
 
-    def energy_at(x: float, rel_tol: float) -> float:
-        """E(1/x) at tolerance rel_tol; each (x, rel_tol) is solved once."""
-        if (x, rel_tol) not in energies:
+    def energy_at(x: float) -> float:
+        """E(1/x); each x is solved once."""
+        if x not in energies:
             params = replace(params_template, beta=1.0 / x)
-            request = SolveRequest(params=params, u0=u0, rel_tol=rel_tol)
-            energies[x, rel_tol] = observables(solve_radial(request)).energy
-        return energies[x, rel_tol]
+            energies[x] = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
+        return energies[x]
 
     log_gap = math.log(target_energy - u0) if target_energy > u0 else -math.inf
 
-    def phi_at(x: float, rel_tol: float) -> float:
-        e = energy_at(x, rel_tol)
+    def phi_at(x: float) -> float:
+        e = energy_at(x)
         return math.log(e - u0) - log_gap if e > u0 else -math.inf
+
+    curve = _energy_curve(params_template.laplacian_variant)
+    mass, ln_u0 = params_template.mass, math.log(u0)
+
+    def model(xi: float) -> tuple[float, float]:
+        """The curve's phi at xi = ln x, and its slope in xi."""
+        a, slope = curve(ln_u0 - xi)
+        return xi + math.log(a + mass) - log_gap, 1.0 - slope / (a + mass)
 
     # z = e^{-beta u0} O(1) underflows for beta u0 beyond ~700; targets closer
     # to the infinite-beta energy than E(beta_cap) are reported infeasible
     beta_cap = 500.0 / u0
-    mass = params_template.mass
     x_cap, x_max = 1.0 / beta_cap, target_energy / (mass * (1.0 + 1e-9))
-    lo = hi = last = None  # E(1/lo) < target < E(1/hi); the previous (xi, phi)
-    tol = _INVERT_STEER_TOL  # REL_TOL once the secant's step is below _INVERT_STEER_STEP
-    x = max(x_cap, min(0.5 * (target_energy - u0) / mass, x_max))
+    lo = hi = None  # E(1/lo) < target < E(1/hi)
+    x = x_cap
+    if target_energy > u0:
+        xi = log_gap - math.log(mass)
+        for _ in range(50):  # Newton on the smooth model: a few steps reach its root
+            value, slope = model(xi)
+            xi -= value / slope
+            if abs(value) < 1e-13:
+                break
+        x = max(x_cap, min(math.exp(xi), x_max))
     for _ in range(_INVERT_MAX_SOLVES):
-        if x == x_cap and energy_at(x, REL_TOL) > target_energy:
+        if x == x_cap and energy_at(x) > target_energy:
             raise NoSolutionError(
                 f"target energy {target_energy} is below the attainable range: energies "
                 f"reachable for beta <= {beta_cap:.3g} are at least E(beta_cap) = "
-                f"{energies[x_cap, REL_TOL]:.9g}", feasible_min=energies[x_cap, REL_TOL])
-        phi = phi_at(x, REL_TOL if x == x_cap else tol)  # beta_cap's solve is the check's
-        certified = tol == REL_TOL
-        if phi == 0.0 and certified:
+                f"{energies[x_cap]:.9g}", feasible_min=energies[x_cap])
+        phi = phi_at(x)
+        if phi == 0.0:
             return 1.0 / x
         if phi > 0.0:
             hi = x
@@ -359,13 +425,11 @@ def invert_beta_for_energy(target_energy: float, u0: float,
                 f"[{1.0 / x_max:.9g}, {beta_cap:.9g}]")
         else:
             lo = x
-        if certified and lo is not None and hi is not None \
-                and hi - lo <= 0.125 * _INVERT_REL_TOL * lo:
-            return 1.0 / min(lo, hi, key=lambda end: abs(phi_at(end, REL_TOL)))
+        if lo is not None and hi is not None and hi - lo <= 0.125 * _INVERT_REL_TOL * lo:
+            return 1.0 / min(lo, hi, key=lambda end: abs(phi_at(end)))
         xi = math.log(x)
-        slope = 1.0 if last is None else (phi - last[1]) / (xi - last[0])
-        last = xi, phi
-        # exp stays finite; NaN (a non-increasing or undefined secant) takes the midpoint below
+        slope = model(xi)[1]
+        # exp stays finite; NaN (a non-increasing model) takes the midpoint below
         x_new = math.exp(min(xi - phi / slope, 700.0)) if slope > 0.0 else math.nan
         half = 0.0625 * _INVERT_REL_TOL * x
         if abs(x_new - x) < half:
@@ -377,8 +441,6 @@ def invert_beta_for_energy(target_energy: float, u0: float,
             x_new = x_max
         elif not low < x_new < high:
             x_new = math.sqrt(low * high)
-        if not certified and abs(x_new - x) < _INVERT_STEER_STEP * x:
-            tol, lo, hi = REL_TOL, None, None  # a steering end closes no bracket
         x = x_new
     raise SolverError(
         f"E(beta) - {target_energy} did not close on the bracket beta in "
@@ -424,7 +486,7 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
     # Gram matrix of the constraint functionals {1, U} under rho r dr
     gram = np.array([[integral(rho * a * b) for b in (1.0, u)] for a in (1.0, u)])
     coeffs = np.random.default_rng(_ENTROPY_SEED).standard_normal((n_directions, 8))
-    block = BLOCK_CELLS // _ENTROPY_GRID  # 15 directions at a time, each float a lone one's
+    block = max(1, BLOCK_CELLS // _ENTROPY_GRID)  # 15 directions at a time, each float a lone one's
     for lo in range(0, n_directions, block):
         # one product per direction: a stacked (k, 8) @ basis product rounds differently
         g = np.array([c @ basis for c in coeffs[lo:lo + block]])

@@ -303,19 +303,19 @@ def _energy(beta, variant="paper-radial", u0=1.0, mass=1.0):
 
 
 # beta* in units of 1/U0, so that it stays below beta_cap = 500/U0
-_FEW_SOLVES_CASES = [pytest.param(b, 1.0, 1.0, id=repr(b)) for b in (0.01, 1.0, 100.0, 499.0)] + [
+_FEW_SOLVES_CASES = [pytest.param(b, 1.0, 1.0, id=repr(b))
+                     for b in (1e-06, 0.01, 1.0, 100.0, 499.0)] + [
     pytest.param(b / u0, u0, mass, id=f"{b!r}-u0={u0!r}-m={mass!r}")
     for u0, mass in ((0.3, 1.0), (3.0, 1.0), (1.0, 0.5), (1.0, 2.0))
-    for b in (0.01, 1.0, 100.0, 499.0)]
+    for b in (1e-06, 0.01, 1.0, 100.0, 499.0)]
 
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
 @pytest.mark.parametrize("b_star, u0, mass", _FEW_SOLVES_CASES)
 def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatch):
-    """The log-log secant recovers beta* in at most 5 solves (Brent's method took 6-7).
+    """Started on the energy curve, the search recovers beta* in at most 3 solves.
 
-    Past any beta_cap check at most 2 of them run at the package tolerance, and
-    the returned beta is one of those.
+    Every solve runs at the package tolerance, and the returned beta is one of them.
     """
     target = _energy(b_star, variant, u0, mass)
     solves = []
@@ -323,12 +323,9 @@ def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatc
     monkeypatch.setattr(analysis, "solve_radial",
                         lambda request: solves.append(request) or solve(request))
     beta = mm.invert_beta_for_energy(target, u0, mm.make_params(1.0, mass, 1.0, variant))
-    assert len(solves) <= 5
-    checks = [k for k, request in enumerate(solves)
-              if math.isclose(request.params.beta, 500.0 / u0, rel_tol=1e-12)]
-    full = [request.params.beta for request in solves[max(checks, default=-1) + 1:]
-            if request.rel_tol == REL_TOL]
-    assert len(full) <= 2 and beta in full
+    assert len(solves) <= 3
+    assert all(request.rel_tol == REL_TOL for request in solves)
+    assert beta in [request.params.beta for request in solves]
     assert abs(beta - b_star) / b_star < 1e-6
     assert abs(_energy(beta, variant, u0, mass) - target) / target < 1e-6
 
@@ -349,10 +346,11 @@ def test_invert_beta_agrees_with_scipy_brentq(variant):
 
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
-def test_invert_beta_certifies_on_full_tolerance_solves(variant, monkeypatch):
-    """Steering solves that read E (1 + 3e-7), more than the bracket, leave beta within 2.5e-7.
+def test_invert_beta_keeps_its_accuracy_on_a_skewed_curve(variant, monkeypatch):
+    """An energy curve with a 1% too large costs solves, not accuracy: beta within 2.5e-7.
 
-    The reference is scipy's brentq on the full-tolerance E(1/x), as above.
+    The reference is scipy's brentq on E(1/x), as above; every solve runs at
+    the package tolerance.
     """
     from scipy.optimize import brentq
 
@@ -361,22 +359,47 @@ def test_invert_beta_certifies_on_full_tolerance_solves(variant, monkeypatch):
     targets = list(map(float, 1.0 + np.geomspace(lowest - 1.0, 999.0, 6)))
     references = [brentq(lambda x: _energy(1.0 / x, variant) - target, 1.0 / 500.0,
                          target / (1.0 + 1e-9), xtol=1e-300, rtol=1.25e-7) for target in targets]
-    steered = []
+    curve = analysis._energy_curve(params.laplacian_variant)
+    monkeypatch.setitem(analysis._CURVES, params.laplacian_variant, analysis._EnergyCurve.through(
+        curve.ln_g0, curve.step, [1.01 * a for a in curve.a]))
+    solves = []
     solve = analysis.solve_radial
-
-    def skewed(request):
-        profile = solve(request)
-        if request.rel_tol == REL_TOL:
-            return profile
-        steered.append(request)
-        return SimpleNamespace(observables=SimpleNamespace(
-            energy=profile.observables.energy * (1.0 + 3e-7)))
-
-    monkeypatch.setattr(analysis, "solve_radial", skewed)
+    monkeypatch.setattr(analysis, "solve_radial",
+                        lambda request: solves.append(request) or solve(request))
     for target, x_ref in zip(targets, references):
         beta = mm.invert_beta_for_energy(target, 1.0, params)
         assert abs(beta * x_ref - 1.0) < 2.5e-7, target
-    assert steered
+    assert all(request.rel_tol == REL_TOL for request in solves)
+    assert len(solves) > 2 * len(targets)  # the skew is seen
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_energy_curve_holds_off_the_unit_parameters(variant):
+    """a = beta (u_bar - U0) depends on g = beta U0 alone: the curve, built at
+    U0 = m = hbar = 1, gives a + m to 5e-8 relative at other (U0, m, hbar),
+    between its knots and at both ends of g in [1e-8, 500]."""
+    curve = analysis._energy_curve(mm.LaplacianVariant(variant))
+    ln_gs = [curve.ln_g0 + (k + 0.5) * curve.step for k in range(0, len(curve.a) - 2, 7)]
+    for u0, mass, hbar in ((3.0, 2.0, 0.5), (0.3, 0.5, 2.0)):
+        for ln_g in [math.log(1e-8), *ln_gs, math.log(500.0)]:
+            beta = math.exp(ln_g) / u0
+            obs = mm.solve_radial(mm.SolveRequest(
+                params=mm.make_params(mass, hbar, beta, variant), u0=u0)).observables
+            a = beta * (obs.u_bar - u0)
+            a_curve, _ = curve(math.log(beta * u0))
+            assert abs(a_curve - a) / (a + mass) <= 5e-8, (u0, mass, hbar, beta)
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_energy_curve_is_fresh(variant):
+    """Every 10th stored point re-solves to 1e-12: a kernel change must rewrite the
+    curve (``python scripts/energy_curve.py``)."""
+    curve = analysis._energy_curve(mm.LaplacianVariant(variant))
+    for k in range(0, len(curve.a), 10):
+        g = math.exp(curve.ln_g0 + k * curve.step)
+        u_bar = mm.solve_radial(mm.SolveRequest(
+            params=mm.make_params(1.0, 1.0, g, variant))).observables.u_bar
+        assert abs(g * (u_bar - 1.0) - curve.a[k]) <= 1e-12 * curve.a[k], g
 
 
 def test_invert_beta_refuses_exactly_below_beta_cap(params1):
@@ -421,7 +444,7 @@ def test_invert_beta_refusal_solves_once_at_beta_cap(params1, target, monkeypatc
 
 def test_invert_beta_solve_cap_names_the_bracket(params1, monkeypatch):
     """A bracket still open when the solves run out raises SolverError naming it."""
-    monkeypatch.setattr(analysis, "_INVERT_MAX_SOLVES", 3)
+    monkeypatch.setattr(analysis, "_INVERT_MAX_SOLVES", 1)
     with pytest.raises(mm.SolverError, match=r"did not close on the bracket beta in \["):
         mm.invert_beta_for_energy(2.0, 1.0, params1)
 
@@ -476,6 +499,13 @@ def test_entropy_check_blocks_are_the_per_direction_float(beta):
     records = 1 + np.flatnonzero(np.diff(worst, prepend=-math.inf) > 0.0)
     for n_directions in sorted({1, 15, 16, 100, *records.tolist()}):
         assert mm.entropy_stationarity_check(profile, n_directions) == worst[n_directions - 1]
+
+
+def test_entropy_check_blocks_below_one_grid_row(radial1, monkeypatch):
+    """A block budget smaller than one direction's grid takes one direction at a time."""
+    expected = mm.entropy_stationarity_check(radial1)
+    monkeypatch.setattr(analysis, "BLOCK_CELLS", 1024)
+    assert mm.entropy_stationarity_check(radial1) == expected
 
 
 @pytest.mark.parametrize("n_directions", [0, -3, 2.5])

@@ -263,7 +263,8 @@ def test_solve_cartesian_rotation_smoke(tmp_path):
 
 
 def test_cli_and_inversion_load_no_scipy_optimize():
-    """Importing the CLI loads no scipy it does not use; an inversion loads no scipy.optimize."""
+    """Importing the CLI loads no scipy it does not use; an inversion loads no
+    scipy.optimize, nor scipy.interpolate for its energy curve."""
     code = (
         "import sys, madelung_maxent.cli\n"
         "from madelung_maxent import invert_beta_for_energy, make_params, observables, "
@@ -271,16 +272,16 @@ def test_cli_and_inversion_load_no_scipy_optimize():
         "print(sorted(m for m in ('scipy.optimize', 'scipy.interpolate', 'scipy.linalg', "
         "'scipy.sparse') if m in sys.modules))\n"
         "beta = invert_beta_for_energy(1.3, 1.0, make_params(1, 1, 1))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print([m for m in ('scipy.optimize', 'scipy.interpolate') if m in sys.modules])\n"
         "energy = observables(solve_radial(SolveRequest(params=make_params(1, 1, beta)))).energy\n"
         "print(abs(energy - 1.3) / 1.3)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mm.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    loaded, optimize_after, rel = done.stdout.splitlines()
+    loaded, loaded_by_inversion, rel = done.stdout.splitlines()
     assert loaded == "[]"
-    assert optimize_after == "False"
+    assert loaded_by_inversion == "[]"
     assert float(rel) <= 1e-6
 
 
