@@ -29,8 +29,9 @@ from .solver import SolveRequest, _resample_slope, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
 _LIMIT_SAMPLES = 2001  # uniform radii of the sinc-limit sup-norm (golden limit_grid_samples)
-_INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; the bracket closes to 1/8 of it
-_INVERT_MAX_SOLVES = 100  # a bracket still open after this many solves raises SolverError
+_INVERT_REL_TOL = 1e-6  # guaranteed relative beta accuracy; the search stops at 1/8 of it
+_SLOPE_FLOOR = 0.75  # below dphi/dxi >= 0.807 of the shipped energy curve; the tests derive it
+_INVERT_MAX_SOLVES = 100  # no stop after this many solves raises SolverError
 _ENTROPY_EPSILON = 1e-4  # size of the constrained density perturbations
 _ENTROPY_SEED = 0
 _ENTROPY_GRID = 2049  # odd, for composite Simpson
@@ -356,36 +357,29 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     1 - (da/d ln g)/(a + m).  The search starts at the model's root, clamped
     to [1/beta_cap, E/m] (a target at or below U0 starts at 1/beta_cap), and
     takes Newton steps on solves at the package tolerance with the model's
-    slope, pinning beta to a relative 1.25e-7.  Over perfbench's invert
-    targets a found beta takes 2 solves; a target below the curve's
-    g = beta U0 >= 1e-8 (E above ~1e8 U0) starts where the curve's end value
-    puts it, and takes a few more.  Once E - target changes sign the bracket
-    is kept: a proposal outside it becomes its geometric midpoint, and one
-    within half the stop width of the iterate steps that half width past it,
-    closing the bracket.  A broken solve's E <= U0 reads as phi = -inf.
+    slope, each clamped to the same range.  A broken solve's E <= U0 reads
+    as phi = -inf.
+
+    The 1.25e-7 rests on one solve plus the curve's slope bound: on the
+    shipped curve (held to 5e-8 off the unit parameters, re-solved to 1e-12)
+    0 < da/d ln g <= 0.193 a (0.185 a planar), so dphi/dxi lies in
+    [0.807, 1] for every m > 0; the tests derive that floor from the curve
+    and from solves below it.  A solve with |phi| <= _SLOPE_FLOOR * 1.25e-7
+    thus puts xi within 1.25e-7 of the root (mean value theorem), and its
+    beta is returned.  Both slopes lie in [0.807, 1], so each step shrinks
+    the error at least fourfold.  A found target inside the curve's
+    g = beta U0 >= 1e-8 starts (as measured) within |phi| <= 7.4e-9 and
+    takes 1 solve; one below it (E above ~1e8 U0), started from the curve's
+    end value, takes 3.
 
     A target is refused (NoSolutionError with E(beta_cap)) exactly when the
     solve at beta_cap reads E > target; E < target at the kinetic bound, or
-    a bracket still open after 100 solves, raises SolverError.
+    no solve within 1.25e-7 after 100 solves, raises SolverError.
     """
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
-    energies = {}
-
-    def energy_at(x: float) -> float:
-        """E(1/x); each x is solved once."""
-        if x not in energies:
-            params = replace(params_template, beta=1.0 / x)
-            energies[x] = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
-        return energies[x]
-
     log_gap = math.log(target_energy - u0) if target_energy > u0 else -math.inf
-
-    def phi_at(x: float) -> float:
-        e = energy_at(x)
-        return math.log(e - u0) - log_gap if e > u0 else -math.inf
-
     curve = _energy_curve(params_template.laplacian_variant)
     mass, ln_u0 = params_template.mass, math.log(u0)
 
@@ -398,7 +392,6 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     # to the infinite-beta energy than E(beta_cap) are reported infeasible
     beta_cap = 500.0 / u0
     x_cap, x_max = 1.0 / beta_cap, target_energy / (mass * (1.0 + 1e-9))
-    lo = hi = None  # E(1/lo) < target < E(1/hi)
     x = x_cap
     if target_energy > u0:
         xi = log_gap - math.log(mass)
@@ -409,43 +402,26 @@ def invert_beta_for_energy(target_energy: float, u0: float,
                 break
         x = max(x_cap, min(math.exp(xi), x_max))
     for _ in range(_INVERT_MAX_SOLVES):
-        if x == x_cap and energy_at(x) > target_energy:
+        params = replace(params_template, beta=1.0 / x)
+        energy = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
+        if x == x_cap and energy > target_energy:
             raise NoSolutionError(
                 f"target energy {target_energy} is below the attainable range: energies "
                 f"reachable for beta <= {beta_cap:.3g} are at least E(beta_cap) = "
-                f"{energies[x_cap]:.9g}", feasible_min=energies[x_cap])
-        phi = phi_at(x)
-        if phi == 0.0:
+                f"{energy:.9g}", feasible_min=energy)
+        phi = math.log(energy - u0) - log_gap if energy > u0 else -math.inf
+        if abs(phi) <= _SLOPE_FLOOR * 0.125 * _INVERT_REL_TOL:
             return 1.0 / x
-        if phi > 0.0:
-            hi = x
-        elif x == x_max:
+        if x == x_max and phi < 0.0:
             raise SolverError(
                 f"E(beta) - {target_energy} keeps one sign on the bracket beta in "
                 f"[{1.0 / x_max:.9g}, {beta_cap:.9g}]")
-        else:
-            lo = x
-        if lo is not None and hi is not None and hi - lo <= 0.125 * _INVERT_REL_TOL * lo:
-            return 1.0 / min(lo, hi, key=lambda end: abs(phi_at(end)))
         xi = math.log(x)
-        slope = model(xi)[1]
-        # exp stays finite; NaN (a non-increasing model) takes the midpoint below
-        x_new = math.exp(min(xi - phi / slope, 700.0)) if slope > 0.0 else math.nan
-        half = 0.0625 * _INVERT_REL_TOL * x
-        if abs(x_new - x) < half:
-            x_new = x - math.copysign(half, phi)
-        low, high = lo or x_cap, hi or x_max
-        if lo is None and x_new <= x_cap:
-            x_new = x_cap
-        elif hi is None and x_new >= x_max:
-            x_new = x_max
-        elif not low < x_new < high:
-            x_new = math.sqrt(low * high)
-        x = x_new
+        # exp stays finite; phi = -inf steps to the kinetic bound
+        x = max(x_cap, min(math.exp(min(xi - phi / model(xi)[1], 700.0)), x_max))
     raise SolverError(
         f"E(beta) - {target_energy} did not close on the bracket beta in "
-        f"[{1.0 / (hi or x_max):.9g}, {1.0 / (lo or x_cap):.9g}] after "
-        f"{_INVERT_MAX_SOLVES} solves")
+        f"[{1.0 / x_max:.9g}, {beta_cap:.9g}] after {_INVERT_MAX_SOLVES} solves")
 
 
 def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) -> float:

@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--energy", type=float,
                         help="average energy U_bar + m/beta; beta is found by inversion")
     p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
-    p.add_argument("--residual-h", type=float, default=1e-3)
+    p.add_argument("--residual-h", type=float, default=None,
+                   help="residual sample step (default min(1e-3, r_m/128))")
     p.set_defaults(func=_cmd_solve_radial)
 
     p = sub.add_parser("solve-cartesian", help="solve separable factors and assemble the 2D grid")

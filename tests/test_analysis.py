@@ -313,9 +313,9 @@ _FEW_SOLVES_CASES = [pytest.param(b, 1.0, 1.0, id=repr(b))
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
 @pytest.mark.parametrize("b_star, u0, mass", _FEW_SOLVES_CASES)
 def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatch):
-    """Started on the energy curve, the search recovers beta* in at most 3 solves.
+    """Started on the energy curve, the search recovers beta* in 1 solve.
 
-    Every solve runs at the package tolerance, and the returned beta is one of them.
+    That solve runs at the package tolerance, and its beta is the one returned.
     """
     target = _energy(b_star, variant, u0, mass)
     solves = []
@@ -323,9 +323,9 @@ def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatc
     monkeypatch.setattr(analysis, "solve_radial",
                         lambda request: solves.append(request) or solve(request))
     beta = mm.invert_beta_for_energy(target, u0, mm.make_params(1.0, mass, 1.0, variant))
-    assert len(solves) <= 3
-    assert all(request.rel_tol == REL_TOL for request in solves)
-    assert beta in [request.params.beta for request in solves]
+    assert len(solves) == 1
+    assert solves[0].rel_tol == REL_TOL
+    assert beta == solves[0].params.beta
     assert abs(beta - b_star) / b_star < 1e-6
     assert abs(_energy(beta, variant, u0, mass) - target) / target < 1e-6
 
@@ -371,6 +371,49 @@ def test_invert_beta_keeps_its_accuracy_on_a_skewed_curve(variant, monkeypatch):
         assert abs(beta * x_ref - 1.0) < 2.5e-7, target
     assert all(request.rel_tol == REL_TOL for request in solves)
     assert len(solves) > 2 * len(targets)  # the skew is seen
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_invert_beta_agrees_with_scipy_brentq_below_the_curve(variant, monkeypatch):
+    """Below the curve's g >= 1e-8 the search starts off its end value and still
+    lands within 1.25e-7 of scipy's brentq on E(1/x), in at most 3 solves."""
+    from scipy.optimize import brentq
+
+    params = mm.make_params(1.0, 1.0, 1.0, variant)
+    solves = []
+    solve = analysis.solve_radial
+    monkeypatch.setattr(analysis, "solve_radial",
+                        lambda request: solves.append(request) or solve(request))
+    for target in (1e9, 1e12, 1e16):
+        solves.clear()
+        beta = mm.invert_beta_for_energy(target, 1.0, params)
+        assert len(solves) <= 3, target
+        x_ref = brentq(lambda x: _energy(1.0 / x, variant) - target, 0.99 / beta, 1.01 / beta,
+                       xtol=1e-300, rtol=1e-10)
+        assert abs(beta * x_ref - 1.0) <= 1.25e-7, target
+
+
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_invert_beta_slope_floor_holds_on_the_curve(variant):
+    """The stop |phi| <= _SLOPE_FLOOR * 1.25e-7 needs dphi/dxi = 1 - (da/d ln g)/(a + m)
+    >= _SLOPE_FLOOR for every m > 0, so 1 - (da/d ln g)/a: read on the shipped curve
+    at 16 points per knot interval, and below its first knot from solves at
+    g = 1e-10, 1e-12 and 1e-16 (central differences in ln g)."""
+    curve = analysis._energy_curve(mm.LaplacianVariant(variant))
+    ln_gs = curve.ln_g0 + curve.step * np.linspace(0.0, len(curve.a) - 1, 16 * len(curve.a))
+    floor = min(1.0 - slope / a for a, slope in map(curve, ln_gs))
+    assert analysis._SLOPE_FLOOR <= floor
+
+    def a_at(ln_g):
+        g = math.exp(ln_g)  # beta at U0 = 1
+        u_bar = mm.solve_radial(mm.SolveRequest(
+            params=mm.make_params(1.0, 1.0, g, variant))).observables.u_bar
+        return g * (u_bar - 1.0)
+
+    for g in (1e-10, 1e-12, 1e-16):
+        ln_g, d = math.log(g), 0.05
+        slope = (a_at(ln_g + d) - a_at(ln_g - d)) / (2.0 * d)
+        assert 0.0 < slope and analysis._SLOPE_FLOOR <= 1.0 - slope / a_at(ln_g), g
 
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
@@ -443,10 +486,13 @@ def test_invert_beta_refusal_solves_once_at_beta_cap(params1, target, monkeypatc
 
 
 def test_invert_beta_solve_cap_names_the_bracket(params1, monkeypatch):
-    """A bracket still open when the solves run out raises SolverError naming it."""
-    monkeypatch.setattr(analysis, "_INVERT_MAX_SOLVES", 1)
+    """A search still open when the solves run out raises SolverError naming its bracket.
+
+    E = 1e9 lies below the energy curve's range and takes 3 solves.
+    """
+    monkeypatch.setattr(analysis, "_INVERT_MAX_SOLVES", 2)
     with pytest.raises(mm.SolverError, match=r"did not close on the bracket beta in \["):
-        mm.invert_beta_for_energy(2.0, 1.0, params1)
+        mm.invert_beta_for_energy(1e9, 1.0, params1)
 
 
 @pytest.mark.parametrize("target, u0, field", [

@@ -195,6 +195,14 @@ def test_solve_radial_energy_inverts(tmp_path):
     assert (tmp_path / "radial_profile.csv").exists()
 
 
+def test_solve_radial_energy_below_the_curve_exit_0(tmp_path):
+    """E = 1e9 finds beta = 1.07e-9, whose support r_m = 4.2e-4 sets the residual step."""
+    assert run_cli("solve-radial", "--energy", "1e9", "--out", str(tmp_path)) == 0
+    manifest = load_manifest(tmp_path)
+    assert manifest["observables"]["energy"] == pytest.approx(1e9, rel=1e-6)
+    assert manifest["residuals"]["spacing"] == manifest["observables"]["r_m"] / 128
+
+
 def test_solve_radial_unattainable_energy_exit_1(tmp_path, capsys):
     assert run_cli("solve-radial", "--energy", "0.5", "--out", str(tmp_path)) == 1
     assert "below the attainable range" in capsys.readouterr().err
