@@ -291,6 +291,7 @@ def limit_convergence(betas: Sequence[float], u0: float,
 
 
 _CURVES = {}  # LaplacianVariant -> _EnergyCurve, read on the first inversion
+_CAP_ENERGY = {}  # (params at beta_cap, U0) -> E(beta_cap), the last such solve alone
 
 
 @dataclass(frozen=True)
@@ -374,7 +375,9 @@ def invert_beta_for_energy(target_energy: float, u0: float,
 
     A target is refused (NoSolutionError with E(beta_cap)) exactly when the
     solve at beta_cap reads E > target; E < target at the kinetic bound, or
-    no solve within 1.25e-7 after 100 solves, raises SolverError.
+    no solve within 1.25e-7 after 100 solves, raises SolverError.  A refusal
+    takes one solve at beta_cap per parameter set (params and U0): the last
+    one is kept, and a repeat at the same set reads it instead of solving.
     """
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
@@ -403,7 +406,12 @@ def invert_beta_for_energy(target_energy: float, u0: float,
         x = max(x_cap, min(math.exp(xi), x_max))
     for _ in range(_INVERT_MAX_SOLVES):
         params = replace(params_template, beta=1.0 / x)
-        energy = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
+        energy = _CAP_ENERGY.get((params, u0)) if x == x_cap else None
+        if energy is None:
+            energy = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
+            if x == x_cap:
+                _CAP_ENERGY.clear()
+                _CAP_ENERGY[params, u0] = energy
         if x == x_cap and energy > target_energy:
             raise NoSolutionError(
                 f"target energy {target_energy} is below the attainable range: energies "

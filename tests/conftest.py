@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import madelung_maxent as mm
-from madelung_maxent import verify
+from madelung_maxent import analysis, verify
 from madelung_maxent.quadrature import radial_moments
 
 
@@ -26,6 +26,12 @@ def obs1(radial1):
 def axis1(params1):
     return mm.solve_cartesian_factor(
         mm.SolveRequest(params=params1, geometry=mm.Geometry.CARTESIAN_FACTOR))
+
+
+@pytest.fixture
+def empty_cap_memo(monkeypatch):
+    """An empty E(beta_cap) memo for one test: a patched solve neither reads nor leaves one."""
+    monkeypatch.setattr(analysis, "_CAP_ENERGY", {})
 
 
 @pytest.fixture(scope="session")

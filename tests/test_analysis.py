@@ -193,7 +193,7 @@ def test_sweep_r_m_flattens():
     assert r_m[1] - r_m[0] > r_m[2] - r_m[1] > 0
 
 
-def test_sweep_flags_failures(monkeypatch):
+def test_sweep_flags_failures(empty_cap_memo, monkeypatch):
     """A solve that raises SolverError becomes a failed row; the other rows still solve."""
     solve = analysis.solve_radial
 
@@ -312,7 +312,8 @@ _FEW_SOLVES_CASES = [pytest.param(b, 1.0, 1.0, id=repr(b))
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
 @pytest.mark.parametrize("b_star, u0, mass", _FEW_SOLVES_CASES)
-def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, monkeypatch):
+def test_invert_beta_round_trip_few_solves(variant, b_star, u0, mass, empty_cap_memo,
+                                            monkeypatch):
     """Started on the energy curve, the search recovers beta* in 1 solve.
 
     That solve runs at the package tolerance, and its beta is the one returned.
@@ -346,7 +347,7 @@ def test_invert_beta_agrees_with_scipy_brentq(variant):
 
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
-def test_invert_beta_keeps_its_accuracy_on_a_skewed_curve(variant, monkeypatch):
+def test_invert_beta_keeps_its_accuracy_on_a_skewed_curve(variant, empty_cap_memo, monkeypatch):
     """An energy curve with a 1% too large costs solves, not accuracy: beta within 2.5e-7.
 
     The reference is scipy's brentq on E(1/x), as above; every solve runs at
@@ -374,7 +375,8 @@ def test_invert_beta_keeps_its_accuracy_on_a_skewed_curve(variant, monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
-def test_invert_beta_agrees_with_scipy_brentq_below_the_curve(variant, monkeypatch):
+def test_invert_beta_agrees_with_scipy_brentq_below_the_curve(variant, empty_cap_memo,
+                                                              monkeypatch):
     """Below the curve's g >= 1e-8 the search starts off its end value and still
     lands within 1.25e-7 of scipy's brentq on E(1/x), in at most 3 solves."""
     from scipy.optimize import brentq
@@ -445,6 +447,35 @@ def test_energy_curve_is_fresh(variant):
         assert abs(g * (u_bar - 1.0) - curve.a[k]) <= 1e-12 * curve.a[k], g
 
 
+@pytest.mark.parametrize("variant", ["paper-radial", "planar-radial"])
+def test_energy_curve_approaches_the_limit_mode_at_large_g(variant):
+    """The curve's large-g end, where the refusal boundary g = 500 lies.
+
+    As g grows the state tends to the limit mode R(s): sinc on [0, pi] for the
+    paper's 2/r equation, J0 on [0, j_01] for the planar 1/r one.  There
+    a_inf = -2 int R^2 ln R s ds / int R^2 s ds (0.79234487 paper, 0.76057618
+    planar).  The shipped a rises at every knot and stays below a_inf, and for
+    g >= 100 g (a_inf - a) holds within 1% of its value at the last knot
+    (0.2924 paper, 0.2001 planar): a closes on a_inf like 1/g.
+    """
+    from scipy.special import j0, jn_zeros
+
+    if variant == "paper-radial":
+        mode, end = lambda s: np.sinc(s / math.pi), math.pi
+    else:
+        mode, end = j0, float(jn_zeros(0, 1)[0])
+    top = quad(lambda s: mode(s) ** 2 * math.log(mode(s)) * s, 0.0, end)[0]
+    a_inf = -2.0 * top / quad(lambda s: mode(s) ** 2 * s, 0.0, end)[0]
+    curve = analysis._energy_curve(mm.LaplacianVariant(variant))
+    a = np.array(curve.a)
+    g = np.exp(curve.ln_g0 + curve.step * np.arange(a.size))
+    assert np.all(np.diff(a) > 0.0)
+    assert np.all(a < a_inf)
+    gap = (g * (a_inf - a))[g >= 100.0]
+    assert gap.size >= 10
+    assert np.all(np.abs(gap / gap[-1] - 1.0) <= 0.01), gap
+
+
 def test_invert_beta_refuses_exactly_below_beta_cap(params1):
     """Every target down to E(beta_cap = 500) inverts; a lower one reports E(beta_cap)."""
     assert mm.invert_beta_for_energy(_energy(400.0), 1.0, params1) == \
@@ -460,7 +491,7 @@ def test_invert_beta_refuses_exactly_below_beta_cap(params1):
     assert excinfo.value.feasible_min == pytest.approx(e_cap, rel=1e-12)
 
 
-def test_invert_beta_bracket_guard(params1, monkeypatch):
+def test_invert_beta_bracket_guard(params1, empty_cap_memo, monkeypatch):
     """An energy that never reaches the target raises SolverError naming the bracket."""
     monkeypatch.setattr(analysis, "solve_radial", lambda request: None)
     monkeypatch.setattr(analysis, "observables", lambda profile: SimpleNamespace(energy=0.5))
@@ -469,20 +500,75 @@ def test_invert_beta_bracket_guard(params1, monkeypatch):
 
 
 @pytest.mark.parametrize("target", [0.5, 1.0, 1.003])
-def test_invert_beta_refusal_solves_once_at_beta_cap(params1, target, monkeypatch):
+def test_invert_beta_refusal_solves_once_at_beta_cap(params1, target, empty_cap_memo,
+                                                     monkeypatch):
     """A target below E(beta_cap), U0 included, is refused after its one solve, at beta_cap.
 
-    That solve runs at the package tolerance, so the refusal is exact.
+    That solve runs at the package tolerance, so the refusal is exact.  A repeat
+    at the same parameters reads it: no solve, the same feasible_min bits and
+    message.  Another U0, m, hbar or variant solves once again, and replaces it.
     """
     betas = []
     solve = analysis.solve_radial
     monkeypatch.setattr(analysis, "solve_radial",
                         lambda request: betas.append((request.params.beta, request.rel_tol))
                         or solve(request))
-    with pytest.raises(mm.NoSolutionError) as excinfo:
-        mm.invert_beta_for_energy(target, 1.0, params1)
+
+    def refusal(u0=1.0, params=params1):
+        betas.clear()
+        with pytest.raises(mm.NoSolutionError) as excinfo:
+            mm.invert_beta_for_energy(target, u0, params)
+        return excinfo.value.feasible_min, str(excinfo.value)
+
+    feasible_min, message = refusal()
     assert betas == [(500.0, REL_TOL)]
-    assert excinfo.value.feasible_min == _energy(500.0)
+    assert feasible_min == _energy(500.0)
+    again = refusal()
+    assert betas == []
+    assert again[0].hex() == feasible_min.hex() and again[1] == message
+    for u0, params in ((2.0, params1), (1.0, mm.make_params(2.0, 1.0, 1.0)),
+                       (1.0, mm.make_params(1.0, 2.0, 1.0)),
+                       (1.0, mm.make_params(1.0, 1.0, 1.0, "planar-radial")), (1.0, params1)):
+        refusal(u0, params)
+        assert betas == [(500.0 / u0, REL_TOL)], (u0, params)
+
+
+def test_invert_beta_keeps_no_energy_from_a_failed_cap_solve(params1, empty_cap_memo,
+                                                             monkeypatch):
+    """A failed beta_cap solve leaves the memo empty: the next call solves, and raises, again."""
+    betas = []
+
+    def fail(request):
+        betas.append(request.params.beta)
+        raise mm.SolverError("potential integration ended with 'max-steps'")
+
+    monkeypatch.setattr(analysis, "solve_radial", fail)
+    for _ in range(2):
+        with pytest.raises(mm.SolverError, match="max-steps"):
+            mm.invert_beta_for_energy(0.5, 1.0, params1)
+        assert analysis._CAP_ENERGY == {}
+    assert betas == [500.0, 500.0]
+
+
+def test_invert_beta_results_do_not_depend_on_the_cap_memo(params1, empty_cap_memo):
+    """Each target on an empty memo and then in a row on a warm one: every beta and
+    refusal (feasible_min and message) has the same bits."""
+    e_cap = _energy(500.0)
+    targets = [e_cap * (1.0 + 1e-6), e_cap * (1.0 - 1e-6), 1.0036, 1.003, 0.5]
+
+    def outcome(target):
+        try:
+            return mm.invert_beta_for_energy(target, 1.0, params1).hex()
+        except mm.NoSolutionError as exc:
+            return exc.feasible_min.hex(), str(exc)
+
+    cold = []
+    for target in targets:
+        analysis._CAP_ENERGY.clear()
+        cold.append(outcome(target))
+    assert [outcome(target) for target in targets] == cold
+    assert list(analysis._CAP_ENERGY) == [(mm.make_params(1.0, 1.0, 500.0), 1.0)]
+    assert [isinstance(o, tuple) for o in cold] == [False, True, False, True, True]
 
 
 def test_invert_beta_solve_cap_names_the_bracket(params1, monkeypatch):

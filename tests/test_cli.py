@@ -204,8 +204,14 @@ def test_solve_radial_energy_below_the_curve_exit_0(tmp_path):
 
 
 def test_solve_radial_unattainable_energy_exit_1(tmp_path, capsys):
-    assert run_cli("solve-radial", "--energy", "0.5", "--out", str(tmp_path)) == 1
-    assert "below the attainable range" in capsys.readouterr().err
+    """U0 and a target between U0 and E(beta_cap) are refused, and the run writes nothing."""
+    out = tmp_path / "run"
+    for energy in ("0.5", "1.003"):
+        assert run_cli("solve-radial", "--energy", energy, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert "below the attainable range" in err
+        assert "E(beta_cap) = 1.00358352" in err
+        assert not out.exists()
 
 
 def test_solve_radial_solver_error_exit_1(tmp_path, capsys, monkeypatch):
@@ -313,7 +319,7 @@ def test_sweep_log_range_small_beta(tmp_path):
     assert r2[0] < r2[1] < r2[2]
 
 
-def test_sweep_flagged_row_exit_zero(tmp_path, capsys, monkeypatch):
+def test_sweep_flagged_row_exit_zero(tmp_path, capsys, empty_cap_memo, monkeypatch):
     solve = mm.analysis.solve_radial
 
     def fail_at_beta_2(request):
