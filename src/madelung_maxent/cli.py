@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="average energy U_bar + m/beta; beta is found by inversion")
     p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
     p.add_argument("--residual-h", type=float, default=None,
-                   help="residual sample step (default min(1e-3, r_m/128))")
+                   help="residual sample step (default max(min(1e-3, r_m/128), r_m/65536))")
     p.set_defaults(func=_cmd_solve_radial)
 
     p = sub.add_parser("solve-cartesian", help="solve separable factors and assemble the 2D grid")

@@ -258,14 +258,15 @@ def maxent_residual(solution, params: PhysicalParams, h: float | None = None) ->
     """FD residual of the defining equation plus the rho->U rebuild check.
 
     ``solution`` is a RadialProfile (uniform resample at step h, by default
-    min(1e-3, r_m/128), so a small support keeps its samples) or a Grid2D
+    max(min(1e-3, r_m/128), r_m/65536), so every support gets 121 to 62259
+    samples) or a Grid2D
     (its own spacing, so a grid refuses any h).  Both norms exclude a margin
     (5% of the support radius / half-extent) next to the boundary.  A solution is measured against its own equation, so
     params must equal a profile's own params, and match a grid's factors in
     beta, mass and hbar.
     """
     if isinstance(solution, RadialProfile):
-        h = min(1e-3, solution.r_m / 128) if h is None else h
+        h = max(min(1e-3, solution.r_m / 128), solution.r_m / 65536) if h is None else h
         _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
         _require(params == solution.params, "params", "must equal the profile's own params")
         return _radial_residual(solution, params, h)

@@ -3,8 +3,10 @@
 The solvers store (r, U, U') at every accepted step, and U'' is available
 exactly from the ODE, so each node interval supports a quintic Hermite
 interpolant.  Its table (``hermite_table``) holds the s-free products once per
-node interval; each query's value and slope read its row (``hermite_gather``),
-with the bits of products formed per query.  Integrals are computed with a
+node interval, and a bucket index that finds a query's interval in O(1) unless
+its bucket holds a node; each query's value and slope read its row
+(``hermite_gather``), with the bits of products formed per query, and sum the
+weights' (power, coefficient) terms in a fixed order.  Integrals are computed with a
 derivative-corrected composite trapezoid rule
 
     int_a^b f  ~=  h/2 (f_a + f_b) + h^2/12 (f'_a - f'_b)          (O(h^4))
@@ -25,12 +27,27 @@ from __future__ import annotations
 
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import Observables, ValidationError
 
 _REFINE = 4  # per-interval subdivision of the Hermite interpolant
+_BUCKETS = 8  # interval-lookup buckets per node
+
+# (power, coefficient) terms of the quintic Hermite value weights of (U0, h U'0,
+# h h U''0, U1, h U'1, h h U''1), in the order they are summed; the slope weights
+# (times h) are their derivatives
+_VALUE_TERMS = (
+    ((0, 1.0), (3, -10.0), (4, 15.0), (5, -6.0)),
+    ((1, 1.0), (3, -6.0), (4, 8.0), (5, -3.0)),
+    ((2, 0.5), (3, -1.5), (4, 1.5), (5, -0.5)),
+    ((3, 10.0), (4, -15.0), (5, 6.0)),
+    ((3, -4.0), (4, 7.0), (5, -3.0)),
+    ((3, 0.5), (4, -1.0), (5, 0.5)),
+)
+_SLOPE_TERMS = tuple(tuple((p - 1, p * c) for p, c in weight if p) for weight in _VALUE_TERMS)
 
 
 def second_derivative(r, u, du, beta, lam_sq, c_coef):
@@ -43,72 +60,104 @@ def second_derivative(r, u, du, beta, lam_sq, c_coef):
             / np.where(origin, 1.0 + c_coef, 1.0))
 
 
-def hermite_table(r, u, du, acc):
-    """Read-only (8, n - 1) rows (r0, h, U0, h U'0, h h U''0, U1, h U'1, h h U''1).
+class HermiteTable(NamedTuple):
+    """A profile's quintic Hermite interval rows and the bucket index that finds them.
+
+    ``rows`` holds (r0, h, U0, h U'0, h h U''0, U1, h U'1, h h U''1) per node
+    interval.  The index cuts [0, nodes[-1]] into ``_BUCKETS`` buckets per node;
+    ``interval`` gives, for a bucket that holds no node, the interval of every
+    query in it, and -1 for a bucket that holds a node (``searchsorted`` decides).
+    """
+
+    nodes: np.ndarray
+    rows: np.ndarray
+    scale: float  # buckets per unit radius
+    interval: np.ndarray
+
+
+def _bucket(x, scale: float, n_buckets: int):
+    """The bucket of each x >= 0: floor(x scale), the last bucket past the end."""
+    return np.minimum((x * scale).astype(np.intp), n_buckets - 1)
+
+
+def _interval_rows(r, u, du, acc):
+    """(8, n - 1) rows (r0, h, U0, h U'0, h h U''0, U1, h U'1, h h U''1).
 
     Each product keeps the operand order of the per-query formula (h * v0 is
     (h*v0), h * h * a0 is ((h*h)*a0)), so a gathered row gives the same bits.
     """
     h = r[1:] - r[:-1]
-    table = np.array([r[:-1], h, u[:-1], h * du[:-1], h * h * acc[:-1],
-                      u[1:], h * du[1:], h * h * acc[1:]])
-    table.setflags(write=False)
-    return table
+    return np.array([r[:-1], h, u[:-1], h * du[:-1], h * h * acc[:-1],
+                     u[1:], h * du[1:], h * h * acc[1:]])
 
 
-def _value_basis(s):
-    """Quintic Hermite value weights of (U0, h U'0, h h U''0, U1, h U'1, h h U''1) at s."""
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    s5 = s4 * s
-    yield 1 - 10 * s3 + 15 * s4 - 6 * s5
-    yield s - 6 * s3 + 8 * s4 - 3 * s5
-    yield 0.5 * s2 - 1.5 * s3 + 1.5 * s4 - 0.5 * s5
-    yield 10 * s3 - 15 * s4 + 6 * s5
-    yield -4 * s3 + 7 * s4 - 3 * s5
-    yield 0.5 * s3 - s4 + 0.5 * s5
+def hermite_table(r, u, du, acc) -> HermiteTable:
+    """The read-only interval rows of nodes r (ascending from r[0] >= 0) and their index.
 
-
-def _slope_basis(s):
-    """The matching slope weights (times h) at s."""
-    s2 = s * s
-    s3 = s2 * s
-    s4 = s3 * s
-    yield -30 * s2 + 60 * s3 - 30 * s4
-    yield 1 - 18 * s2 + 32 * s3 - 15 * s4
-    yield s - 4.5 * s2 + 6 * s3 - 2.5 * s4
-    yield 30 * s2 - 60 * s3 + 30 * s4
-    yield -12 * s2 + 28 * s3 - 15 * s4
-    yield 1.5 * s2 - 4 * s3 + 2.5 * s4
-
-
-def _combine(t, basis):
-    """Sum of the table rows (U0, ..., h h U''1) times their weights, in row order.
-
-    Python evaluates the terms left to right, so each draws its own weight and a
-    query block holds one weight at a time.
+    Buckets are floor(x scale), monotone in x: a node in a lower bucket lies
+    below every query of a higher one, so in a bucket without a node the
+    nodes at or below a query are exactly those of the lower buckets, and
+    only a query that shares its bucket with a node needs ``searchsorted``.
     """
-    _, _, u0, hv0, hha0, u1, hv1, hha1 = t
-    w = iter(basis)
-    return (u0 * next(w) + hv0 * next(w) + hha0 * next(w)
-            + u1 * next(w) + hv1 * next(w) + hha1 * next(w))
+    rows = _interval_rows(r, u, du, acc)
+    n_buckets = _BUCKETS * r.size
+    # a support below n_buckets / DBL_MAX overflows the quotient; any finite
+    # positive scale keeps the index exact, and this one keeps x * scale finite
+    scale = min(n_buckets / float(r[-1]), sys.float_info.max)
+    held = _bucket(r, scale, n_buckets)
+    interval = np.searchsorted(held, np.arange(n_buckets)) - 1  # nodes in lower buckets, less one
+    interval[held] = -1
+    for a in (rows, interval):
+        a.setflags(write=False)
+    return HermiteTable(r, rows, scale, interval)
+
+
+def _weights(s, terms):
+    """Each weight of ``terms`` at s in turn, summed term by term into one reused buffer.
+
+    A term (p, c) adds c s**p; a negative c adds the negated product, which
+    is the bits of subtracting it.
+    """
+    powers = [None, s]  # s, s s, (s s) s, ... up to the highest power of the terms
+    while len(powers) <= max(p for weight in terms for p, _ in weight):
+        powers.append(powers[-1] * s)
+    w, term = np.empty_like(s), np.empty_like(s)
+    for (p, c), *rest in terms:
+        if p:
+            np.multiply(powers[p], c, out=w)
+        else:
+            w.fill(c)
+        for p, c in rest:
+            w += np.multiply(powers[p], c, out=term)
+        yield w
+
+
+def _hermite_sum(t, weights):
+    """Sum of the data rows (U0, h U'0, ..., h h U''1) of t times their weights, in row order."""
+    rows, weights = iter(t[2:]), iter(weights)
+    acc = next(rows) * next(weights)
+    term = np.empty_like(acc)
+    for row, w in zip(rows, weights):
+        acc += np.multiply(row, w, out=term)
+    return acc
 
 
 def _hermite_value(t, s):
     """Two-point quintic Hermite value at fractions s of the interval rows t."""
-    return _combine(t, _value_basis(s))
+    return _hermite_sum(t, _weights(s, _VALUE_TERMS))
 
 
 def _hermite_slope(t, s):
     """Two-point quintic Hermite slope at fractions s of the interval rows t."""
-    return _combine(t, _slope_basis(s)) / t[1]
+    slope = _hermite_sum(t, _weights(s, _SLOPE_TERMS))
+    slope /= t[1]
+    return slope
 
 
 # the refinement fractions s = 0, 1/4, 1/2, 3/4 and their weights, one row per s
 _S = np.arange(_REFINE) / _REFINE
-_VALUE_W = np.array(list(_value_basis(_S)))[:, :, None]
-_SLOPE_W = np.array(list(_slope_basis(_S)))[:, :, None]
+_VALUE_W = np.array([w.copy() for w in _weights(_S, _VALUE_TERMS)])[:, :, None]
+_SLOPE_W = np.array([w.copy() for w in _weights(_S, _SLOPE_TERMS)])[:, :, None]
 
 
 def hermite_refine(r, u, du, acc):
@@ -117,26 +166,34 @@ def hermite_refine(r, u, du, acc):
     The weights at the fixed fractions are computed once, so each row op runs
     over the intervals; the values are those of ``_hermite_value``/``_hermite_slope``.
     """
-    t = hermite_table(r, u, du, acc)[:, None, :]
+    t = _interval_rows(r, u, du, acc)[:, None, :]
     rr = t[0] + t[1] * _S[:, None]
-    uu = _combine(t, _VALUE_W)
-    vv = _combine(t, _SLOPE_W) / t[1]
+    uu = _hermite_sum(t, _VALUE_W)
+    vv = _hermite_sum(t, _SLOPE_W) / t[1]
     return (np.append(rr.T.ravel(), r[-1]),
             np.append(uu.T.ravel(), u[-1]),
             np.append(vv.T.ravel(), du[-1]))
 
 
-def hermite_gather(r, table, query):
+def hermite_gather(table: HermiteTable, query):
     """The rows of each query's node interval in ``table``, and its fraction s there.
 
-    Queries must lie within [r[0], r[-1]]; exact node hits return node data.
-    The table's U'' must be the true second derivative at the nodes, which the
-    ODE gives for every profile: a profile holds a solution of its own equation.
+    Queries must lie within [r[0], r[-1]].  A query at a node takes the
+    interval that starts there (the last node, the last interval, at s = 1),
+    so its value is the node's U bit for bit (the node's weight is 1, the
+    others 0), but its slope is the node's (h U') / h, which can differ from
+    the stored U' in the last bit.  The table's U'' must be the true second
+    derivative at the nodes, which the ODE gives for every profile: a profile
+    holds a solution of its own equation.
     """
+    r = table.nodes
     q = np.atleast_1d(np.asarray(query, dtype=float))
     if not np.all((q >= r[0]) & (q <= r[-1])):  # NaN fails both comparisons
         raise ValidationError("query: points outside the tabulated range or NaN")
-    t = np.take(table, np.clip(np.searchsorted(r, q, side="right") - 1, 0, r.size - 2), axis=1)
+    j = table.interval[_bucket(q, table.scale, table.interval.size)]
+    shared = j < 0  # the query's bucket holds a node
+    j[shared] = np.minimum(np.searchsorted(r, q[shared], side="right") - 1, r.size - 2)
+    t = np.take(table.rows, j, axis=1)
     return t, (q - t[0]) / t[1]
 
 
@@ -230,6 +287,6 @@ def axis_normalization(beta: float, nodes, u, du, lam_sq: float) -> float:
 
 
 __all__ = [
-    "second_derivative", "hermite_table", "hermite_gather", "hermite_refine", "radial_moments",
-    "axis_normalization",
+    "second_derivative", "HermiteTable", "hermite_table", "hermite_gather", "hermite_refine",
+    "radial_moments", "axis_normalization",
 ]

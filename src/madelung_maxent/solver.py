@@ -124,8 +124,9 @@ def resample(profile, query):
     each node fix U'' there through the ODE, and the piecewise quintic Hermite
     on (U, U', U'') is the profile's interpolant, one order above a cubic on
     (U, U') alone, which matters near the steep wall.  Its interval table
-    (``quadrature.hermite_table``, one row per node interval) is built on a
-    profile's first resample and kept while the profile lives.  Only U is
+    (``quadrature.hermite_table``: one row per node interval, and the bucket
+    index that finds a query's row) is built on a profile's first resample and
+    kept while the profile lives.  Only U is
     evaluated; ``_resample_slope`` gives the same interpolant's U'.
     """
     return quadrature._hermite_value(*_gather(profile, query))
@@ -142,7 +143,7 @@ def _gather(profile, query):
     if table is None:
         table = _TABLES[profile] = quadrature.hermite_table(
             profile.nodes, profile.u, profile.du, _equation_acc(profile))
-    return quadrature.hermite_gather(profile.nodes, table, query)
+    return quadrature.hermite_gather(table, query)
 
 
 def _equation_acc(profile):

@@ -203,6 +203,14 @@ def test_solve_radial_energy_below_the_curve_exit_0(tmp_path):
     assert manifest["residuals"]["spacing"] == manifest["observables"]["r_m"] / 128
 
 
+@pytest.mark.parametrize("flag, value", [("--hbar", "1e5"), ("--mass", "1e-9")])
+def test_solve_radial_large_support_exit_0(tmp_path, flag, value):
+    """r_m = 1.6e5 (hbar = 1e5) and 5.2e4 (m = 1e-9): the default step caps the samples."""
+    assert run_cli("solve-radial", "--beta", "1", flag, value, "--out", str(tmp_path)) == 0
+    manifest = load_manifest(tmp_path)
+    assert manifest["residuals"]["spacing"] == manifest["observables"]["r_m"] / 65536
+
+
 def test_solve_radial_unattainable_energy_exit_1(tmp_path, capsys):
     """U0 and a target between U0 and E(beta_cap) are refused, and the run writes nothing."""
     out = tmp_path / "run"

@@ -30,7 +30,7 @@ def test_corrected_trapezoid_fourth_order():
 
 def _hermite(x, f, df, ddf, query):
     """Value and slope of the piecewise quintic Hermite on (f, df, ddf) at the queries."""
-    args = q.hermite_gather(x, q.hermite_table(x, f, df, ddf), query)
+    args = q.hermite_gather(q.hermite_table(x, f, df, ddf), query)
     return q._hermite_value(*args), q._hermite_slope(*args)
 
 

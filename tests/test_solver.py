@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 import madelung_maxent as mm
+from madelung_maxent import quadrature
 from madelung_maxent.integrator import StopReason
 from madelung_maxent.solver import _TABLES, _equation_acc, _resample_slope
 
@@ -252,11 +253,17 @@ def planar1():
 
 
 def _resample_queries(profile):
-    """The origin, the last node, every node, a uniform and a random set of radii."""
-    r_end = float(profile.nodes[-1])
+    """The origin, the last node, every node and its float neighbours, every lookup
+    bucket edge and its neighbours, a uniform and a random set of radii."""
+    r = profile.nodes
+    r_end = float(r[-1])
+    scale = quadrature.hermite_table(r, profile.u, profile.du, _equation_acc(profile)).scale
+    edges = np.arange(quadrature._BUCKETS * r.size + 1) / scale
+    edges = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
     rng = np.random.default_rng(5)
-    return np.concatenate([[0.0, r_end], profile.nodes, np.linspace(0.0, r_end, 5001),
-                           rng.uniform(0.0, r_end, 2000)])
+    return np.concatenate([[0.0, r_end], r, np.nextafter(r[1:], -np.inf),
+                           np.nextafter(r[:-1], np.inf), edges[(edges >= 0.0) & (edges <= r_end)],
+                           np.linspace(0.0, r_end, 5001), rng.uniform(0.0, r_end, 2000)])
 
 
 @pytest.mark.parametrize("which", ["radial1", "axis1", "uniform_disk", "planar1"])
@@ -272,6 +279,36 @@ def test_resample_halves_match_quintic_hermite_bitwise(which, request):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def test_node_queries_return_node_values_and_rescaled_slopes(radial1):
+    """A query at a node takes the interval starting there (the last node, the last interval).
+
+    Its value is the stored U bit for bit, but its slope is the node's (h U') / h,
+    which differs from the stored U' in the last bit at 36 of the 866 nodes (beta = 1).
+    """
+    r, du = radial1.nodes, radial1.du
+    assert r.size == 866
+    assert np.array_equal(mm.resample(radial1, r).view(np.int64), radial1.u.view(np.int64))
+    h = np.diff(r)
+    rescaled = np.append((h * du[:-1]) / h, (h[-1] * du[-1]) / h[-1])
+    slope = _resample_slope(radial1, r)
+    assert np.array_equal(slope.view(np.int64), rescaled.view(np.int64))
+    assert np.count_nonzero(slope != du) == 36
+    assert np.all(np.abs(slope - du) <= np.spacing(np.abs(du)))
+
+
+def test_lookup_keeps_searchsorted_intervals_when_the_scale_overflows():
+    """Below n / DBL_MAX the bucket count per unit radius overflows; the lookup stays exact."""
+    x = np.linspace(0.0, 1e-307, 11)
+    assert quadrature._BUCKETS * x.size / float(x[-1]) == math.inf
+    table = quadrature.hermite_table(x, x, x, x)
+    rng = np.random.default_rng(3)
+    query = np.concatenate([x, np.nextafter(x[1:], -np.inf), np.nextafter(x[:-1], np.inf),
+                            rng.uniform(0.0, x[-1], 500)])
+    t, _ = quadrature.hermite_gather(table, query)
+    idx = np.clip(np.searchsorted(x, query, side="right") - 1, 0, x.size - 2)
+    assert np.array_equal(t, table.rows[:, idx])
+
+
 @pytest.mark.parametrize("which", ["radial1", "axis1"])
 def test_interval_table_is_no_state(which, request):
     """The table is kept per profile object, read-only, and never serialized."""
@@ -282,9 +319,12 @@ def test_interval_table_is_no_state(which, request):
     value = mm.resample(profile, query)
     assert (profile.to_dict(), mm.to_json(profile)) == before
     table = _TABLES[profile]
-    assert not table.flags.writeable
+    for part in (table.rows, table.interval):
+        assert not part.flags.writeable
     with pytest.raises(ValueError):
-        table[0, 0] = 1.0
+        table.rows[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        table.interval[0] = 1
     # a replaced profile solves another equation: it builds its own table
     other = replace(profile, params=mm.make_params(1.0, 1.0, 2.0, profile.params.laplacian_variant))
     got = mm.resample(other, query)
