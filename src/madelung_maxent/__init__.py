@@ -9,11 +9,10 @@ and the rotating stationary velocity field, and exposes the small-beta
 
 __version__ = "0.1.0"
 
-from .analysis import (LimitReport, LimitRow, SweepResult, angular_velocity,
-                       beta_sweep, density_on_grid, divergence_sup,
-                       entropy_stationarity_check, invert_beta_for_energy,
-                       limit_convergence, observables, sinc_limit,
-                       velocity_field)
+from .analysis import (LimitReport, SweepResult, angular_velocity, beta_sweep,
+                       density_on_grid, divergence_sup, entropy_stationarity_check,
+                       invert_beta_for_energy, limit_convergence, observables,
+                       sinc_limit, velocity_field)
 from .fields import Grid2D, ResidualNorms, assemble_2d, maxent_residual, rotate_grid
 from .integrator import StopReason, integrate
 from .model import (AxisProfile, FieldSample, LaplacianVariant, NoSolutionError,
@@ -41,6 +40,6 @@ __all__ = [
     # analysis
     "observables", "angular_velocity", "velocity_field", "divergence_sup",
     "beta_sweep", "SweepResult", "sinc_limit", "limit_convergence",
-    "LimitReport", "LimitRow", "invert_beta_for_energy",
+    "LimitReport", "invert_beta_for_energy",
     "entropy_stationarity_check", "density_on_grid",
 ]

@@ -188,9 +188,9 @@ def beta_sweep(betas: Sequence[float], u0: float,
         params = replace(params_template, beta=b)
         try:
             profile = solve_radial(SolveRequest(params=params, u0=u0))
-            rows.append(SweepRow(beta=b, u0=u0, observables=observables(profile)))
+            rows.append(SweepRow(beta=b, observables=observables(profile)))
         except (SolverError, ValidationError, FloatingPointError) as exc:
-            rows.append(SweepRow(beta=b, u0=u0, error=str(exc)))
+            rows.append(SweepRow(beta=b, error=str(exc)))
     ok = [row.observables for row in rows if row.observables is not None]
 
     def trend(key, cmp):
@@ -236,20 +236,14 @@ def density_on_grid(profile: RadialProfile, radii: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LimitRow:
-    beta: float
-    distance: float
-    r_m: float
-
-
-@dataclass(frozen=True)
 class LimitReport:
     """Sup-norm distances of rho(.; beta) from the infinite-beta density.
 
-    ``profiles`` holds the solved state behind each row, in row order.
+    ``profiles`` holds the solved state of each beta in ascending order, and
+    ``distances`` its distance, in the same order.
     """
 
-    rows: tuple
+    distances: tuple
     sinc: SincLimit
     distances_decreasing: bool
     profiles: tuple
@@ -281,12 +275,10 @@ def limit_convergence(betas: Sequence[float], u0: float,
     r_max = max([sinc.r_inf] + [p.r_m for p in profiles])
     radii = np.linspace(0.0, r_max, _LIMIT_SAMPLES)
     rho_inf = sinc.rho(radii)
-    rows = []
-    for b, profile in zip(betas, profiles):
-        d = float(np.max(np.abs(density_on_grid(profile, radii) - rho_inf)))
-        rows.append(LimitRow(beta=b, distance=d, r_m=profile.r_m))
-    decreasing = all(r2.distance < r1.distance for r1, r2 in zip(rows, rows[1:]))
-    return LimitReport(rows=tuple(rows), sinc=sinc, distances_decreasing=decreasing,
+    distances = tuple(float(np.max(np.abs(density_on_grid(p, radii) - rho_inf)))
+                      for p in profiles)
+    decreasing = all(d2 < d1 for d1, d2 in zip(distances, distances[1:]))
+    return LimitReport(distances=distances, sinc=sinc, distances_decreasing=decreasing,
                        profiles=tuple(profiles))
 
 
@@ -487,6 +479,6 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
 __all__ = [
     "observables", "angular_velocity", "velocity_field", "divergence_sup",
     "SweepResult", "beta_sweep", "sinc_limit", "SINC_NORM_INTEGRAL",
-    "density_on_grid", "LimitRow", "LimitReport", "limit_convergence",
+    "density_on_grid", "LimitReport", "limit_convergence",
     "invert_beta_for_energy", "entropy_stationarity_check",
 ]

@@ -29,7 +29,7 @@ from .model import (MAX_POINTS, NoSolutionError, SolverError, ValidationError, m
                     to_json)
 from .solver import Geometry, SolveRequest, solve_cartesian_factor, solve_radial
 
-FORMAT_VERSION = "3"
+FORMAT_VERSION = "4"
 
 
 def _write_lines(path: Path, lines):
@@ -128,13 +128,8 @@ def _cmd_solve_radial(args) -> int:
     profile = solve_radial(SolveRequest(params=params, u0=args.u0))
     obs = analysis.observables(profile)
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
-    outputs = []
-    if args.format in ("csv", "both"):
-        _write_radial_profile(outdir / "radial_profile.csv", profile)
-        outputs.append("radial_profile.csv")
-    if args.format in ("json", "both"):
-        _write_lines(outdir / "radial_profile.json", [to_json(profile) + "\n"])
-        outputs.append("radial_profile.json")
+    outputs = ["radial_profile.csv"]
+    _write_radial_profile(outdir / outputs[0], profile)
     _manifest(args, "solve-radial", outdir, outputs, started,
               observables=obs, residuals=norms, **inversion)
     outputs.append("manifest.json")
@@ -166,10 +161,8 @@ def _cmd_solve_cartesian(args) -> int:
         extra["rotation"] = {"theta": args.rotate,
                              "residuals": rot_norms,
                              "residual_ratio": rot_norms.pde / norms.pde}
-    outputs = []
-    for name, prof in (("axis_profile_x.csv", factor), ("axis_profile_y.csv", factor)):
-        _write_csv(outdir / name, ["i", "u", "du"], [prof.nodes, prof.u, prof.du])
-        outputs.append(name)
+    outputs = ["axis_profile.csv"]
+    _write_csv(outdir / outputs[0], ["i", "u", "du"], [factor.nodes, factor.u, factor.du])
     for name, g, plane in planes:
         _write_plane(outdir / name, g, plane)
         outputs.append(name)
@@ -243,8 +236,7 @@ def _cmd_limit(args) -> int:
                [rr, report.sinc.psi(rr), report.sinc.rho(rr)])
     outputs.append("sinc_profile.csv")
     _write_csv(outdir / "convergence.csv", ["beta", "sup_norm_distance"],
-               [np.array([row.beta for row in report.rows]),
-                np.array([row.distance for row in report.rows])])
+               [[p.params.beta for p in report.profiles], report.distances])
     outputs.append("convergence.csv")
     _manifest(args, "limit", outdir, outputs, started,
               sinc=report.sinc,
@@ -273,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--beta", type=float, help="entropy multiplier (positive)")
     target.add_argument("--energy", type=float,
                         help="average energy U_bar + m/beta; beta is found by inversion")
-    p.add_argument("--format", choices=("csv", "json", "both"), default="csv")
     p.add_argument("--residual-h", type=float, default=None,
                    help="residual sample step (default max(min(1e-3, r_m/128), r_m/65536))")
     p.set_defaults(func=_cmd_solve_radial)

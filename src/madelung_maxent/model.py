@@ -152,7 +152,7 @@ def _freeze_profile(profile, support_name: str):
     """Freeze a profile's nodes/u/du and check its grid and its support."""
     for name in ("nodes", "u", "du"):
         object.__setattr__(profile, name, _readonly(getattr(profile, name)))
-    nodes, u, du, u0 = profile.nodes, profile.u, profile.du, profile.u0
+    nodes, u, du = profile.nodes, profile.u, profile.du
     _require(nodes.ndim == 1 and nodes.size >= 2, "nodes",
              "must be a 1D sequence of at least two nodes (one interval to interpolate)")
     _require(u.shape == nodes.shape and du.shape == nodes.shape,
@@ -160,7 +160,6 @@ def _freeze_profile(profile, support_name: str):
     _require(nodes[0] == 0.0, "nodes", "must start at the origin")
     _require(bool(np.all(np.diff(nodes) > 0)), "nodes", "must be strictly ascending")
     _require(du[0] == 0.0, "du", "boundary condition du(0) = 0 violated")
-    _require(u[0] == u0, "u", "u[0] must equal u0")
     # convexity of the C1 data: the stored slope must not decrease (second
     # divided differences of u are hopeless on the bisection-shortened
     # intervals next to the wall, eps*|u|/h^2 noise)
@@ -189,7 +188,6 @@ class AxisProfile(Record):
     nodes: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    u0: float
     half_width: float
     z: float
 
@@ -247,15 +245,14 @@ class RadialProfile(Record):
     nodes: np.ndarray
     u: np.ndarray
     du: np.ndarray
-    u0: float
     observables: Observables
     rho: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _freeze_profile(self, "r_m")
         _require(bool(np.all(self.du >= 0)), "du", "must be nonnegative")
-        # U rises from u0, so its Boltzmann average cannot fall below it
-        _require(self.observables.u_bar >= self.u0, "u_bar", "must not be below u0")
+        # U rises from U0 = u[0], so its Boltzmann average cannot fall below it
+        _require(self.observables.u_bar >= self.u[0], "u_bar", "must not be below u[0]")
         rho = _readonly(np.exp(-self.params.beta * self.u) / self.z)
         object.__setattr__(self, "rho", rho)
         _require(bool(np.all(np.diff(rho) <= 1e-15 * rho[0])), "rho", "must be nonincreasing")
@@ -327,7 +324,6 @@ class SweepRow(Record):
     """One beta point of a sweep: the observables of its solve, or why it failed."""
 
     beta: float
-    u0: float
     observables: Observables | None = None
     error: str = ""
 

@@ -103,7 +103,7 @@ def solve_radial(request: SolveRequest) -> RadialProfile:
     nodes, u, du, r_m = _solve_potential(params, u0, request.rel_tol, c_coef)
     obs = quadrature.radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
                                     nodes, u, du, r_m)
-    return RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=u0, observables=obs)
+    return RadialProfile(params=params, nodes=nodes, u=u, du=du, observables=obs)
 
 
 def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
@@ -113,8 +113,7 @@ def solve_cartesian_factor(request: SolveRequest) -> AxisProfile:
     p = request.params
     nodes, u, du, i_m = _solve_potential(p, request.u0, request.rel_tol, 0.0)
     z = quadrature.axis_normalization(p.beta, nodes, u, du, p.lambda_sq)
-    return AxisProfile(params=p, nodes=nodes, u=u, du=du, u0=request.u0,
-                       half_width=i_m, z=z)
+    return AxisProfile(params=p, nodes=nodes, u=u, du=du, half_width=i_m, z=z)
 
 
 def resample(profile, query):

@@ -116,7 +116,7 @@ def _amplitude_concavity(case):
     # the amplitude factor e^{-beta(U-U0)/2} is concave: its slope
     # -(beta/2) U' amp must be nonincreasing
     axis = case.axis
-    amp = np.exp(-0.5 * case.beta * (axis.u - axis.u0))
+    amp = np.exp(-0.5 * case.beta * (axis.u - axis.u[0]))
     slope = -0.5 * case.beta * axis.du * amp
     return (np.all(np.diff(slope) <= 1e-12 * np.max(np.abs(slope))),
             "sqrt(rho) factor slope nonincreasing on the axis nodes")
@@ -207,7 +207,7 @@ def _support_stability(case):
     # the wall's dominant balance read at half the stop margin, on the same
     # nodes; its extrapolation error falls like e^{-beta (U - U0)}
     p = case.profile
-    i = int(np.argmax(case.beta * (p.u - p.u0) >= BLOWUP_LOG_MARGIN / 2))
+    i = int(np.argmax(case.beta * (p.u - p.u[0]) >= BLOWUP_LOG_MARGIN / 2))
     early = p.nodes[i] + 2.0 / (case.beta * p.du[i])
     halved = solve_radial(SolveRequest(params=case.params, rel_tol=5e-11))
     d1 = abs(early - p.r_m) / p.r_m
@@ -234,7 +234,7 @@ def _sweep_trends(case):
 def _limit_convergence(case):
     limit = analysis.limit_convergence([10.0, 50.0, 100.0], 1.0, case.params)
     r_inf = case.golden["r_inf_u0_1"]
-    drm = abs(limit.rows[-1].r_m - r_inf) / r_inf
+    drm = abs(limit.profiles[-1].r_m - r_inf) / r_inf
     return (limit.distances_decreasing and drm < 0.02,
             f"distances decreasing; r_m(100) within {drm:.3%} of pi/sqrt(2)")
 

@@ -46,8 +46,7 @@ def make_profile():
         c_coef = params.laplacian_variant.first_derivative_coefficient
         obs = radial_moments(params.beta, params.mass, params.lambda_sq, c_coef,
                              nodes, u, du, r_m)
-        return mm.RadialProfile(params=params, nodes=nodes, u=u, du=du, u0=float(u[0]),
-                                observables=obs)
+        return mm.RadialProfile(params=params, nodes=nodes, u=u, du=du, observables=obs)
     return make
 
 

@@ -263,10 +263,10 @@ def test_sinc_limit_validation(params1):
 def test_limit_convergence_golden(golden, params1):
     report = mm.limit_convergence([10.0, 50.0, 100.0], 1.0, params1)
     assert report.distances_decreasing
-    for row in report.rows:
-        assert row.distance == pytest.approx(golden["limit_distance"][str(row.beta)],
-                                             abs=1e-6)
-    assert report.rows[-1].r_m == pytest.approx(math.pi / math.sqrt(2.0), rel=0.02)
+    for profile, distance in zip(report.profiles, report.distances, strict=True):
+        assert distance == pytest.approx(
+            golden["limit_distance"][str(profile.params.beta)], abs=1e-6)
+    assert report.profiles[-1].r_m == pytest.approx(math.pi / math.sqrt(2.0), rel=0.02)
 
 
 def test_limit_convergence_validation(params1):

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.resources
 import json
 import math
 import os
@@ -22,13 +23,13 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+SCHEMA = json.loads(importlib.resources.files("madelung_maxent")
+                    .joinpath("manifest.schema.json").read_text())
+
+
 def load_manifest(path):
     manifest = json.loads((path / "manifest.json").read_text())
-    import importlib.resources
-
-    schema = json.loads(importlib.resources.files("madelung_maxent")
-                        .joinpath("manifest.schema.json").read_text())
-    jsonschema.validate(manifest, schema)
+    jsonschema.validate(manifest, SCHEMA)
     return manifest
 
 
@@ -44,18 +45,6 @@ def test_solve_radial_artifacts(tmp_path):
     assert abs(manifest["observables"]["k_bar_quad"] - 1.0) < 1e-6
 
 
-def test_solve_radial_json_format(tmp_path):
-    out = tmp_path / "run"
-    assert run_cli("solve-radial", "--beta", "1", "--format", "json",
-                   "--out", str(out)) == 0
-    profile = json.loads((out / "radial_profile.json").read_text())
-    assert profile["params"]["beta"] == 1.0
-    assert "z" not in profile and "r_m" not in profile and profile["observables"]["z"] > 0
-    assert not (out / "radial_profile.csv").exists()
-    manifest = load_manifest(out)
-    assert abs(manifest["observables"]["k_bar"] - 1.0) < 1e-12
-
-
 @pytest.mark.parametrize("name, argv", [
     ("radial_profile.csv", ["solve-radial", "--beta", "1"]),
     ("sweep.csv", ["sweep", "--beta-log-range", "1e-4", "100", "13"]),
@@ -65,13 +54,6 @@ def test_csv_bytes_match_benchmark_digests(tmp_path, name, argv):
     expected = json.loads(BASELINE.read_text())["csv_sha256"][name]
     assert run_cli(*argv, "--out", str(tmp_path)) == 0
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == expected
-
-
-def test_radial_json_bytes_pinned(tmp_path):
-    """radial_profile.json is written by model.to_json; its bytes are part of the output."""
-    assert run_cli("solve-radial", "--beta", "1", "--format", "json", "--out", str(tmp_path)) == 0
-    digest = hashlib.sha256((tmp_path / "radial_profile.json").read_bytes()).hexdigest()
-    assert digest == "65722edb137d23da805cf588cf79e1b0f4d11249e3bf7e8493c61addef517257"
 
 
 def test_limit_csv_bytes_pinned(tmp_path):
@@ -93,16 +75,14 @@ def test_limit_csv_bytes_pinned(tmp_path):
 
 
 def test_cartesian_csv_bytes_pinned(tmp_path):
-    """The six CSVs of one rotated Cartesian run and the residual floats of its manifest."""
+    """The five CSVs of one rotated Cartesian run and the residual floats of its manifest."""
     assert run_cli("solve-cartesian", "--beta", "1", "--grid-h", "0.01", "--rotate", "0.5",
                    "--out", str(tmp_path)) == 0
     manifest = load_manifest(tmp_path)
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in manifest["outputs"]}
-    axis = "d16e4a078d422d1977933295c5194b7415169d67e7b29171dbb72027de5a84a7"
     assert digests == {
-        "axis_profile_x.csv": axis,
-        "axis_profile_y.csv": axis,
+        "axis_profile.csv": "d16e4a078d422d1977933295c5194b7415169d67e7b29171dbb72027de5a84a7",
         "grid2d_u.csv": "27904d4f7975fa63202d94a87357757c8153410da360ffe92783251722eb7d63",
         "grid2d_rho.csv": "8d65dd6970c6d6ae57c4a5629a112dcb91ded64b199b7cfe09460b5c126ddee2",
         "grid2d_u_rotated.csv":
@@ -114,6 +94,52 @@ def test_cartesian_csv_bytes_pinned(tmp_path):
         "pde": 0.00453057534280133, "rebuild": 0.018794908902943774, "spacing": 0.01}
     assert manifest["rotation"]["residuals"] == {
         "pde": 0.003208888576155209, "rebuild": 0.007860394408870874, "spacing": 0.01}
+
+
+# one run of each command that writes a manifest, and the keys its manifest must hold
+RUNS = {
+    "solve-radial": (["--beta", "1"], ["observables", "residuals"]),
+    "solve-cartesian": (["--beta", "1", "--grid-h", "0.05", "--rotate", "0.5"],
+                        ["half_width", "grid_mass", "residuals"]),
+    "sweep": (["--beta-list", "1,2,4"], ["monotonicity", "failed_betas"]),
+    "limit": (["--betas", "10,50"], ["sinc", "distances_decreasing"]),
+}
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    dirs = {}
+    for command, (argv, _) in RUNS.items():
+        dirs[command] = tmp_path_factory.mktemp(command)
+        assert run_cli(command, *argv, "--out", str(dirs[command])) == 0
+    return dirs
+
+
+@pytest.mark.parametrize("command", RUNS)
+def test_each_output_is_written_once(run_dirs, command):
+    """No two files of one run hold the same bytes: each answer has one file."""
+    names = load_manifest(run_dirs[command])["outputs"]
+    digests = {hashlib.sha256((run_dirs[command] / name).read_bytes()).hexdigest()
+               for name in names}
+    assert len(digests) == len(names) >= 1
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command, (_, keys) in RUNS.items() for key in keys])
+def test_schema_requires_each_commands_keys(run_dirs, command, key):
+    """A manifest without one of its command's keys is refused by the schema."""
+    manifest = load_manifest(run_dirs[command])
+    del manifest[key]
+    with pytest.raises(jsonschema.ValidationError, match=f"'{key}' is a required property"):
+        jsonschema.validate(manifest, SCHEMA)
+
+
+def test_schema_refuses_verify_manifest(run_dirs):
+    """verify prints a table and writes no manifest, so no manifest names it."""
+    manifest = load_manifest(run_dirs["solve-radial"])
+    manifest["command"] = "verify"
+    with pytest.raises(jsonschema.ValidationError, match="'verify' is not one of"):
+        jsonschema.validate(manifest, SCHEMA)
 
 
 def test_usage_error_exit_2(tmp_path, capsys):
@@ -152,6 +178,8 @@ def test_solve_radial_zero_u0_exit_2(tmp_path, capsys):
     (["solve-cartesian", "--beta", "1", "--variant", "planar"], "unrecognized arguments"),
     (["limit", "--variant", "paper"], "unrecognized arguments"),
     (["verify", "--quick", "--golden", "x.json"], "unrecognized arguments"),
+    # the profile is written once, as radial_profile.csv; there is no JSON copy
+    (["solve-radial", "--beta", "1", "--format", "json"], "unrecognized arguments"),
 ])
 def test_usage_error_writes_nothing(tmp_path, capsys, argv, field):
     out, file = tmp_path / "run", tmp_path / "file"
@@ -250,8 +278,7 @@ def test_solve_cartesian_grid(tmp_path, axis1):
     out = tmp_path / "cart"
     assert run_cli("solve-cartesian", "--beta", "1", "--grid-h", "0.01",
                    "--out", str(out)) == 0
-    for name in ("axis_profile_x.csv", "axis_profile_y.csv",
-                 "grid2d_u.csv", "grid2d_rho.csv"):
+    for name in ("axis_profile.csv", "grid2d_u.csv", "grid2d_rho.csv"):
         assert (out / name).exists()
     header = (out / "grid2d_u.csv").read_text().splitlines()[0]
     assert header == "x,y,value"

@@ -46,7 +46,7 @@ RECORDS = {
     "grid-rotated": lambda get: mm.rotate_grid(
         mm.assemble_2d(get("axis1"), get("axis1"), 0.1), 0.5),
     "sweep-row-failed": lambda get: mm.SweepRow(
-        beta=1e3, u0=1.0, error="z: normalization underflowed"),
+        beta=1e3, error="z: normalization underflowed"),
     "sweep-result": lambda get: mm.beta_sweep([1.0, 2.0], 1.0, get("params1")),
     "field-sample-outside": lambda get: mm.velocity_field(get("radial1"), [[5.0, 0.0]])[0],
     "residual-norms": lambda get: mm.maxent_residual(get("radial1"), get("params1"), h=1e-2),
@@ -108,27 +108,27 @@ def test_profile_invariants_rejected(params1, radial1):
     obs = radial1.observables
     with pytest.raises(mm.ValidationError, match="nodes"):
         mm.RadialProfile(params=params1, nodes=[0.5, 1.0, 1.5], u=good_u,
-                         du=good_du, u0=1.0, observables=obs)
+                         du=good_du, observables=obs)
     with pytest.raises(mm.ValidationError, match="du"):
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=[0.1, 0.5, 1.0], u0=1.0, observables=obs)
+                         du=[0.1, 0.5, 1.0], observables=obs)
     with pytest.raises(mm.ValidationError, match="du"):
         # decreasing slope = concave u
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=[0.0, 1.0, 0.5], u0=1.0, observables=obs)
+                         du=[0.0, 1.0, 0.5], observables=obs)
     with pytest.raises(mm.ValidationError, match="r_m"):
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u,
-                         du=good_du, u0=1.0, observables=replace(obs, r_m=0.9))
-    with pytest.raises(mm.ValidationError, match="^u_bar: "):  # U rises from u0 > u_bar
+                         du=good_du, observables=replace(obs, r_m=0.9))
+    with pytest.raises(mm.ValidationError, match="^u_bar: "):  # U rises from u[0] > u_bar
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u + 5.0,
-                         du=good_du, u0=6.0, observables=obs)
+                         du=good_du, observables=obs)
     with pytest.raises(mm.ValidationError, match="^z: "):
         replace(obs, z=0.0)
 
 
 def test_one_node_profile_rejected(params1, obs1):
     """A profile interpolates over node intervals, so it needs at least one."""
-    one = dict(params=params1, nodes=[0.0], u=[1.0], du=[0.0], u0=1.0)
+    one = dict(params=params1, nodes=[0.0], u=[1.0], du=[0.0])
     with pytest.raises(mm.ValidationError, match="^nodes: "):
         mm.RadialProfile(**one, observables=obs1)
     with pytest.raises(mm.ValidationError, match="^nodes: "):
@@ -153,11 +153,11 @@ def test_sinclimit_invariants(params1):
 
 def test_sweeprow_identity_enforced(obs1):
     with pytest.raises(mm.ValidationError, match="k_bar_quad"):
-        mm.SweepRow(beta=1.0, u0=1.0, observables=replace(obs1, k_bar_quad=1.001 * obs1.k_bar))
+        mm.SweepRow(beta=1.0, observables=replace(obs1, k_bar_quad=1.001 * obs1.k_bar))
 
 
 @pytest.mark.parametrize("with_obs, error", [(False, ""), (True, "solve failed")],
                          ids=("neither", "both"))
 def test_sweeprow_holds_observables_or_error(obs1, with_obs, error):
     with pytest.raises(mm.ValidationError, match="^observables: "):
-        mm.SweepRow(beta=1.0, u0=1.0, observables=obs1 if with_obs else None, error=error)
+        mm.SweepRow(beta=1.0, observables=obs1 if with_obs else None, error=error)
