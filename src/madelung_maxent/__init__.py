@@ -15,10 +15,9 @@ from .analysis import (LimitReport, SweepResult, angular_velocity, beta_sweep,
                        sinc_limit, velocity_field)
 from .fields import Grid2D, ResidualNorms, assemble_2d, maxent_residual, rotate_grid
 from .integrator import StopReason, integrate
-from .model import (AxisProfile, FieldSample, LaplacianVariant, NoSolutionError,
-                    Observables, OutOfSupportError, PhysicalParams, RadialProfile,
-                    SincLimit, SolverError, SweepRow, ValidationError, make_params,
-                    to_json)
+from .model import (AxisProfile, LaplacianVariant, NoSolutionError, Observables,
+                    OutOfSupportError, PhysicalParams, RadialProfile, SincLimit, SolverError,
+                    SweepRow, ValidationError, make_params, to_json)
 from .solver import (Geometry, SolveRequest, resample, series_coefficient,
                      solve_cartesian_factor, solve_radial)
 
@@ -26,8 +25,7 @@ __all__ = [
     "__version__",
     # model
     "PhysicalParams", "make_params", "LaplacianVariant", "AxisProfile",
-    "RadialProfile", "Observables", "SincLimit", "SweepRow",
-    "FieldSample", "to_json",
+    "RadialProfile", "Observables", "SincLimit", "SweepRow", "to_json",
     "ValidationError", "SolverError", "OutOfSupportError",
     "NoSolutionError",
     # integrator

@@ -17,14 +17,15 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .model import (BLOCK_CELLS, MAX_POINTS, FieldSample, LaplacianVariant, NoSolutionError,
-                    Observables, OutOfSupportError, PhysicalParams, RadialProfile, Record,
-                    SincLimit, SolverError, SweepRow, ValidationError, _require)
+from .model import (BLOCK_CELLS, MAX_POINTS, SINC_NORM_INTEGRAL, LaplacianVariant,
+                    NoSolutionError, Observables, OutOfSupportError, PhysicalParams,
+                    RadialProfile, Record, SincLimit, SolverError, SweepRow, ValidationError,
+                    _require)
 from .solver import SolveRequest, _resample_slope, resample, solve_radial
 
 _DIV_R_FRAC = 0.8  # divergence check region r <= 0.8 r_m, away from the wall
@@ -77,26 +78,20 @@ def angular_velocity(profile: RadialProfile, r):
     return float(out[0]) if np.isscalar(r) or np.asarray(r).ndim == 0 else out
 
 
-def velocity_field(profile: RadialProfile, positions) -> list[FieldSample]:
-    """Rotating velocity samples v = (-omega y, omega x); outside -> flagged."""
+def velocity_field(profile: RadialProfile, positions):
+    """The arrays (omega, v, residual) at (n, 2) positions: v = (-omega y, omega x) and
+    residual = m r omega^2 - U'(r), zero to rounding; NaN at or past r_m."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     _require(pos.ndim == 2 and pos.shape[1] == 2, "positions", "must be (n, 2)")
-    p = profile.params
-    r = np.hypot(pos[:, 0], pos[:, 1])
+    x, y = pos.T
+    r = np.hypot(x, y)
     inside = r < profile.r_m
-    omega = np.full(r.shape, math.nan)
-    residual = np.full(r.shape, math.nan)
+    omega, residual = np.full((2, r.size), math.nan)
     du = _du_values(profile, r[inside])
     omega[inside] = _omega_from_du(profile, r[inside], du)
-    # m r omega^2 - U'(r): omega was built from the same U', so only rounding survives
-    residual[inside] = p.mass * r[inside] * omega[inside] ** 2 - du
-    samples = []
-    for (x, y), om, res, ok in zip(pos, omega, residual, inside):
-        samples.append(FieldSample(
-            x=float(x), y=float(y), omega=float(om),
-            vx=float(-om * y), vy=float(om * x),
-            stationarity_residual=float(res), in_support=bool(ok)))
-    return samples
+    # omega was built from the same U', so only rounding survives
+    residual[inside] = profile.params.mass * r[inside] * omega[inside] ** 2 - du
+    return omega, np.column_stack([-omega * y, omega * x]), residual
 
 
 def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
@@ -128,8 +123,9 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
 
     The centers are taken in blocks of BLOCK_CELLS // (n + 2) rows (at least
     one), each with omega on its rows and one ring, so the temporaries stay a
-    few MiB at any h.  The sup is a max over the blocks, so every block
-    layout gives the same float.
+    few MiB at any h, and end one column past the disk edge e of their
+    nearest node row: a kept center lies in a column up to e.  The sup is a
+    max over the blocks, so every block layout gives the same float.
     """
     _require(math.isfinite(h) and h > 0.0, "h", "must be a positive finite step")
     r_lim = _DIV_R_FRAC * profile.r_m
@@ -144,20 +140,22 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
     rows = max(1, BLOCK_CELLS // axis.size)
     for lo in range(0, n + 1, rows):
         hi = min(lo + rows, n + 1)
-        # node rows lo - 1..hi (row -1 is row 1) and columns 0..hi; centers are rows lo..hi - 1
+        # node rows lo - 1..hi (row -1 is row 1) and columns 0..m = min(hi, e + 1); centers
+        # are rows lo..hi - 1 and columns 0..m - 1
         k = np.abs(np.arange(lo - 1, hi + 1))[:, None]
-        c = np.arange(hi + 1)[None, :]
+        m = min(hi, np.count_nonzero(np.hypot(axis[max(lo - 1, 0)], axis) <= r_lim))
+        c = np.arange(m + 1)[None, :]
         r = np.hypot(axis[k], axis[c])
         keep = (r[1:-1, :-1] <= r_lim - 2 * h) & (c[:, :-1] <= k[1:-1])
         if not keep.any():
             continue
         read = (r <= r_lim) & (c <= k + 1)  # a center (i, j <= i) reads columns <= i + 1
-        w = np.zeros((hi - lo + 2, hi + 2))  # omega; column 0 is node column -1
+        w = np.zeros((hi - lo + 2, m + 2))  # omega; column 0 is node column -1
         rr = r[read]
         w[:, 1:][read] = _omega_from_du(profile, rr, _resample_slope(profile, rr))
         w[:, 0] = w[:, 2]
         x = axis[lo:hi, None]
-        y = axis[None, :hi]
+        y = axis[None, :m]
         # v = (-omega y, omega x), centered differences of each component
         div = ((w[:-2, 1:-1] - w[2:, 1:-1]) * y / (2 * h)
                + (w[1:-1, 2:] - w[1:-1, :-2]) * x / (2 * h))
@@ -167,13 +165,25 @@ def divergence_sup(profile: RadialProfile, h: float = 1e-3) -> float:
 
 @dataclass(frozen=True)
 class SweepResult(Record):
-    """Rows plus the monotonicity summary of the resolved trends."""
+    """Rows plus the monotonicity summary of the resolved trends, derived from the rows
+    that solved (the non-strict trends with a relative slack of 1e-12)."""
 
     rows: tuple[SweepRow, ...]
-    r_m_nondecreasing: bool
-    r2_nondecreasing: bool
-    k_bar_decreasing: bool
-    u_bar_nonincreasing: bool
+    r_m_nondecreasing: bool = field(init=False)
+    r2_nondecreasing: bool = field(init=False)
+    k_bar_decreasing: bool = field(init=False)
+    u_bar_nonincreasing: bool = field(init=False)
+
+    def __post_init__(self):
+        ok = [row.observables for row in self.rows if row.observables is not None]
+        slack = 1e-12
+        for name, key, cmp in (
+                ("r_m_nondecreasing", "r_m", lambda a, b: b >= a * (1 - slack)),
+                ("r2_nondecreasing", "r2_bar", lambda a, b: b >= a * (1 - slack)),
+                ("k_bar_decreasing", "k_bar", lambda a, b: b < a),
+                ("u_bar_nonincreasing", "u_bar", lambda a, b: b <= a * (1 + slack))):
+            vals = [getattr(obs, key) for obs in ok]
+            object.__setattr__(self, name, all(cmp(a, b) for a, b in zip(vals, vals[1:])))
 
 
 def beta_sweep(betas: Sequence[float], u0: float,
@@ -191,37 +201,17 @@ def beta_sweep(betas: Sequence[float], u0: float,
             rows.append(SweepRow(beta=b, observables=observables(profile)))
         except (SolverError, ValidationError, FloatingPointError) as exc:
             rows.append(SweepRow(beta=b, error=str(exc)))
-    ok = [row.observables for row in rows if row.observables is not None]
-
-    def trend(key, cmp):
-        vals = [getattr(obs, key) for obs in ok]
-        return all(cmp(a, b) for a, b in zip(vals, vals[1:]))
-
-    slack = 1e-12
-    return SweepResult(
-        rows=tuple(rows),
-        r_m_nondecreasing=trend("r_m", lambda a, b: b >= a * (1 - slack)),
-        r2_nondecreasing=trend("r2_bar", lambda a, b: b >= a * (1 - slack)),
-        k_bar_decreasing=trend("k_bar", lambda a, b: b < a),
-        u_bar_nonincreasing=trend("u_bar", lambda a, b: b <= a * (1 + slack)),
-    )
-
-
-# int_0^pi sin^2(u)/u du by 128-point Gauss-Legendre (machine accurate); the test suite
-# recomputes it and requires this float
-SINC_NORM_INTEGRAL = 1.2188266965286045
+    return SweepResult(rows=tuple(rows))
 
 
 def sinc_limit(params: PhysicalParams, energy: float) -> SincLimit:
     """Closed-form infinite-beta state at the given energy.
 
-    k = sqrt(2 m E)/hbar, support radius pi/k, amplitude normalized so the
-    squared profile integrates to one over the disk.
+    k = sqrt(2 m E)/hbar; the record derives the support radius pi/k and
+    the amplitude that normalizes the squared profile over the disk.
     """
     _require(math.isfinite(energy) and energy > 0, "energy", "must be a positive finite real")
-    k = math.sqrt(2.0 * params.mass * energy) / params.hbar
-    a = 1.0 / math.sqrt(2.0 * math.pi * SINC_NORM_INTEGRAL)
-    return SincLimit(k=k, r_inf=math.pi / k, a=a, energy=energy)
+    return SincLimit(k=math.sqrt(2.0 * params.mass * energy) / params.hbar, energy=energy)
 
 
 def density_on_grid(profile: RadialProfile, radii: np.ndarray) -> np.ndarray:
@@ -240,13 +230,17 @@ class LimitReport:
     """Sup-norm distances of rho(.; beta) from the infinite-beta density.
 
     ``profiles`` holds the solved state of each beta in ascending order, and
-    ``distances`` its distance, in the same order.
+    ``distances`` its distance, in the same order, which fix ``distances_decreasing``.
     """
 
     distances: tuple
     sinc: SincLimit
-    distances_decreasing: bool
+    distances_decreasing: bool = field(init=False)
     profiles: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "distances_decreasing", all(
+            d2 < d1 for d1, d2 in zip(self.distances, self.distances[1:])))
 
 
 def limit_convergence(betas: Sequence[float], u0: float,
@@ -277,13 +271,11 @@ def limit_convergence(betas: Sequence[float], u0: float,
     rho_inf = sinc.rho(radii)
     distances = tuple(float(np.max(np.abs(density_on_grid(p, radii) - rho_inf)))
                       for p in profiles)
-    decreasing = all(d2 < d1 for d1, d2 in zip(distances, distances[1:]))
-    return LimitReport(distances=distances, sinc=sinc, distances_decreasing=decreasing,
-                       profiles=tuple(profiles))
+    return LimitReport(distances=distances, sinc=sinc, profiles=tuple(profiles))
 
 
 _CURVES = {}  # LaplacianVariant -> _EnergyCurve, read on the first inversion
-_CAP_ENERGY = {}  # (params at beta_cap, U0) -> E(beta_cap), the last such solve alone
+_CAP_PROFILE = {}  # (params at beta_cap, U0) -> its solved profile, the last such solve alone
 
 
 @dataclass(frozen=True)
@@ -371,6 +363,12 @@ def invert_beta_for_energy(target_energy: float, u0: float,
     takes one solve at beta_cap per parameter set (params and U0): the last
     one is kept, and a repeat at the same set reads it instead of solving.
     """
+    return _solve_at_energy(target_energy, u0, params_template).params.beta
+
+
+def _solve_at_energy(target_energy: float, u0: float,
+                     params_template: PhysicalParams) -> RadialProfile:
+    """``invert_beta_for_energy``'s search: the solve that certifies the beta it returns."""
     _require(math.isfinite(target_energy) and target_energy > 0, "target_energy",
              "must be a positive finite real")
     _require(math.isfinite(u0) and u0 > 0, "u0", "must be a positive finite real")
@@ -398,12 +396,13 @@ def invert_beta_for_energy(target_energy: float, u0: float,
         x = max(x_cap, min(math.exp(xi), x_max))
     for _ in range(_INVERT_MAX_SOLVES):
         params = replace(params_template, beta=1.0 / x)
-        energy = _CAP_ENERGY.get((params, u0)) if x == x_cap else None
-        if energy is None:
-            energy = observables(solve_radial(SolveRequest(params=params, u0=u0))).energy
+        profile = _CAP_PROFILE.get((params, u0)) if x == x_cap else None
+        if profile is None:
+            profile = solve_radial(SolveRequest(params=params, u0=u0))
             if x == x_cap:
-                _CAP_ENERGY.clear()
-                _CAP_ENERGY[params, u0] = energy
+                _CAP_PROFILE.clear()
+                _CAP_PROFILE[params, u0] = profile
+        energy = observables(profile).energy
         if x == x_cap and energy > target_energy:
             raise NoSolutionError(
                 f"target energy {target_energy} is below the attainable range: energies "
@@ -411,7 +410,7 @@ def invert_beta_for_energy(target_energy: float, u0: float,
                 f"{energy:.9g}", feasible_min=energy)
         phi = math.log(energy - u0) - log_gap if energy > u0 else -math.inf
         if abs(phi) <= _SLOPE_FLOOR * 0.125 * _INVERT_REL_TOL:
-            return 1.0 / x
+            return profile
         if x == x_max and phi < 0.0:
             raise SolverError(
                 f"E(beta) - {target_energy} keeps one sign on the bracket beta in "
@@ -452,9 +451,7 @@ def entropy_stationarity_check(profile: RadialProfile, n_directions: int = 100) 
 
     def entropy_of(dens):
         # 0 log 0 = 0, and a NaN density stays NaN
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(dens == 0.0, 0.0, dens * np.log(np.where(dens == 0.0, 1.0, dens)))
-        return -integral(term)
+        return -integral(dens * np.log(dens, out=np.zeros_like(dens), where=dens != 0.0))
 
     h0 = entropy_of(rho)
     worst = -math.inf

@@ -121,11 +121,12 @@ def _cmd_solve_radial(args) -> int:
     outdir = _outdir(args)
     started = time.monotonic()
     inversion = {}
-    if args.energy is not None:
-        beta = analysis.invert_beta_for_energy(args.energy, args.u0, params)
-        params = _params_from(args, beta, args.variant)
-        inversion = {"target_energy": args.energy, "beta": beta}
-    profile = solve_radial(SolveRequest(params=params, u0=args.u0))
+    if args.energy is None:
+        profile = solve_radial(SolveRequest(params=params, u0=args.u0))
+    else:  # the inversion's certifying solve is the run's profile
+        profile = analysis._solve_at_energy(args.energy, args.u0, params)
+        params = profile.params
+        inversion = {"target_energy": args.energy, "beta": params.beta}
     obs = analysis.observables(profile)
     norms = fields.maxent_residual(profile, params, h=args.residual_h)
     outputs = ["radial_profile.csv"]

@@ -203,15 +203,15 @@ class Observables(Record):
     """Normalization and scalar observables of one solved radial state.
 
     One quadrature pass (``quadrature.radial_moments``) gives them all: the
-    normalization z of rho = exp(-beta U)/z with its logarithm, the averages
+    logarithm log_z of the normalization of rho = exp(-beta U)/z, the averages
     u_bar and r2_bar, the kinetic quadrature k_bar_quad and the entropy.
     k_bar is the closed form mass/beta (exact for every stationary-spinning
     state) and k_bar_quad must agree with it to the quadrature tolerance;
-    energy is derived as u_bar + k_bar.
+    z is derived as exp(log_z) and energy as u_bar + k_bar.
     """
 
     beta: float
-    z: float
+    z: float = field(init=False)
     log_z: float
     u_bar: float
     k_bar: float
@@ -222,6 +222,7 @@ class Observables(Record):
     energy: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "z", float(np.exp(self.log_z)))
         _require(self.z > 0, "z", "must be positive")
         _require(self.k_bar > 0, "k_bar", "must be positive")
         object.__setattr__(self, "energy", self.u_bar + self.k_bar)
@@ -270,25 +271,30 @@ class RadialProfile(Record):
         return self.params.laplacian_variant.first_derivative_coefficient
 
 
+# int_0^pi sin^2(u)/u du by 128-point Gauss-Legendre (machine accurate); the test suite
+# recomputes it and requires this float
+SINC_NORM_INTEGRAL = 1.2188266965286045
+
+
 @dataclass(frozen=True)
 class SincLimit(Record):
     """Closed-form infinite-beta state: amplitude a*sin(k r)/r on [0, r_inf].
 
-    The first zero of the amplitude sits exactly at the support radius,
-    k * r_inf = pi, and the squared amplitude integrates to one over the disk.
+    The support radius is the amplitude's first zero, r_inf = pi/k, and the
+    amplitude a = 1/sqrt(2 pi SINC_NORM_INTEGRAL) makes the squared profile
+    integrate to one over the disk; both are derived from k.
     """
 
     k: float
-    r_inf: float
-    a: float
+    r_inf: float = field(init=False)
+    a: float = field(init=False)
     energy: float
 
     def __post_init__(self):
         _require(self.k > 0, "k", "must be positive")
-        _require(abs(self.k * self.r_inf - math.pi) <= 4 * np.finfo(float).eps * math.pi,
-                 "r_inf", "k * r_inf must equal pi")
-        _require(self.a > 0, "a", "must be positive")
         _require(self.energy > 0, "energy", "must be positive")
+        object.__setattr__(self, "r_inf", math.pi / self.k)
+        object.__setattr__(self, "a", 1.0 / math.sqrt(2.0 * math.pi * SINC_NORM_INTEGRAL))
 
     def psi(self, r):
         r = np.asarray(r, dtype=float)
@@ -341,24 +347,6 @@ class SweepRow(Record):
         return "failed" if self.observables is None else "ok"
 
 
-@dataclass(frozen=True)
-class FieldSample(Record):
-    """Velocity-field sample at one position of a spinning stationary state.
-
-    velocity = (-omega*y, omega*x) by construction, so the stationarity
-    residual mass*r*omega^2 - dU/dr vanishes to rounding for in-support
-    samples.  Out-of-support positions are flagged and carry NaNs.
-    """
-
-    x: float
-    y: float
-    omega: float
-    vx: float
-    vy: float
-    stationarity_residual: float
-    in_support: bool
-
-
 def to_json(obj) -> str:
     """The one JSON text writer: a Record, or a dict that may hold Records, sorted and indented."""
     return json.dumps(obj, default=_plain, indent=2, sort_keys=True)
@@ -368,5 +356,5 @@ __all__ = [
     "ValidationError", "SolverError", "OutOfSupportError", "NoSolutionError",
     "LaplacianVariant", "Record", "PhysicalParams", "make_params",
     "AxisProfile", "RadialProfile", "Observables", "SincLimit",
-    "SweepRow", "FieldSample", "to_json", "replace",
+    "SweepRow", "SINC_NORM_INTEGRAL", "to_json", "replace",
 ]

@@ -148,8 +148,19 @@ def _hermite_value(t, s):
 
 
 def _hermite_slope(t, s):
-    """Two-point quintic Hermite slope at fractions s of the interval rows t."""
-    slope = _hermite_sum(t, _weights(s, _SLOPE_TERMS))
+    """Two-point quintic Hermite slope at fractions s of the interval rows t.
+
+    The fourth weight is the first negated bit for bit ((-a + b) - c =
+    -((a - b) + c) in round-to-nearest), so its term subtracts the first's.
+    """
+    weights = _weights(s, _SLOPE_TERMS[:3] + _SLOPE_TERMS[4:])
+    w = next(weights)
+    slope, fourth = t[2] * w, t[5] * w
+    for row, w in zip(t[3:5], weights):
+        slope += np.multiply(row, w, out=w)
+    slope -= fourth
+    for row, w in zip(t[6:], weights):
+        slope += np.multiply(row, w, out=w)
     slope /= t[1]
     return slope
 
@@ -263,7 +274,7 @@ def radial_moments(beta: float, mass: float, lam_sq: float, c_coef: float,
         (r3 * w, w * (3.0 * rr * rr - bv * r3)),
         (fh, dfh))
 
-    return Observables(beta=beta, z=z, log_z=log_z,
+    return Observables(beta=beta, log_z=log_z,
                        u_bar=float(uq / zq),
                        k_bar=mass / beta,
                        k_bar_quad=float(mass * kq / (2.0 * zq)),

@@ -30,8 +30,8 @@ def axis1(params1):
 
 @pytest.fixture
 def empty_cap_memo(monkeypatch):
-    """An empty E(beta_cap) memo for one test: a patched solve neither reads nor leaves one."""
-    monkeypatch.setattr(analysis, "_CAP_ENERGY", {})
+    """An empty beta_cap solve memo for one test: a patched solve neither reads nor leaves one."""
+    monkeypatch.setattr(analysis, "_CAP_PROFILE", {})
 
 
 @pytest.fixture(scope="session")

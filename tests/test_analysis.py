@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -46,13 +47,24 @@ def test_omega_out_of_support(radial1):
 
 
 def test_velocity_samples_tangential(radial1):
-    samples = mm.velocity_field(radial1, [(0.5, 0.0), (0.0, 0.5), (5.0, 5.0)])
-    s0 = samples[0]
-    assert s0.in_support and s0.vx == 0.0
-    assert s0.vy == pytest.approx(0.5 * s0.omega, rel=1e-15)
-    s1 = samples[1]
-    assert s1.vy == 0.0 and s1.vx == pytest.approx(-0.5 * s1.omega, rel=1e-15)
-    assert not samples[2].in_support and math.isnan(samples[2].omega)
+    """The field arrays: v = (-omega y, omega x) exactly, omega is angular_velocity inside
+    the support and NaN (with v and the residual) at or past r_m."""
+    pos = np.array([(0.5, 0.0), (0.0, 0.5), (0.3, -0.4), (0.0, 0.0), (5.0, 5.0),
+                    (radial1.r_m, 0.0)])
+    omega, v, residual = mm.velocity_field(radial1, pos)
+    assert omega.shape == residual.shape == (6,) and v.shape == (6, 2)
+    r = np.hypot(pos[:, 0], pos[:, 1])
+    inside = r < radial1.r_m
+    assert inside.tolist() == [True, True, True, True, False, False]
+    assert np.array_equal(omega[inside], mm.angular_velocity(radial1, r[inside]))
+    assert np.isnan(omega[~inside]).all() and np.isnan(v[~inside]).all()
+    assert np.isnan(residual[~inside]).all()
+    assert np.array_equal(v, np.column_stack([-omega * pos[:, 1], omega * pos[:, 0]]),
+                          equal_nan=True)
+    assert v[0, 0] == 0.0 and v[0, 1] == 0.5 * omega[0]
+    assert v[1, 1] == 0.0 and v[1, 0] == -0.5 * omega[1]
+    # m r omega^2 - U'(r): omega was built from the same U', so only rounding survives
+    assert np.all(np.abs(residual[inside]) <= 1e-14)
 
 
 def test_circulation_nonzero(radial1):
@@ -61,9 +73,8 @@ def test_circulation_nonzero(radial1):
     r = 0.5
     theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
     pos = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
-    samples = mm.velocity_field(radial1, pos)
+    v = mm.velocity_field(radial1, pos)[1]
     tangent = np.column_stack([-np.sin(theta), np.cos(theta)])
-    v = np.array([[s.vx, s.vy] for s in samples])
     circulation = np.sum(np.sum(v * tangent, axis=1)) * (2 * np.pi * r / theta.size)
     omega = mm.angular_velocity(radial1, r)
     assert circulation == pytest.approx(2 * np.pi * r**2 * omega, rel=1e-12)
@@ -214,6 +225,31 @@ def test_sweep_flags_failures(empty_cap_memo, monkeypatch):
     assert sweep.rows[1].observables is None
     assert sweep.rows[1].error == "potential integration ended with 'max-steps'"
     assert sweep.k_bar_decreasing  # the trends read the rows that solved
+
+
+def test_sweep_and_limit_flags_are_derived_from_their_rows(params1):
+    """SweepResult's trend flags are read from its rows and LimitReport's
+    distances_decreasing from its distances; dataclasses.replace carries them."""
+    sweep = mm.beta_sweep([1.0, 2.0, 4.0], 1.0, params1)
+    obs = [row.observables for row in sweep.rows]
+
+    def flags(result):
+        return [result.r_m_nondecreasing, result.r2_nondecreasing, result.k_bar_decreasing,
+                result.u_bar_nonincreasing]
+
+    assert flags(sweep) == [True, True, True, True]
+    assert all(b.r_m >= a.r_m * (1 - 1e-12) and b.k_bar < a.k_bar
+               for a, b in zip(obs, obs[1:]))
+    assert flags(replace(sweep, rows=sweep.rows[::-1])) == [False, False, False, False]
+    assert flags(replace(sweep, rows=sweep.rows[:1])) == [True, True, True, True]
+    report = mm.LimitReport(distances=(3.0, 2.0, 1.0), sinc=mm.sinc_limit(params1, 1.0),
+                            profiles=())
+    assert report.distances_decreasing
+    assert not replace(report, distances=(3.0, 2.0, 2.0)).distances_decreasing
+    assert replace(report, distances=(1.0,)).distances_decreasing
+    for record, name in ((sweep, "k_bar_decreasing"), (report, "distances_decreasing")):
+        with pytest.raises(ValueError, match=name):
+            replace(record, **{name: True})
 
 
 def test_sweep_validation():
@@ -552,7 +588,7 @@ def test_invert_beta_keeps_no_energy_from_a_failed_cap_solve(params1, empty_cap_
     for _ in range(2):
         with pytest.raises(mm.SolverError, match="max-steps"):
             mm.invert_beta_for_energy(0.5, 1.0, params1)
-        assert analysis._CAP_ENERGY == {}
+        assert analysis._CAP_PROFILE == {}
     assert betas == [500.0, 500.0]
 
 
@@ -570,10 +606,10 @@ def test_invert_beta_results_do_not_depend_on_the_cap_memo(params1, empty_cap_me
 
     cold = []
     for target in targets:
-        analysis._CAP_ENERGY.clear()
+        analysis._CAP_PROFILE.clear()
         cold.append(outcome(target))
     assert [outcome(target) for target in targets] == cold
-    assert list(analysis._CAP_ENERGY) == [(mm.make_params(1.0, 1.0, 500.0), 1.0)]
+    assert list(analysis._CAP_PROFILE) == [(mm.make_params(1.0, 1.0, 500.0), 1.0)]
     assert [isinstance(o, tuple) for o in cold] == [False, True, False, True, True]
 
 

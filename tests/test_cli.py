@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -134,6 +135,21 @@ def test_schema_requires_each_commands_keys(run_dirs, command, key):
         jsonschema.validate(manifest, SCHEMA)
 
 
+# every field of the records a manifest writes, derived ones included
+RECORD_FIELDS = [("solve-radial", "observables", f.name) for f in fields(mm.Observables)] + [
+    ("limit", "sinc", f.name) for f in fields(mm.SincLimit)] + [
+    ("sweep", "monotonicity", f.name) for f in fields(mm.SweepResult) if f.name != "rows"]
+
+
+@pytest.mark.parametrize("command, key, name", RECORD_FIELDS)
+def test_schema_requires_every_record_field(run_dirs, command, key, name):
+    """A manifest whose record lacks one field, derived or not, is refused by the schema."""
+    manifest = load_manifest(run_dirs[command])
+    del manifest[key][name]
+    with pytest.raises(jsonschema.ValidationError, match=f"'{name}' is a required property"):
+        jsonschema.validate(manifest, SCHEMA)
+
+
 def test_schema_refuses_verify_manifest(run_dirs):
     """verify prints a table and writes no manifest, so no manifest names it."""
     manifest = load_manifest(run_dirs["solve-radial"])
@@ -221,6 +237,21 @@ def test_solve_radial_energy_inverts(tmp_path):
     assert manifest["beta"] == manifest["observables"]["beta"] == pytest.approx(2.0, rel=1e-6)
     assert manifest["observables"]["energy"] == pytest.approx(target, rel=1e-6)
     assert (tmp_path / "radial_profile.csv").exists()
+
+
+def test_solve_radial_energy_solves_once(tmp_path, empty_cap_memo, monkeypatch):
+    """--energy 2.5 writes the inversion's certifying solve: 1 solve, not a second at its beta."""
+    betas = []
+    solve = mm.analysis.solve_radial
+
+    def counted(request):
+        betas.append(request.params.beta)
+        return solve(request)
+
+    monkeypatch.setattr(mm.analysis, "solve_radial", counted)
+    monkeypatch.setattr(cli, "solve_radial", counted)
+    assert run_cli("solve-radial", "--energy", "2.5", "--out", str(tmp_path)) == 0
+    assert betas == [load_manifest(tmp_path)["beta"]]
 
 
 def test_solve_radial_energy_below_the_curve_exit_0(tmp_path):

@@ -48,7 +48,6 @@ RECORDS = {
     "sweep-row-failed": lambda get: mm.SweepRow(
         beta=1e3, error="z: normalization underflowed"),
     "sweep-result": lambda get: mm.beta_sweep([1.0, 2.0], 1.0, get("params1")),
-    "field-sample-outside": lambda get: mm.velocity_field(get("radial1"), [[5.0, 0.0]])[0],
     "residual-norms": lambda get: mm.maxent_residual(get("radial1"), get("params1"), h=1e-2),
 }
 
@@ -122,8 +121,8 @@ def test_profile_invariants_rejected(params1, radial1):
     with pytest.raises(mm.ValidationError, match="^u_bar: "):  # U rises from u[0] > u_bar
         mm.RadialProfile(params=params1, nodes=nodes, u=good_u + 5.0,
                          du=good_du, observables=obs)
-    with pytest.raises(mm.ValidationError, match="^z: "):
-        replace(obs, z=0.0)
+    with pytest.raises(mm.ValidationError, match="^z: "):  # exp(log_z) underflows to 0
+        replace(obs, log_z=-1e4)
 
 
 def test_one_node_profile_rejected(params1, obs1):
@@ -149,6 +148,22 @@ def test_observables_invariants(obs1):
 def test_sinclimit_invariants(params1):
     s = mm.sinc_limit(params1, energy=1.0)
     assert abs(s.k * s.r_inf - math.pi) <= 4 * np.finfo(float).eps * math.pi
+
+
+def test_derived_fields_are_their_expressions(obs1, params1):
+    """Observables.z and SincLimit's r_inf and a are their defining expressions, bit for
+    bit; dataclasses.replace recomputes them, and refuses to set them."""
+    assert obs1.z == float(np.exp(obs1.log_z))
+    moved = replace(obs1, log_z=obs1.log_z + 0.5, entropy=obs1.entropy + 0.5)
+    assert moved.z == float(np.exp(obs1.log_z + 0.5)) != obs1.z
+    s = mm.sinc_limit(params1, energy=1.0)
+    assert s.r_inf == math.pi / s.k
+    assert s.a == 1.0 / math.sqrt(2.0 * math.pi * mm.analysis.SINC_NORM_INTEGRAL)
+    wider = replace(s, k=0.5)
+    assert wider.r_inf == 2.0 * math.pi and wider.a == s.a and wider.energy == s.energy
+    for record, name in ((obs1, "z"), (s, "r_inf"), (s, "a")):
+        with pytest.raises(ValueError, match=name):
+            replace(record, **{name: 1.0})
 
 
 def test_sweeprow_identity_enforced(obs1):
